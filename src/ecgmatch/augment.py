@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .rng import RandomStream, as_generator
 
 # A signal matrix is a 2-D float array, shape (channels, length).
@@ -54,11 +55,11 @@ class AugmentConfig:
 
     def __post_init__(self):
         if not 0.0 < self.dropout_max_frac <= 1.0:
-            raise ValueError(f"dropout_max_frac must be in (0, 1], got {self.dropout_max_frac}")
+            raise ConfigurationError(f"dropout_max_frac must be in (0, 1], got {self.dropout_max_frac}")
         if self.noise_sigma <= 0.0:
-            raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
+            raise ConfigurationError(f"noise_sigma must be positive, got {self.noise_sigma}")
         if not 1 <= self.strong_max_transforms <= 4:
-            raise ValueError(
+            raise ConfigurationError(
                 f"strong_max_transforms must be in [1, 4], got {self.strong_max_transforms}"
             )
 

@@ -91,7 +91,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if out is not None:
         cfg = replace(cfg, output_dir=str(out))
     if seed is not None:
-        cfg = replace(cfg, seeds=[int(seed)])
+        try:
+            cfg = replace(cfg, seeds=[int(seed)])
+        except ValueError:
+            raise ConfigurationError(f"seed override must be an integer, got {seed!r}") from None
     return cfg
 
 
@@ -128,10 +131,14 @@ def _grid_cells(cfg: ExperimentConfig):
     return [(lu, cfg.grid_fixed) for lu in cfg.grid_values]
 
 
-def _run_grid_cell(config_path: str, lu: float, lf: float, cell_dir: str):
-    """Worker for one grid cell; re-loads everything so cells parallelize cleanly."""
+def _run_grid_cell(config_path: str, lu: float, lf: float, cell_dir: str, seeds):
+    """Worker for one grid cell; re-loads everything so cells parallelize cleanly.
+
+    `seeds` carries the --seed / ECGMATCH_SEED override, which the reloaded
+    file does not have.
+    """
     cfg = load_experiment_config(config_path)
-    cfg = replace(cfg, output_dir=cell_dir)
+    cfg = replace(cfg, output_dir=cell_dir, seeds=seeds)
     cfg = replace(cfg, train=replace(cfg.train, weights=type(cfg.train.weights)(lu, lf)))
     datasets = _load_datasets(cfg)
     result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds,
@@ -153,7 +160,7 @@ def cmd_gridsearch(config_path: str, args=None) -> int:
         threads = int(_env("THREADS", getattr(args, "threads", 1) or 1))
         stage = "train"
         jobs = [
-            (config_path, lu, lf, str(out_dir / f"cell_lu{lu:g}_lf{lf:g}"))
+            (config_path, lu, lf, str(out_dir / f"cell_lu{lu:g}_lf{lf:g}"), cfg.seeds)
             for lu, lf in cells
         ]
         if threads > 1:
@@ -339,34 +346,38 @@ def cmd_annotate(terms_file: str, map_file: str | None = None) -> int:
 
 
 def cmd_synth(config_path: str, out_path: str) -> int:
+    stage = "load-config"
     try:
         cfg = load_experiment_config(config_path)
         if cfg.data.synth is None:
             raise ConfigurationError("config has no data.synth section")
+        stage = "generate"
         ds = synth_generate(cfg.data.synth)
+        stage = "write-dataset"
+        out = Path(out_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_dataset(out, ds, cfg.data.format)
+        from .correlation import correlation_matrix
+
+        manifest = {
+            "n_samples": len(ds),
+            "num_classes": ds.num_classes,
+            "empirical_marginals": [float(m) for m in ds.labels.mean(axis=0)],
+            "empirical_label_correlation": [
+                [float(v) for v in row] for row in correlation_matrix(ds.labels, "cosine")
+            ],
+        }
+        stage = "write-manifest"
+        manifest_path = out.with_suffix(out.suffix + ".manifest.json")
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (ConfigurationError, ParseError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error in stage {stage}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return 1
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(out, ds, cfg.data.format)
-    from .correlation import correlation_matrix
-
-    manifest = {
-        "n_samples": len(ds),
-        "num_classes": ds.num_classes,
-        "empirical_marginals": [float(m) for m in ds.labels.mean(axis=0)],
-        "empirical_label_correlation": [
-            [float(v) for v in row] for row in correlation_matrix(ds.labels, "cosine")
-        ],
-    }
-    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"wrote {out} and {manifest_path}")
     return 0
 

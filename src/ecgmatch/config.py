@@ -174,10 +174,20 @@ def _parse_data(doc) -> DataSource:
     )
 
 
+def _parse_seeds(value) -> list:
+    try:
+        seeds = [int(s) for s in value] if isinstance(value, (list, tuple)) else []
+    except (TypeError, ValueError):
+        seeds = []
+    if not seeds:
+        raise ConfigurationError(f"seeds must be a nonempty list of integers, got {value!r}")
+    return seeds
+
+
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
     take, done = _take(dict(doc), "config root")
     output_dir = str(take("output_dir", "runs"))
-    seeds = [int(s) for s in take("seeds", [0, 1, 2])]
+    seeds = _parse_seeds(take("seeds", [0, 1, 2]))
     data = _parse_data(take("data", {}))
     split = _parse_split(take("split", {}))
     similarity = str(take("similarity", "cosine"))
@@ -198,8 +208,6 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         raise ConfigurationError(f"grid axis must be lambda_u, lambda_f or cartesian, got {grid_axis!r}")
     model_name = str(take("model_name", train.baseline))
     done()
-    if not seeds:
-        raise ConfigurationError("seeds must be a nonempty list")
     return ExperimentConfig(
         output_dir=output_dir, seeds=seeds, data=data, split=split, train=train,
         metric_threshold=threshold, gbeta_beta=beta, model_name=model_name,

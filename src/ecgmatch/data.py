@@ -457,27 +457,54 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
 
 # --- preprocessing ------------------------------------------------------------
 
+# Rows per z-score/pool block: at 3x256 signals a block's temporaries stay
+# near 1.5 MB, so encoding a whole unlabeled pool never stacks it at once.
+_ENCODE_BLOCK = 256
+
 
 def preprocess(x: np.ndarray, pool_len: int = 32) -> np.ndarray:
     """Per-channel z-score, average-pool to pool_len bins, flatten.
 
-    Constant channels become zeros. The output length channels*pool_len is
-    independent of the input length, so recordings of different durations
-    map to a fixed model input size.
+    A one-signal view of `encode_subset`; see there for the transform.
     """
-    x = np.asarray(x, dtype=float)
-    channels, length = x.shape
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
-    z = np.where(std > 0.0, (x - mean) / np.where(std > 0.0, std, 1.0), 0.0)
-    edges = np.linspace(0, length, pool_len + 1).astype(int)
-    pooled = np.empty((channels, pool_len))
-    for b in range(pool_len):
-        lo, hi = edges[b], max(edges[b + 1], edges[b] + 1)
-        pooled[:, b] = z[:, lo:hi].mean(axis=1)
-    return pooled.reshape(-1)
+    return encode_subset([x], pool_len)[0]
 
 
 def encode_subset(signals, pool_len: int = 32) -> np.ndarray:
-    """Stack preprocessed signals into a model input matrix."""
-    return np.vstack([preprocess(x, pool_len) for x in signals])
+    """Stack preprocessed signals into an (n, channels*pool_len) model input matrix.
+
+    Each channel is z-scored (constant channels become zeros) and averaged
+    into pool_len bins with edges linspace(0, length, pool_len+1); a bin
+    narrower than one sample takes the sample at its left edge. The output
+    width is independent of the input length, so recordings of different
+    durations map to a fixed model input size.
+
+    Signals are grouped by shape, and each group is encoded in stacked
+    blocks of _ENCODE_BLOCK rows whose results go back to the rows' original
+    positions. Every reduction runs along the time axis of one row, so the
+    output equals per-signal encoding bit for bit.
+    """
+    signals = [np.asarray(x, dtype=float) for x in signals]
+    groups: dict = {}
+    for i, x in enumerate(signals):
+        if x.ndim != 2:
+            raise ConfigurationError(f"signal {i} must be a (channels, length) matrix, got shape {x.shape}")
+        groups.setdefault(x.shape, []).append(i)
+    widths = {channels * pool_len for channels, _ in groups}
+    if len(widths) != 1:
+        raise ConfigurationError(f"need signals with one channel count, found shapes {sorted(groups)}")
+    out = np.empty((len(signals), widths.pop()))
+    for (channels, length), rows in groups.items():
+        edges = np.linspace(0, length, pool_len + 1).astype(int)
+        for start in range(0, len(rows), _ENCODE_BLOCK):
+            idx = rows[start : start + _ENCODE_BLOCK]
+            x = np.stack([signals[i] for i in idx])
+            mean = x.mean(axis=2, keepdims=True)
+            std = x.std(axis=2, keepdims=True)
+            z = np.where(std > 0.0, (x - mean) / np.where(std > 0.0, std, 1.0), 0.0)
+            pooled = np.empty((len(idx), channels, pool_len))
+            for b in range(pool_len):
+                lo, hi = edges[b], max(edges[b + 1], edges[b] + 1)
+                pooled[:, :, b] = z[:, :, lo:hi].mean(axis=2)
+            out[idx] = pooled.reshape(len(idx), -1)
+    return out

@@ -392,9 +392,17 @@ def read_matrices(path) -> list[np.ndarray]:
         if len(raw) < _HDR.size:
             raise ConfigurationError(f"{path}: truncated checkpoint header")
         (count,) = _HDR.unpack(raw)
+        if count < 0:
+            raise ConfigurationError(f"{path}: negative matrix count {count}")
         shapes = []
-        for _ in range(count):
-            shapes.append(_SHAPE.unpack(fh.read(_SHAPE.size)))
+        for i in range(count):
+            raw = fh.read(_SHAPE.size)
+            if len(raw) < _SHAPE.size:
+                raise ConfigurationError(f"{path}: truncated shape table at matrix {i}")
+            rows, cols = _SHAPE.unpack(raw)
+            if rows < 0 or cols < 0:
+                raise ConfigurationError(f"{path}: negative shape ({rows}, {cols}) for matrix {i}")
+            shapes.append((rows, cols))
         mats = []
         for rows, cols in shapes:
             n = rows * cols

@@ -65,7 +65,15 @@ class MemoryBanks:
 
     @classmethod
     def load(cls, path) -> "MemoryBanks":
-        feats, preds, filled = nn.read_matrices(path)
+        mats = nn.read_matrices(path)
+        if len(mats) != 3:
+            raise ConfigurationError(f"{path}: expected 3 bank matrices, found {len(mats)}")
+        feats, preds, filled = mats
+        if not feats.shape[0] == preds.shape[0] == filled.size:
+            raise ConfigurationError(
+                f"{path}: bank matrices are not row-aligned "
+                f"({feats.shape[0]} features, {preds.shape[0]} predictions, {filled.size} flags)"
+            )
         banks = cls(feats.shape[0], feats.shape[1], preds.shape[1])
         banks.features = feats
         banks.predictions = preds
@@ -97,17 +105,49 @@ def bank_update(banks: MemoryBanks, indices, teacher_cfg: nn.ModelConfig,
     return banks
 
 
+# Elements per block of query rows for the euclidean difference tensor and
+# for the ranking's partitioned copy: about 4 MB of float64 per temporary,
+# instead of one more full (n_queries, n_bank[, d]) array.
+_BLOCK_ELEMENTS = 1 << 19
+
+
 def _distances(bank_features: np.ndarray, queries: np.ndarray, distance: str) -> np.ndarray:
     """(n_queries, n_bank) distance matrix."""
     if distance == "euclidean":
-        diff = queries[:, None, :] - bank_features[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        n_bank, d = bank_features.shape
+        step = max(1, _BLOCK_ELEMENTS // max(1, n_bank * d))
+        out = np.empty((queries.shape[0], n_bank))
+        for start in range(0, queries.shape[0], step):
+            diff = queries[start : start + step, None, :] - bank_features[None, :, :]
+            out[start : start + step] = np.sqrt(np.sum(diff * diff, axis=2))
+        return out
     # cosine distance: 1 - cos similarity; zero vectors get similarity 0
     qn = np.linalg.norm(queries, axis=1, keepdims=True)
     bn = np.linalg.norm(bank_features, axis=1, keepdims=True)
     q = queries / np.where(qn > 0.0, qn, 1.0)
     b = bank_features / np.where(bn > 0.0, bn, 1.0)
-    return 1.0 - q @ b.T
+    dist = q @ b.T
+    return np.subtract(1.0, dist, out=dist)  # in place: one (n_queries, n_bank) array, not two
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the column indices of the k smallest distances, nearest first.
+
+    Equals np.argsort(dist, axis=1, kind="stable")[:, :k]: ties go to the
+    lower bank index and NaN ranks last. Per block of rows, a partition
+    finds each row's k-th distance, and only the entries not above it are
+    sorted by (distance, index).
+    """
+    out = np.empty((dist.shape[0], k), dtype=np.intp)
+    step = max(1, _BLOCK_ELEMENTS // dist.shape[1])
+    for start in range(0, dist.shape[0], step):
+        block = dist[start : start + step]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+        rows, cols = np.nonzero(~(block > kth))
+        order = np.lexsort((cols, block[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(block.shape[0]))
+        out[start : start + step] = cols[order[starts[:, None] + np.arange(k)]]
+    return out
 
 
 def knn_query(banks: MemoryBanks, query: np.ndarray, cfg: KnnConfig, exclude: int | None = None):
@@ -119,11 +159,10 @@ def knn_query(banks: MemoryBanks, query: np.ndarray, cfg: KnnConfig, exclude: in
     if cfg.k > banks.size - (1 if exclude is not None else 0):
         raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({banks.size})")
     q = np.asarray(query, dtype=float).reshape(1, -1)
-    dist = _distances(banks.features, q, cfg.distance)[0]
+    dist = _distances(banks.features, q, cfg.distance)
     if exclude is not None:
-        dist[exclude] = np.inf
-    order = np.argsort(dist, kind="stable")[: cfg.k]
-    return [(int(i), banks.predictions[i].copy()) for i in order]
+        dist[0, exclude] = np.inf
+    return [(int(i), banks.predictions[i].copy()) for i in _nearest(dist, cfg.k)[0]]
 
 
 def soft_vote(neighbor_preds: np.ndarray) -> np.ndarray:
@@ -157,7 +196,6 @@ def generate_pseudo_labels(banks: MemoryBanks, query_features: np.ndarray, cfg: 
     dist = _distances(banks.features, queries, cfg.distance)
     if cfg.exclude_self and self_indices is not None:
         dist[np.arange(queries.shape[0]), np.asarray(self_indices, dtype=int)] = np.inf
-    order = np.argsort(dist, axis=1, kind="stable")[:, : cfg.k]
-    neighbor_preds = banks.predictions[order]  # (n, K, C)
+    neighbor_preds = banks.predictions[_nearest(dist, cfg.k)]  # (n, K, C)
     means = neighbor_preds.mean(axis=1)
     return means, np.abs(2.0 * means - 1.0)

@@ -116,8 +116,11 @@ class EarlyStopper:
         self.improved_last = False
 
     def update(self, score: float) -> bool:
-        """Registers a new validation score; returns True when training should stop."""
-        improved = self.best is None or (
+        """Registers a new validation score; returns True when training should stop.
+
+        A NaN best (the metric was undefined) is beaten by any non-NaN score.
+        """
+        improved = self.best is None or (np.isnan(self.best) and not np.isnan(score)) or (
             score > self.best if self.higher_is_better else score < self.best
         )
         self.improved_last = improved

@@ -211,3 +211,45 @@ def test_gridsearch_sweep_writes_one_row_per_cell(tmp_path):
     assert rows[1][0] == "0.8" and rows[1][1] == "0.0"
     assert (tmp_path / "grid" / "grid_plot.csv").exists()
     assert (tmp_path / "grid" / "cell_lu0.8_lf0" / "reports.csv").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_gridsearch_seed_override_reaches_every_cell(tmp_path, monkeypatch, how):
+    config, doc = smoke_config(tmp_path, out_name="grid")
+    doc["seeds"] = [0, 1]
+    doc["grid"] = {"axis": "lambda_f", "values": [0.8], "fixed": 0.8}
+    doc["data"]["synth"]["n_samples"] = 120
+    doc["train"]["max_epochs"] = 1
+    doc["train"]["pretrain_max_epochs"] = 1
+    config.write_text(json.dumps(doc))
+    argv = ["gridsearch", "--config", str(config)]
+    if how == "flag":
+        argv += ["--seed", "7"]
+    else:
+        monkeypatch.setenv("ECGMATCH_SEED", "7")
+    assert main(argv) == 0
+    rows = read_csv(tmp_path / "grid" / "cell_lu0.8_lf0.8" / "reports.csv")
+    assert [row[2] for row in rows[1:]] == ["7"]
+
+
+@pytest.mark.parametrize("verb", ["run", "gridsearch"])
+@pytest.mark.parametrize("case", ["noise_sigma_zero", "seeds_not_a_list", "env_seed_not_an_int"])
+def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, verb, case):
+    config, doc = smoke_config(tmp_path)
+    if case == "noise_sigma_zero":
+        doc["augment"] = {"noise_sigma": 0}
+    elif case == "seeds_not_a_list":
+        doc["seeds"] = "ab"
+    else:
+        monkeypatch.setenv("ECGMATCH_SEED", "x")
+    config.write_text(json.dumps(doc))
+    assert main([verb, "--config", str(config)]) == 2
+    assert "configuration error in stage load-config" in capsys.readouterr().err
+
+
+def test_synth_write_failure_exits_1_with_stage(tmp_path, capsys):
+    config, _ = smoke_config(tmp_path)
+    out_dir = tmp_path / "taken"
+    out_dir.mkdir()  # a directory where the dataset file should go
+    assert main(["synth", "--config", str(config), "--out-file", str(out_dir)]) == 1
+    assert "error in stage write-dataset" in capsys.readouterr().err

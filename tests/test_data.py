@@ -8,6 +8,7 @@ from ecgmatch.data import (
     SplitSpec,
     SynthConfig,
     SUPERCLASSES,
+    encode_subset,
     load_dataset,
     map_annotations,
     preprocess,
@@ -306,3 +307,53 @@ def test_preprocess_output_length_independent_of_input_length():
     for length in (50, 128, 999):
         x = np.random.default_rng(length).normal(size=(4, length))
         assert preprocess(x, pool_len=24).shape == (96,)
+
+
+def _preprocess_reference(x, pool_len):
+    """Per-signal z-score and pool, written out one channel matrix at a time."""
+    x = np.asarray(x, dtype=float)
+    channels, length = x.shape
+    mean = x.mean(axis=1, keepdims=True)
+    std = x.std(axis=1, keepdims=True)
+    z = np.where(std > 0.0, (x - mean) / np.where(std > 0.0, std, 1.0), 0.0)
+    edges = np.linspace(0, length, pool_len + 1).astype(int)
+    pooled = np.empty((channels, pool_len))
+    for b in range(pool_len):
+        lo, hi = edges[b], max(edges[b + 1], edges[b] + 1)
+        pooled[:, b] = z[:, lo:hi].mean(axis=1)
+    return pooled.reshape(-1)
+
+
+@pytest.mark.parametrize("channels,length,pool_len", [
+    (3, 256, 32),   # pool_len divides the length
+    (2, 64, 16),
+    (3, 250, 32),   # it does not
+    (1, 10, 32),    # shorter than pool_len
+    (12, 1000, 32),
+])
+def test_encode_subset_equals_per_signal_reference(channels, length, pool_len):
+    g = np.random.default_rng(length)
+    signals = [g.normal(loc=g.normal(), scale=5.0 * g.random() + 0.1, size=(channels, length))
+               for _ in range(7)]
+    signals[2][0] = 4.0  # a constant channel
+    want = np.vstack([_preprocess_reference(x, pool_len) for x in signals])
+    assert np.array_equal(encode_subset(signals, pool_len), want)
+    assert np.array_equal(preprocess(signals[4], pool_len), want[4])
+
+
+def test_encode_subset_ragged_list_longer_than_one_block_keeps_row_order():
+    g = np.random.default_rng(21)
+    lengths = g.choice([256, 300, 17], p=[0.7, 0.2, 0.1], size=2 * data._ENCODE_BLOCK)
+    assert np.sum(lengths == 256) > data._ENCODE_BLOCK  # one shape group spans two blocks
+    signals = [g.normal(size=(3, int(n))) for n in lengths]
+    want = np.vstack([_preprocess_reference(x, 32) for x in signals])
+    got = encode_subset(signals, 32)
+    assert got.shape == (len(signals), 96)
+    assert np.array_equal(got, want)
+
+
+def test_encode_subset_rejects_mixed_channel_counts_and_empty_lists():
+    with pytest.raises(ConfigurationError):
+        encode_subset([np.zeros((2, 8)), np.zeros((3, 8))], pool_len=4)
+    with pytest.raises(ConfigurationError):
+        encode_subset([], pool_len=4)

@@ -276,6 +276,24 @@ def test_checkpoint_format_is_little_endian_float64(tmp_path):
     assert np.frombuffer(raw[24:], dtype="<f8").tolist() == [1.0, 2.0]
 
 
+def test_read_matrices_rejects_truncated_shape_table(tmp_path):
+    path = tmp_path / "m.bin"
+    nn.write_matrices(path, [np.ones((2, 3)), np.ones((1, 4))])
+    path.write_bytes(path.read_bytes()[:8 + 16 + 5])  # second shape entry cut short
+    with pytest.raises(ConfigurationError, match="shape table"):
+        nn.read_matrices(path)
+
+
+def test_read_matrices_rejects_negative_shape(tmp_path):
+    path = tmp_path / "m.bin"
+    nn.write_matrices(path, [np.ones((2, 3))])
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = (-2).to_bytes(8, "little", signed=True)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigurationError, match="negative shape"):
+        nn.read_matrices(path)
+
+
 def test_backward_nonfinite_gradient_reports_layer():
     cfg = small_cfg()
     params = nn.init_params(cfg, np.random.default_rng(17))

@@ -188,6 +188,55 @@ def test_generate_pseudo_labels_can_exclude_own_row():
     assert not np.allclose(excluded[1], banks.predictions[5])
 
 
+def _tied_banks(n=40, d=3, c=4):
+    """Bank rows drawn from four distinct vectors, so distances tie heavily."""
+    g = np.random.default_rng(15)
+    protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    banks = pseudo.MemoryBanks(n, d, c)
+    banks.update(np.arange(n), protos[g.integers(0, 4, size=n)], g.random((n, c)))
+    return banks
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_generate_pseudo_labels_matches_oracle_under_forced_ties(distance, exclude_self):
+    banks = _tied_banks()
+    self_indices = np.arange(0, banks.size, 3)
+    queries = banks.features[self_indices]
+    k = 7
+    cfg = pseudo.KnnConfig(k=k, distance=distance, exclude_self=exclude_self)
+    targets, alpha = pseudo.generate_pseudo_labels(banks, queries, cfg, self_indices=self_indices)
+    dist = pseudo._distances(banks.features, queries, distance)
+    for row, (own, q) in enumerate(zip(self_indices, queries)):
+        kept = np.flatnonzero(np.arange(banks.size) != own) if exclude_self else np.arange(banks.size)
+        hits = knn_oracle(banks.features[kept], banks.predictions[kept], q, k, distance)
+        order = kept[[i for i, _ in hits]]
+        # more rows sit at the k-th distance than the top k holds, so ties pick the members
+        kth = dist[row, order[-1]]
+        assert np.sum(dist[row, kept] == kth) > np.sum(dist[row, order] == kth)
+        want = banks.predictions[order].mean(axis=0)
+        assert np.array_equal(targets[row], want)
+        assert np.array_equal(alpha[row], np.abs(2.0 * want - 1.0))
+
+
+def test_euclidean_distances_at_default_bank_size_match_oracle():
+    g = np.random.default_rng(16)
+    n_queries, n_bank, d = 448, 6080, 128
+    banks = _random_banks(g, n_bank, d, 5)
+    queries = g.normal(size=(n_queries, d))
+    cfg = pseudo.KnnConfig(k=10, distance="euclidean")
+    targets, _ = pseudo.generate_pseudo_labels(banks, queries, cfg)
+    assert targets.shape == (n_queries, 5)
+    dist = pseudo._distances(banks.features, queries, "euclidean")
+    for row in (0, 201, 447):
+        hits = knn_oracle(banks.features, banks.predictions, queries[row], 10, "euclidean")
+        order = [i for i, _ in hits]
+        assert order == list(pseudo._nearest(dist[row : row + 1], 10)[0])
+        np.testing.assert_array_equal(targets[row], banks.predictions[order].mean(axis=0))
+        want = [np.sqrt(np.sum((banks.features[i] - queries[row]) ** 2)) for i in order]
+        np.testing.assert_array_equal(dist[row, order], want)
+
+
 def test_banks_save_load_roundtrip(tmp_path):
     g = np.random.default_rng(13)
     banks = _random_banks(g, 10, 4, 3)
@@ -197,3 +246,16 @@ def test_banks_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.features, banks.features)
     np.testing.assert_array_equal(loaded.predictions, banks.predictions)
     np.testing.assert_array_equal(loaded.filled, banks.filled)
+
+
+def test_banks_load_rejects_misaligned_matrices(tmp_path):
+    path = tmp_path / "banks.bin"
+    nn.write_matrices(path, [np.zeros((4, 3)), np.zeros((5, 2)), np.ones((1, 4))])
+    with pytest.raises(ConfigurationError, match="row-aligned"):
+        pseudo.MemoryBanks.load(path)
+    nn.write_matrices(path, [np.zeros((4, 3)), np.zeros((4, 2)), np.ones((1, 3))])
+    with pytest.raises(ConfigurationError, match="row-aligned"):
+        pseudo.MemoryBanks.load(path)
+    nn.write_matrices(path, [np.zeros((4, 3)), np.zeros((4, 2))])
+    with pytest.raises(ConfigurationError):
+        pseudo.MemoryBanks.load(path)

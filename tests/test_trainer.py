@@ -92,6 +92,15 @@ def test_early_stop_lower_is_better_orientation():
     assert stopper.update(0.7)
 
 
+def test_early_stop_recovers_from_nan_first_score():
+    stopper = EarlyStopper(patience=2, higher_is_better=True)
+    decisions = [stopper.update(v) for v in (float("nan"), 0.5, 0.9, 0.95)]
+    assert decisions == [False, False, False, False]
+    assert stopper.best == 0.95 and stopper.improved_last
+    assert not stopper.update(float("nan"))  # a NaN never beats a finite best
+    assert stopper.best == 0.95 and stopper.stale == 1
+
+
 # --- pre-training -----------------------------------------------------------
 
 
