@@ -85,16 +85,22 @@ def _write_run_outputs(out_dir: Path, cfg: ExperimentConfig, result, dataset_lab
             save_params(ckpt_dir / f"student_seed{sr.seed}.bin", sr.final_params)
 
 
+def _int_env(name: str, default):
+    """ECGMATCH_<NAME> if set, else the flag value `default`, as an integer (None stays None)."""
+    value = _env(name, default)
+    try:
+        return None if value is None else int(value)
+    except ValueError:
+        raise ConfigurationError(f"{name.lower()} override must be an integer, got {value!r}") from None
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     out = _env("OUT", args.out)
-    seed = _env("SEED", args.seed)
+    seed = _int_env("SEED", args.seed)
     if out is not None:
         cfg = replace(cfg, output_dir=str(out))
     if seed is not None:
-        try:
-            cfg = replace(cfg, seeds=[int(seed)])
-        except ValueError:
-            raise ConfigurationError(f"seed override must be an integer, got {seed!r}") from None
+        cfg = replace(cfg, seeds=[seed])
     return cfg
 
 
@@ -157,7 +163,7 @@ def cmd_gridsearch(config_path: str, args=None) -> int:
         cells = _grid_cells(cfg)
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        threads = int(_env("THREADS", getattr(args, "threads", 1) or 1))
+        threads = _int_env("THREADS", getattr(args, "threads", 1) or 1)
         stage = "train"
         jobs = [
             (config_path, lu, lf, str(out_dir / f"cell_lu{lu:g}_lf{lf:g}"), cfg.seeds)
@@ -165,7 +171,7 @@ def cmd_gridsearch(config_path: str, args=None) -> int:
         ]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_run_grid_cell_star, jobs))
+                results = list(pool.map(_run_grid_cell, *zip(*jobs)))
         else:
             results = [_run_grid_cell(*job) for job in jobs]
         stage = "write-reports"
@@ -189,10 +195,6 @@ def cmd_gridsearch(config_path: str, args=None) -> int:
         return 1
     print(f"gridsearch finished: {len(cells)} cells -> {out_dir / 'gridsearch.csv'}")
     return 0
-
-
-def _run_grid_cell_star(job):
-    return _run_grid_cell(*job)
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -389,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--seed", default=None, help="run a single seed instead of the configured list")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
 
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("--config", required=True)
@@ -398,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("gridsearch", help="sweep the loss-weight grid")
     p_grid.add_argument("--config", required=True)
     common(p_grid)
+    p_grid.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
 
     p_eval = sub.add_parser("eval", help="metrics for external score/label matrices")
     p_eval.add_argument("--scores", required=True)

@@ -184,28 +184,46 @@ def _parse_seeds(value) -> list:
     return seeds
 
 
+def _parse_metrics(doc):
+    take, done = _take(dict(doc), "metrics")
+    threshold = float(take("threshold", 0.5))
+    beta = float(take("gbeta_beta", 2.0))
+    done()
+    return threshold, beta
+
+
+def _parse_grid(doc):
+    take, done = _take(dict(doc), "grid")
+    axis = str(take("axis", "lambda_f"))
+    values = tuple(float(v) for v in take("values", (0.0, 0.4, 0.8, 1.2, 1.6)))
+    fixed = float(take("fixed", 0.8))
+    done()
+    if axis not in ("lambda_u", "lambda_f", "cartesian"):
+        raise ConfigurationError(f"grid axis must be lambda_u, lambda_f or cartesian, got {axis!r}")
+    return axis, values, fixed
+
+
+def _section(where: str, parse, *args):
+    """Run one section parser; a wrongly typed value's TypeError/ValueError becomes a ConfigurationError."""
+    try:
+        return parse(*args)
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid value in {where}: {exc}") from None
+
+
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
     take, done = _take(dict(doc), "config root")
     output_dir = str(take("output_dir", "runs"))
     seeds = _parse_seeds(take("seeds", [0, 1, 2]))
-    data = _parse_data(take("data", {}))
-    split = _parse_split(take("split", {}))
+    data = _section("data", _parse_data, take("data", {}))
+    split = _section("split", _parse_split, take("split", {}))
     similarity = str(take("similarity", "cosine"))
-    aug_cfg = _parse_augment(take("augment", {}))
-    train = _parse_train(take("train", {}), similarity, aug_cfg)
-    metric_doc = dict(take("metrics", {}))
-    m_take, m_done = _take(metric_doc, "metrics")
-    threshold = float(m_take("threshold", 0.5))
-    beta = float(m_take("gbeta_beta", 2.0))
-    m_done()
-    grid_doc = dict(take("grid", {}))
-    g_take, g_done = _take(grid_doc, "grid")
-    grid_axis = str(g_take("axis", "lambda_f"))
-    grid_values = tuple(float(v) for v in g_take("values", (0.0, 0.4, 0.8, 1.2, 1.6)))
-    grid_fixed = float(g_take("fixed", 0.8))
-    g_done()
-    if grid_axis not in ("lambda_u", "lambda_f", "cartesian"):
-        raise ConfigurationError(f"grid axis must be lambda_u, lambda_f or cartesian, got {grid_axis!r}")
+    aug_cfg = _section("augment", _parse_augment, take("augment", {}))
+    train = _section("train", _parse_train, take("train", {}), similarity, aug_cfg)
+    threshold, beta = _section("metrics", _parse_metrics, take("metrics", {}))
+    grid_axis, grid_values, grid_fixed = _section("grid", _parse_grid, take("grid", {}))
     model_name = str(take("model_name", train.baseline))
     done()
     return ExperimentConfig(

@@ -1,4 +1,4 @@
-"""Label co-occurrence matrices and the Frobenius alignment penalty.
+"""Label co-occurrence matrices and the gradient of the alignment penalty.
 
 For an n x C matrix Y of labels (binary ground truth) or predictions
 (values in [0, 1]), the cosine correlation matrix is
@@ -12,13 +12,16 @@ why this estimate does not move when the class marginals change (row
 duplication, padding with rows empty in both classes). Squared Pearson and
 an inverse-Euclidean similarity are available as alternatives; both depend
 on the marginals.
+
+`correlation_matrix` is the one implementation of every kind. Training
+aligns the stacked unlabeled predictions' R_u with the labeled R_b through
+the Frobenius gap ||R_b - R_u||_F, which `nn.backward` computes and
+differentiates with `correlation_matrix_backward`.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +30,18 @@ from .errors import ContractViolation
 SIMILARITY_KINDS = ("cosine", "pearson", "euclidean")
 
 
-@dataclass
-class CorrelationMatrix:
-    values: np.ndarray  # (C, C), symmetric
-    source: str  # "labeled" or "unlabeled"
-
-
 def normalize_columns(y: np.ndarray) -> np.ndarray:
     """Scale each nonzero column to unit norm; all-zero columns stay zero."""
     y = np.asarray(y, dtype=float)
     norms = np.linalg.norm(y, axis=0)
     safe = np.where(norms > 0.0, norms, 1.0)
     return y / safe
+
+
+def _column_differences(y: np.ndarray):
+    """(diff, dist): diff[:, i, j] = y[:, i] - y[:, j] and dist[i, j] its Euclidean norm."""
+    diff = y[:, :, None] - y[:, None, :]
+    return diff, np.sqrt(np.sum(diff * diff, axis=0))
 
 
 def correlation_matrix(y: np.ndarray, kind: str = "cosine") -> np.ndarray:
@@ -55,79 +58,21 @@ def correlation_matrix(y: np.ndarray, kind: str = "cosine") -> np.ndarray:
         rho = u.T @ u
         return rho * rho
     if kind == "euclidean":
-        c = y.shape[1]
-        r = np.empty((c, c))
-        for i in range(c):
-            for j in range(i, c):
-                d = np.linalg.norm(y[:, i] - y[:, j])
-                r[i, j] = r[j, i] = 1.0 / (1.0 + d)
-        return r
+        return 1.0 / (1.0 + _column_differences(y)[1])
     raise ContractViolation(f"unknown similarity kind {kind!r}")
 
 
-def correlation_labeled(y_b: np.ndarray) -> CorrelationMatrix:
-    """Cosine correlation of a binary ground-truth matrix."""
-    y_b = np.asarray(y_b, dtype=float)
-    if not np.all((y_b == 0.0) | (y_b == 1.0)):
-        raise ContractViolation("labeled correlation expects a binary matrix")
-    return CorrelationMatrix(correlation_matrix(y_b, "cosine"), source="labeled")
-
-
-def correlation_unlabeled(p_u: np.ndarray, kind: str = "cosine") -> CorrelationMatrix:
-    """Correlation of stacked prediction rows (strong and weak views together)."""
-    p_u = np.asarray(p_u, dtype=float)
-    if p_u.ndim != 2 or p_u.shape[0] < 1:
-        raise ContractViolation("prediction matrix needs at least one row")
-    if np.any(p_u < 0.0) or np.any(p_u > 1.0):
-        raise ContractViolation("prediction entries must lie in [0, 1]")
-    return CorrelationMatrix(correlation_matrix(p_u, kind), source="unlabeled")
-
-
-def frobenius_loss(r_b, r_u) -> float:
-    """Frobenius norm of the difference between two correlation matrices."""
-    a = r_b.values if isinstance(r_b, CorrelationMatrix) else np.asarray(r_b, dtype=float)
-    b = r_u.values if isinstance(r_u, CorrelationMatrix) else np.asarray(r_u, dtype=float)
-    if a.shape != b.shape:
-        raise ContractViolation(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b, ord="fro"))
-
-
-# --- scalar similarity forms --------------------------------------------------
-
-
 def pearson_correlation(y_c1: np.ndarray, y_c2: np.ndarray) -> float:
-    """Squared Pearson coefficient of two label sequences, in [0, 1]."""
-    a = np.asarray(y_c1, dtype=float)
-    b = np.asarray(y_c2, dtype=float)
-    ac = a - a.mean()
-    bc = b - b.mean()
-    na, nb = np.linalg.norm(ac), np.linalg.norm(bc)
-    if na == 0.0 or nb == 0.0:
+    """Squared Pearson coefficient of two label sequences, in [0, 1].
+
+    A two-column view of correlation_matrix(..., "pearson"); a constant
+    sequence (zero diagonal entry) warns and gives 0.
+    """
+    r = correlation_matrix(np.column_stack([y_c1, y_c2]), "pearson")
+    if r[0, 0] == 0.0 or r[1, 1] == 0.0:
         warnings.warn("pearson correlation undefined for a constant column; returning 0")
         return 0.0
-    rho = float(ac @ bc / (na * nb))
-    return rho * rho
-
-
-def euclidean_correlation(y_c1: np.ndarray, y_c2: np.ndarray) -> float:
-    """Inverse-distance similarity 1 / (1 + ||y_c1 - y_c2||)."""
-    a = np.asarray(y_c1, dtype=float)
-    b = np.asarray(y_c2, dtype=float)
-    if a.shape != b.shape:
-        raise ContractViolation("vectors must share a length")
-    return float(1.0 / (1.0 + np.linalg.norm(a - b)))
-
-
-def conditional_probability_form(y: np.ndarray, c1: int, c2: int) -> float:
-    """sqrt(P(c1=1|c2=1) * P(c2=1|c1=1)) from empirical counts of a binary matrix."""
-    y = np.asarray(y, dtype=float)
-    n1 = float(y[:, c1].sum())
-    n2 = float(y[:, c2].sum())
-    if n1 == 0.0 or n2 == 0.0:
-        warnings.warn("conditional co-occurrence undefined for an empty class; returning 0")
-        return 0.0
-    both = float((y[:, c1] * y[:, c2]).sum())
-    return float(np.sqrt((both / n2) * (both / n1)))
+    return float(r[0, 1])
 
 
 # --- gradients for the alignment loss ----------------------------------------
@@ -161,29 +106,9 @@ def correlation_matrix_backward(y: np.ndarray, kind: str, d_r: np.ndarray) -> np
         d_centered = _normalize_backward(centered, d_u)
         return d_centered - d_centered.mean(axis=0, keepdims=True)
     if kind == "euclidean":
-        c = y.shape[1]
-        d_y = np.zeros_like(y)
-        for i in range(c):
-            for j in range(c):
-                if i == j:
-                    continue
-                diff = y[:, i] - y[:, j]
-                d = np.linalg.norm(diff)
-                if d == 0.0:
-                    continue
-                coeff = -d_r[i, j] / (1.0 + d) ** 2
-                d_y[:, i] += coeff * diff / d
-                d_y[:, j] -= coeff * diff / d
-        return d_y
+        # d R_ij / d y_i = -(y_i - y_j) / ((1 + d_ij)^2 d_ij); coincident columns get zero
+        diff, dist = _column_differences(y)
+        coeff = np.where(dist > 0.0, -d_r / ((1.0 + dist) ** 2 * np.where(dist > 0.0, dist, 1.0)), 0.0)
+        return np.sum(diff * (coeff + coeff.T), axis=2)
     raise ContractViolation(f"unknown similarity kind {kind!r}")
 
-
-def export_csv(path, matrix: CorrelationMatrix, class_names=None) -> None:
-    """Write a correlation matrix as CSV with a header row of class names."""
-    values = matrix.values
-    names = list(class_names) if class_names else [f"class_{i}" for i in range(values.shape[0])]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["", *names])
-        for name, row in zip(names, values):
-            writer.writerow([name, *(repr(float(v)) for v in row)])

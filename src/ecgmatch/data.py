@@ -290,30 +290,30 @@ def _count(frac: float, n: int) -> int:
     return int(round(frac * n))
 
 
-def _partition_train(datasets, train_picks, labeled_frac):
-    n_lab = max(1, _count(labeled_frac, len(train_picks)))
-    labeled = train_picks[:n_lab]
-    unlabeled = train_picks[n_lab:]
-    lab_subset = _subset(datasets, labeled)
-    empty = np.where(lab_subset.labels.sum(axis=0) == 0)[0]
+def _partition_train(datasets, train, val, test, labeled_frac) -> SplitResult:
+    """Cut labeled/unlabeled inside train; warn when a class has no labeled positive."""
+    n_lab = max(1, _count(labeled_frac, len(train)))
+    labeled = _subset(datasets, train[:n_lab])
+    empty = np.where(labeled.labels.sum(axis=0) == 0)[0]
     if empty.size:
         names = [datasets[0].class_names[c] for c in empty]
         warnings.warn(f"labeled split has no positives for classes {names}")
-    return labeled, unlabeled
+    return SplitResult(labeled, *(_subset(datasets, p) for p in (train[n_lab:], val, test)))
+
+
+def _shuffle_and_cut(datasets, picks, spec: SplitSpec, substream: int) -> SplitResult:
+    """Shuffle picks with the split seed's substream, cut train/val/test, then labeled/unlabeled."""
+    order = RandomStream(spec.seed).substream(substream).generator().permutation(len(picks))
+    picks = [picks[int(i)] for i in order]
+    n_train = _count(spec.train_frac, len(picks))
+    n_val = _count(spec.val_frac, len(picks))
+    train, val, test = picks[:n_train], picks[n_train : n_train + n_val], picks[n_train + n_val :]
+    return _partition_train(datasets, train, val, test, spec.labeled_frac)
 
 
 def split_within(ds: Dataset, spec: SplitSpec) -> SplitResult:
     """Single-dataset split: train/val/test, then labeled/unlabeled inside train."""
-    n = len(ds)
-    order = RandomStream(spec.seed).substream(0).generator().permutation(n)
-    n_train = _count(spec.train_frac, n)
-    n_val = _count(spec.val_frac, n)
-    picks = [(0, int(i)) for i in order]
-    train, val, test = picks[:n_train], picks[n_train : n_train + n_val], picks[n_train + n_val :]
-    labeled, unlabeled = _partition_train([ds], train, spec.labeled_frac)
-    return SplitResult(
-        _subset([ds], labeled), _subset([ds], unlabeled), _subset([ds], val), _subset([ds], test)
-    )
+    return _shuffle_and_cut([ds], [(0, i) for i in range(len(ds))], spec, substream=0)
 
 
 def split_mix(datasets, spec: SplitSpec) -> SplitResult:
@@ -321,17 +321,7 @@ def split_mix(datasets, spec: SplitSpec) -> SplitResult:
     if len(datasets) < 2:
         raise ConfigurationError("mix protocol needs at least two datasets")
     picks = [(d, i) for d, ds in enumerate(datasets) for i in range(len(ds))]
-    order = RandomStream(spec.seed).substream(1).generator().permutation(len(picks))
-    picks = [picks[int(i)] for i in order]
-    n = len(picks)
-    n_train = _count(spec.train_frac, n)
-    n_val = _count(spec.val_frac, n)
-    train, val, test = picks[:n_train], picks[n_train : n_train + n_val], picks[n_train + n_val :]
-    labeled, unlabeled = _partition_train(datasets, train, spec.labeled_frac)
-    return SplitResult(
-        _subset(datasets, labeled), _subset(datasets, unlabeled),
-        _subset(datasets, val), _subset(datasets, test),
-    )
+    return _shuffle_and_cut(datasets, picks, spec, substream=1)
 
 
 def split_cross(datasets, spec: SplitSpec) -> SplitResult:
@@ -349,12 +339,7 @@ def split_cross(datasets, spec: SplitSpec) -> SplitResult:
     order = RandomStream(spec.seed).substream(2).generator().permutation(len(pool))
     pool = [pool[int(i)] for i in order]
     n_train = _count(0.9, len(pool))
-    train, val = pool[:n_train], pool[n_train:]
-    labeled, unlabeled = _partition_train(datasets, train, spec.labeled_frac)
-    return SplitResult(
-        _subset(datasets, labeled), _subset(datasets, unlabeled),
-        _subset(datasets, val), _subset(datasets, test_picks),
-    )
+    return _partition_train(datasets, pool[:n_train], pool[n_train:], test_picks, spec.labeled_frac)
 
 
 def split(datasets, spec: SplitSpec) -> SplitResult:
@@ -460,14 +445,6 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
 # Rows per z-score/pool block: at 3x256 signals a block's temporaries stay
 # near 1.5 MB, so encoding a whole unlabeled pool never stacks it at once.
 _ENCODE_BLOCK = 256
-
-
-def preprocess(x: np.ndarray, pool_len: int = 32) -> np.ndarray:
-    """Per-channel z-score, average-pool to pool_len bins, flatten.
-
-    A one-signal view of `encode_subset`; see there for the transform.
-    """
-    return encode_subset([x], pool_len)[0]
 
 
 def encode_subset(signals, pool_len: int = 32) -> np.ndarray:

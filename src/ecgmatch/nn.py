@@ -86,9 +86,6 @@ class ParameterSet:
     def shapes(self):
         return [(w.shape, b.shape) for w, b in self.layers]
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) and np.all(np.isfinite(b)) for w, b in self.layers)
-
 
 def init_params(cfg: ModelConfig, rng) -> ParameterSet:
     """Glorot-normal weights, zero biases."""
@@ -291,6 +288,8 @@ def backward(cfg: ModelConfig, params: ParameterSet, batch: StepBatch, weights: 
         stacked = np.vstack(blocks)
         r_u = correlation.correlation_matrix(stacked, batch.similarity)
         target = np.asarray(batch.correlation_target, dtype=float)
+        if target.shape != r_u.shape:
+            raise ContractViolation(f"correlation target shape {target.shape} != {r_u.shape}")
         diff = target - r_u
         out.alignment = float(np.sqrt(np.sum(diff * diff)))
         if weights.lambda_f != 0.0 and out.alignment > 0.0:

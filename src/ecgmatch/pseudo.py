@@ -10,6 +10,10 @@ class's weight is the neighbor agreement
 
 which is 1 when the neighbors are unanimous for class c (all 0 or all 1)
 and 0 when their mean prediction sits at one half.
+
+One ranking (`_neighbors`, over `_nearest`) and one vote (`_vote`) serve
+the batch path `generate_pseudo_labels`; `knn_query` and
+`neighbor_agreement` are one-query and one-neighbourhood views of them.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class MemoryBanks:
             raise ConfigurationError("memory banks need at least one unlabeled sample")
         self.features = np.zeros((n_unlabeled, feature_dim))
         self.predictions = np.zeros((n_unlabeled, num_classes))
-        self.filled = np.zeros(n_unlabeled, dtype=bool)
 
     @property
     def size(self) -> int:
@@ -58,27 +61,6 @@ class MemoryBanks:
             raise ContractViolation(f"bank index out of range [0, {self.size})")
         self.features[indices] = features
         self.predictions[indices] = predictions
-        self.filled[indices] = True
-
-    def save(self, path) -> None:
-        nn.write_matrices(path, [self.features, self.predictions, self.filled.reshape(1, -1)])
-
-    @classmethod
-    def load(cls, path) -> "MemoryBanks":
-        mats = nn.read_matrices(path)
-        if len(mats) != 3:
-            raise ConfigurationError(f"{path}: expected 3 bank matrices, found {len(mats)}")
-        feats, preds, filled = mats
-        if not feats.shape[0] == preds.shape[0] == filled.size:
-            raise ConfigurationError(
-                f"{path}: bank matrices are not row-aligned "
-                f"({feats.shape[0]} features, {preds.shape[0]} predictions, {filled.size} flags)"
-            )
-        banks = cls(feats.shape[0], feats.shape[1], preds.shape[1])
-        banks.features = feats
-        banks.predictions = preds
-        banks.filled = filled.reshape(-1).astype(bool)
-        return banks
 
 
 def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_inputs: np.ndarray) -> MemoryBanks:
@@ -150,52 +132,55 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=None) -> np.ndarray:
+    """(n_queries, k) bank rows nearest to each query row, nearest first.
+
+    `exclude` names one bank row per query (its own slot), dropped before ranking.
+    """
+    if cfg.k + (exclude is not None) > banks.size:
+        raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({banks.size})")
+    dist = _distances(banks.features, queries, cfg.distance)
+    if exclude is not None:
+        dist[np.arange(queries.shape[0]), np.asarray(exclude, dtype=int)] = np.inf
+    return _nearest(dist, cfg.k)
+
+
+def _vote(neighbor_preds: np.ndarray):
+    """Soft vote and agreement |2 * mean - 1| of an (n, K, C) stack, over its K axis."""
+    means = neighbor_preds.mean(axis=1)
+    return means, np.abs(2.0 * means - 1.0)
+
+
 def knn_query(banks: MemoryBanks, query: np.ndarray, cfg: KnnConfig, exclude: int | None = None):
     """The K bank rows nearest to `query`; ties resolve to the lower index.
 
     Returns a list of (bank_index, prediction_row) pairs sorted by distance.
     `exclude` drops one bank row (the query's own slot) before ranking.
     """
-    if cfg.k > banks.size - (1 if exclude is not None else 0):
-        raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({banks.size})")
     q = np.asarray(query, dtype=float).reshape(1, -1)
-    dist = _distances(banks.features, q, cfg.distance)
-    if exclude is not None:
-        dist[0, exclude] = np.inf
-    return [(int(i), banks.predictions[i].copy()) for i in _nearest(dist, cfg.k)[0]]
-
-
-def soft_vote(neighbor_preds: np.ndarray) -> np.ndarray:
-    """Columnwise mean of the neighbors' prediction rows."""
-    p = np.asarray(neighbor_preds, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 1:
-        raise ContractViolation("soft_vote needs a nonempty K x C matrix")
-    return p.mean(axis=0)
+    nearest = _neighbors(banks, q, cfg, None if exclude is None else [exclude])[0]
+    return [(int(i), banks.predictions[i].copy()) for i in nearest]
 
 
 def neighbor_agreement(neighbor_preds: np.ndarray) -> np.ndarray:
-    """Per-class unanimity score |2/K * sum_k p_kc - 1|."""
+    """Per-class unanimity score |2/K * sum_k p_kc - 1| of one K x C neighbourhood."""
     p = np.asarray(neighbor_preds, dtype=float)
     if p.ndim != 2 or p.shape[0] < 1:
         raise ContractViolation("neighbor_agreement needs a nonempty K x C matrix")
-    return np.abs(2.0 * p.mean(axis=0) - 1.0)
+    return _vote(p[None])[1][0]
 
 
 def generate_pseudo_labels(banks: MemoryBanks, query_features: np.ndarray, cfg: KnnConfig,
                            self_indices=None):
-    """Vectorized soft vote + agreement for a batch of query feature rows.
+    """Soft vote + agreement for a batch of query feature rows.
 
-    Returns (pseudo n x C, agreement n x C). Ranking matches knn_query row
-    by row (stable ties toward lower bank indices). With cfg.exclude_self,
-    `self_indices` names each query's own bank row, which is skipped.
+    Returns (pseudo n x C, agreement n x C). Each row's neighbours equal an
+    exhaustive stable sort of that row's distances (ties toward lower bank
+    indices). With cfg.exclude_self, `self_indices` names each query's own
+    bank row, which is skipped. A lone query through knn_query can rank
+    near-ties differently: its cosine product runs as a BLAS matrix-vector
+    product, whose last bits differ from the batched matrix product's.
     """
     queries = np.asarray(query_features, dtype=float)
-    needed = cfg.k + (1 if cfg.exclude_self and self_indices is not None else 0)
-    if needed > banks.size:
-        raise ConfigurationError(f"k={cfg.k} exceeds bank size {banks.size}")
-    dist = _distances(banks.features, queries, cfg.distance)
-    if cfg.exclude_self and self_indices is not None:
-        dist[np.arange(queries.shape[0]), np.asarray(self_indices, dtype=int)] = np.inf
-    neighbor_preds = banks.predictions[_nearest(dist, cfg.k)]  # (n, K, C)
-    means = neighbor_preds.mean(axis=1)
-    return means, np.abs(2.0 * means - 1.0)
+    exclude = self_indices if cfg.exclude_self else None
+    return _vote(banks.predictions[_neighbors(banks, queries, cfg, exclude)])

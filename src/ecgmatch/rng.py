@@ -8,7 +8,7 @@ sample sees are a pure function of (seed, path), never of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class RandomStream:
 
     seed: int
     path: tuple[int, ...] = ()
-    algorithm: str = field(default="philox", compare=False)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at the start of this stream."""
@@ -31,7 +30,7 @@ class RandomStream:
         return np.random.Generator(np.random.Philox(seq))
 
     def substream(self, *ids: int) -> "RandomStream":
-        return RandomStream(self.seed, self.path + tuple(int(i) for i in ids), self.algorithm)
+        return RandomStream(self.seed, self.path + tuple(int(i) for i in ids))
 
 
 def as_generator(rng) -> np.random.Generator:

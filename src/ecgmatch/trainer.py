@@ -92,16 +92,6 @@ class TrainConfig:
         lf = 0.0 if self.ablations.no_align else self.weights.lambda_f
         return nn.LossWeights(lu, lf)
 
-    def model_config(self, channels: int, num_classes: int) -> nn.ModelConfig:
-        return nn.ModelConfig(
-            input_dim=channels * self.pool_len,
-            num_classes=num_classes,
-            hidden_dims=self.hidden_dims,
-            feature_dim=self.feature_dim,
-            head_hidden=self.head_hidden,
-            activation=self.activation,
-        )
-
 
 class EarlyStopper:
     """Stops after `patience` consecutive epochs without improvement."""
@@ -132,12 +122,6 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
-def early_stop_check(stopper: EarlyStopper, val_metrics: metrics.MetricsReport,
-                     metric: str = "map") -> bool:
-    """Convenience wrapper: feed a metrics report, get the stop decision."""
-    return stopper.update(val_metrics.value(metric))
-
-
 @dataclass
 class TrainState:
     model_cfg: nn.ModelConfig
@@ -163,20 +147,21 @@ class UnlabeledBatch:
     indices: np.ndarray  # positions in the unlabeled pool / memory banks
 
 
-def _encode(signals, cfg: TrainConfig):
-    if cfg.preprocessor is not None:
-        return np.vstack([np.asarray(cfg.preprocessor(x), dtype=float).ravel() for x in signals])
-    return encode_subset(signals, cfg.pool_len)
+def _encode(signals, pool_len: int, preprocessor=None):
+    """The one encode path: `preprocessor` per signal if given, else encode_subset."""
+    if preprocessor is not None:
+        return np.vstack([np.asarray(preprocessor(x), dtype=float).ravel() for x in signals])
+    return encode_subset(signals, pool_len)
 
 
 def _augment_encode(signals, stream: RandomStream, cfg: TrainConfig, strong: bool):
     out = augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong)
-    return _encode(out, cfg)
+    return _encode(out, cfg.pool_len, cfg.preprocessor)
 
 
 def _model_config_for(cfg: TrainConfig, sample_signal, num_classes: int) -> nn.ModelConfig:
     """Width follows the encoded input, so custom preprocessors just work."""
-    width = _encode([sample_signal], cfg).shape[1]
+    width = _encode([sample_signal], cfg.pool_len, cfg.preprocessor).shape[1]
     return nn.ModelConfig(
         input_dim=width,
         num_classes=num_classes,
@@ -191,11 +176,7 @@ def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: S
                    pool_len: int = 32, threshold: float = 0.5, beta: float = 2.0,
                    preprocessor=None) -> metrics.MetricsReport:
     """Score a subset with clean (un-augmented) inputs."""
-    if preprocessor is not None:
-        inputs = np.vstack([np.asarray(preprocessor(x), dtype=float).ravel() for x in subset.signals])
-    else:
-        inputs = encode_subset(subset.signals, pool_len)
-    _, probs = nn.forward(model_cfg, params, inputs)
+    _, probs = nn.forward(model_cfg, params, _encode(subset.signals, pool_len, preprocessor))
     return metrics.compute_all(probs, subset.labels, threshold=threshold, beta=beta)
 
 
@@ -227,14 +208,14 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
                 sub = stream.substream(_NS_PRETRAIN, epoch, it, _ROLE_LABELED)
                 inputs = _augment_encode(signals, sub, cfg, strong=False)
             else:
-                inputs = _encode(signals, cfg)
+                inputs = _encode(signals, cfg.pool_len, cfg.preprocessor)
             batch = nn.StepBatch(labeled_inputs=inputs, labels=labeled.labels[idx])
             _, grads = nn.backward(model_cfg, params, batch, nn.LossWeights(0.0, 0.0))
             lr = nn.lr_at(step, cfg.optimizer)
             params, velocity = nn.sgd_step(params, grads, velocity, lr, cfg.optimizer.momentum)
             step += 1
         report = evaluate_model(model_cfg, params, val, cfg.pool_len, preprocessor=cfg.preprocessor)
-        stop = early_stop_check(stopper, report, cfg.eval_metric)
+        stop = stopper.update(report.value(cfg.eval_metric))
         if stopper.improved_last:
             best = params.copy()
         if stop:
@@ -314,13 +295,6 @@ def train_step(state: TrainState, labeled_batch: LabeledBatch,
     return breakdown
 
 
-def fixed_threshold_baseline_step(state: TrainState, labeled_batch: LabeledBatch,
-                                  unlabeled_batch: UnlabeledBatch | None, cfg: TrainConfig,
-                                  tau: float = 0.95) -> nn.LossBreakdown:
-    """Pseudo-label filtering by confidence threshold instead of neighbor agreement."""
-    return train_step(state, labeled_batch, unlabeled_batch, cfg, tau=tau)
-
-
 def _unlabeled_batches(n_unlabeled: int, iters: int, batch: int, epoch: int,
                        stream: RandomStream):
     """Index batches for one epoch; with replacement when the pool is too small."""
@@ -344,7 +318,7 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
     stopper = EarlyStopper(cfg.patience, metrics.HIGHER_IS_BETTER[cfg.eval_metric])
     report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len,
                             preprocessor=cfg.preprocessor)
-    early_stop_check(stopper, report, cfg.eval_metric)
+    stopper.update(report.value(cfg.eval_metric))
     best = state.student.copy()
     history = [{"step": 0, "epoch": 0, "lb": "", "lu": "", "lf": "", "lr": "",
                 "val_metric": report.value(cfg.eval_metric)}]
@@ -380,7 +354,7 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
         report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len,
                                 preprocessor=cfg.preprocessor)
         history[-1]["val_metric"] = report.value(cfg.eval_metric)
-        stop = early_stop_check(stopper, report, cfg.eval_metric)
+        stop = stopper.update(report.value(cfg.eval_metric))
         if stopper.improved_last:
             best = state.student.copy()
         if stop:
@@ -401,9 +375,6 @@ class ExperimentResult:
     per_seed: list  # of SeedResult
     mean: dict
     std: dict
-
-    def reports(self):
-        return [r.report for r in self.per_seed]
 
 
 METRIC_NAMES = ("ranking_loss", "hamming_loss", "coverage", "map", "macro_auc", "macro_gbeta")

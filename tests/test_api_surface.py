@@ -1,0 +1,58 @@
+"""Every public function, class and method of the package has a caller.
+
+The source of `ecgmatch` and of the benchmark harness is parsed, and every
+`Name`, `Attribute` and import alias in it counts as a reference. A public
+top-level function or class, or a public method, that no reference names is
+API that only tests call, and it fails this test. Names that only the test
+suite or an outside reader calls on purpose are listed in ALLOWED.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ecgmatch").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+ALLOWED = {
+    "knn_query": "the acceptance suite checks the neighbour ranking one query at a time through it",
+    "neighbor_agreement": "the acceptance suite checks the agreement formula on one neighbourhood through it",
+    "pearson_correlation": "the acceptance suite's class-distribution witness calls it",
+    "load_params": "the one reader of the checkpoints that `ecgmatch run` writes",
+}
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}"
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    defined, referenced = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent.name == "ecgmatch":
+            defined += [(path.name, name) for name in _public_definitions(tree)]
+        referenced.update(_references(tree))
+    assert len(defined) > 50  # the scan found the package
+    assert set(ALLOWED) <= {name for _, name in defined}, "an allowlisted name is gone; drop it"
+    unused = [f"{module}:{name}" for module, name in defined
+              if name.rsplit(".", 1)[-1] not in referenced and name not in ALLOWED]
+    assert unused == [], f"public names with no caller outside the tests: {unused}"
+

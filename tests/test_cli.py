@@ -247,6 +247,31 @@ def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, verb, case):
     assert "configuration error in stage load-config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "gridsearch"])
+@pytest.mark.parametrize("key,value", [("batch_labeled", "x"), ("hidden_dims", 5), ("knn", 3)])
+def test_wrongly_typed_train_values_exit_2_naming_the_section(tmp_path, capsys, verb, key, value):
+    config, doc = smoke_config(tmp_path)
+    doc["train"][key] = value
+    config.write_text(json.dumps(doc))
+    assert main([verb, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error in stage load-config: invalid value in train" in err
+
+
+def test_threads_env_not_an_int_exits_2(tmp_path, monkeypatch, capsys):
+    config, _ = smoke_config(tmp_path)
+    monkeypatch.setenv("ECGMATCH_THREADS", "x")
+    assert main(["gridsearch", "--config", str(config)]) == 2
+    assert "threads override must be an integer" in capsys.readouterr().err
+
+
+def test_threads_flag_belongs_to_gridsearch_only(tmp_path):
+    assert cli.build_parser().parse_args(["gridsearch", "--config", "c.json", "--threads", "2"]).threads == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", "c.json", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_synth_write_failure_exits_1_with_stage(tmp_path, capsys):
     config, _ = smoke_config(tmp_path)
     out_dir = tmp_path / "taken"

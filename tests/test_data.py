@@ -11,7 +11,6 @@ from ecgmatch.data import (
     encode_subset,
     load_dataset,
     map_annotations,
-    preprocess,
     save_dataset,
     split,
     split_cross,
@@ -285,20 +284,20 @@ def test_synth_non_positive_definite_rejected():
 
 def test_preprocess_constant_channel_is_zero():
     x = np.vstack([np.full(16, 3.0), np.arange(16.0)])
-    out = preprocess(x, pool_len=4).reshape(2, 4)
+    out = encode_subset([x], 4)[0].reshape(2, 4)
     assert np.all(out[0] == 0.0)
 
 
 def test_preprocess_zscore_mean_zero():
     g = np.random.default_rng(16)
     x = g.normal(loc=5.0, scale=2.0, size=(3, 64))
-    out = preprocess(x, pool_len=64).reshape(3, 64)
+    out = encode_subset([x], 64)[0].reshape(3, 64)
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-12)
 
 
 def test_preprocess_two_sample_channel():
-    out = preprocess(np.array([[1.0, 3.0]]), pool_len=1)
+    out = encode_subset([np.array([[1.0, 3.0]])], 1)[0]
     assert out.shape == (1,)
     assert out[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -306,7 +305,7 @@ def test_preprocess_two_sample_channel():
 def test_preprocess_output_length_independent_of_input_length():
     for length in (50, 128, 999):
         x = np.random.default_rng(length).normal(size=(4, length))
-        assert preprocess(x, pool_len=24).shape == (96,)
+        assert encode_subset([x], 24)[0].shape == (96,)
 
 
 def _preprocess_reference(x, pool_len):
@@ -338,7 +337,7 @@ def test_encode_subset_equals_per_signal_reference(channels, length, pool_len):
     signals[2][0] = 4.0  # a constant channel
     want = np.vstack([_preprocess_reference(x, pool_len) for x in signals])
     assert np.array_equal(encode_subset(signals, pool_len), want)
-    assert np.array_equal(preprocess(signals[4], pool_len), want[4])
+    assert np.array_equal(encode_subset([signals[4]], pool_len)[0], want[4])
 
 
 def test_encode_subset_ragged_list_longer_than_one_block_keeps_row_order():

@@ -26,7 +26,6 @@ def test_bank_init_rows_match_direct_forward():
     feats, preds = nn.forward(cfg, params, x)
     np.testing.assert_array_equal(banks.features, feats)
     np.testing.assert_array_equal(banks.predictions, preds)
-    assert np.all(banks.filled)
     assert np.all((banks.predictions > 0.0) & (banks.predictions < 1.0))
 
 
@@ -119,18 +118,28 @@ def test_knn_query_exclude_self():
     assert hit[0][0] != 3
 
 
+def _vote_over_whole_bank(preds, seed=0):
+    """generate_pseudo_labels with k equal to the bank size, so every row votes."""
+    g = np.random.default_rng(seed)
+    banks = pseudo.MemoryBanks(len(preds), 3, preds.shape[1])
+    banks.update(np.arange(len(preds)), g.normal(size=(len(preds), 3)), preds)
+    cfg = pseudo.KnnConfig(k=len(preds), distance="euclidean")
+    targets, _ = pseudo.generate_pseudo_labels(banks, g.normal(size=(1, 3)), cfg)
+    return targets[0]
+
+
 def test_soft_vote_cases():
     single = np.array([[0.3, 0.7]])
-    np.testing.assert_allclose(pseudo.soft_vote(single), [0.3, 0.7])
+    np.testing.assert_allclose(_vote_over_whole_bank(single), [0.3, 0.7])
     two = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(pseudo.soft_vote(two), [0.5, 0.5])
+    np.testing.assert_allclose(_vote_over_whole_bank(two), [0.5, 0.5])
     three = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]])
-    np.testing.assert_allclose(pseudo.soft_vote(three), [0.6, 0.4])
+    np.testing.assert_allclose(_vote_over_whole_bank(three), [0.6, 0.4])
 
 
-def test_soft_vote_empty_raises():
+def test_neighbor_agreement_empty_raises():
     with pytest.raises(ContractViolation):
-        pseudo.soft_vote(np.zeros((0, 3)))
+        pseudo.neighbor_agreement(np.zeros((0, 3)))
 
 
 def test_neighbor_agreement_values():
@@ -149,7 +158,8 @@ def test_neighbor_agreement_range_and_permutation_invariance():
     assert np.all((a >= 0.0) & (a <= 1.0))
     perm = g.permutation(7)
     np.testing.assert_allclose(pseudo.neighbor_agreement(preds[perm]), a)
-    np.testing.assert_allclose(pseudo.soft_vote(preds[perm]), pseudo.soft_vote(preds))
+    for seed in (0, 1):  # bank rows in another order, and other distances, give the same vote
+        np.testing.assert_allclose(_vote_over_whole_bank(preds[perm], seed), preds.mean(axis=0))
 
 
 def test_neighbor_agreement_monotone_in_mean_deviation():
@@ -171,7 +181,7 @@ def test_generate_pseudo_labels_matches_per_query_path():
     for i, q in enumerate(queries):
         hits = pseudo.knn_query(banks, q, cfg)
         preds = np.vstack([p for _, p in hits])
-        np.testing.assert_allclose(targets[i], pseudo.soft_vote(preds), atol=1e-12)
+        np.testing.assert_allclose(targets[i], preds.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(alpha[i], pseudo.neighbor_agreement(preds), atol=1e-12)
 
 
@@ -236,26 +246,3 @@ def test_euclidean_distances_at_default_bank_size_match_oracle():
         want = [np.sqrt(np.sum((banks.features[i] - queries[row]) ** 2)) for i in order]
         np.testing.assert_array_equal(dist[row, order], want)
 
-
-def test_banks_save_load_roundtrip(tmp_path):
-    g = np.random.default_rng(13)
-    banks = _random_banks(g, 10, 4, 3)
-    path = tmp_path / "banks.bin"
-    banks.save(path)
-    loaded = pseudo.MemoryBanks.load(path)
-    np.testing.assert_array_equal(loaded.features, banks.features)
-    np.testing.assert_array_equal(loaded.predictions, banks.predictions)
-    np.testing.assert_array_equal(loaded.filled, banks.filled)
-
-
-def test_banks_load_rejects_misaligned_matrices(tmp_path):
-    path = tmp_path / "banks.bin"
-    nn.write_matrices(path, [np.zeros((4, 3)), np.zeros((5, 2)), np.ones((1, 4))])
-    with pytest.raises(ConfigurationError, match="row-aligned"):
-        pseudo.MemoryBanks.load(path)
-    nn.write_matrices(path, [np.zeros((4, 3)), np.zeros((4, 2)), np.ones((1, 3))])
-    with pytest.raises(ConfigurationError, match="row-aligned"):
-        pseudo.MemoryBanks.load(path)
-    nn.write_matrices(path, [np.zeros((4, 3)), np.zeros((4, 2))])
-    with pytest.raises(ConfigurationError):
-        pseudo.MemoryBanks.load(path)

@@ -50,7 +50,6 @@ def clone_state(state):
                                    state.banks.predictions.shape[1])
         banks.features = state.banks.features.copy()
         banks.predictions = state.banks.predictions.copy()
-        banks.filled = state.banks.filled.copy()
     return trainer.TrainState(
         model_cfg=state.model_cfg,
         student=state.student.copy(),
@@ -109,8 +108,8 @@ def test_pretrain_reduces_training_loss_on_average():
     for seed in (0, 1, 2):
         splits = quick_splits(seed=seed)
         cfg = quick_cfg(seed=seed, pretrain_max_epochs=1, pretrain_patience=1)
-        channels = splits.labeled.signals[0].shape[0]
-        model_cfg = cfg.model_config(channels, splits.labeled.labels.shape[1])
+        model_cfg = trainer._model_config_for(cfg, splits.labeled.signals[0],
+                                              splits.labeled.labels.shape[1])
         init = nn.init_params(model_cfg, RandomStream(seed).substream(0))
 
         from ecgmatch.data import encode_subset
@@ -131,7 +130,7 @@ def test_pretrain_reaches_high_map_on_separable_fixture():
     cfg = quick_cfg(seed=5, pool_len=16, pretrain_max_epochs=50, pretrain_patience=10,
                     optimizer=nn.OptimizerConfig(max_steps=500, ema_momentum=0.99))
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
-    model_cfg = cfg.model_config(2, 5)
+    model_cfg = trainer._model_config_for(cfg, splits.labeled.signals[0], 5)
     report = trainer.evaluate_model(model_cfg, teacher, splits.val, cfg.pool_len)
     assert report.map > 0.95
 
@@ -228,7 +227,7 @@ def test_no_nam_forces_unit_weights_and_threshold_zero_matches(monkeypatch):
 
     # fixed threshold tau=0 accepts everything: identical update, bitwise
     cfg_thr = quick_cfg(baseline="fixed_threshold", fixed_threshold_tau=0.0, pretrain_max_epochs=2)
-    trainer.fixed_threshold_baseline_step(state_b, lab, un, cfg_thr, tau=0.0)
+    trainer.train_step(state_b, lab, un, cfg_thr, tau=0.0)
     assert np.all(captured[-1] == 1.0)
     assert params_equal(state.student, state_b.student)
 
@@ -245,7 +244,7 @@ def test_threshold_one_rejects_all_pseudo_labels(monkeypatch):
         return real_backward(model_cfg, params, batch, weights)
 
     monkeypatch.setattr(trainer.nn, "backward", spy)
-    breakdown = trainer.fixed_threshold_baseline_step(state, lab, un, cfg, tau=1.0)
+    breakdown = trainer.train_step(state, lab, un, cfg, tau=1.0)
     assert np.all(captured[-1] == 0.0)
     assert breakdown.unsupervised == 0.0  # every cell fully down-weighted
 
@@ -262,7 +261,7 @@ def test_threshold_step_alpha_is_binary(monkeypatch):
         return real_backward(model_cfg, params, batch, weights)
 
     monkeypatch.setattr(trainer.nn, "backward", spy)
-    trainer.fixed_threshold_baseline_step(state, lab, un, cfg, tau=0.6)
+    trainer.train_step(state, lab, un, cfg, tau=0.6)
     targets, alpha = captured[-1]
     conf = np.maximum(targets, 1.0 - targets)
     np.testing.assert_array_equal(alpha, (conf >= 0.6).astype(float))
@@ -272,7 +271,7 @@ def test_threshold_step_logs_per_class_acceptance():
     splits = quick_splits()
     cfg = quick_cfg(baseline="fixed_threshold", pretrain_max_epochs=2)
     state, lab, un = make_state_and_batches(cfg, splits)
-    trainer.fixed_threshold_baseline_step(state, lab, un, cfg, tau=0.6)
+    trainer.train_step(state, lab, un, cfg, tau=0.6)
     assert state.last_acceptance is not None
     assert state.last_acceptance.shape == (5,)
     assert np.all((state.last_acceptance >= 0.0) & (state.last_acceptance <= 1.0))
