@@ -25,11 +25,11 @@ from . import metrics, stats, trainer
 from .config import ExperimentConfig, load_experiment_config
 from .data import AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, save_dataset, synth_generate
 from .errors import ConfigurationError, ParseError
-from .metrics import CSV_COLUMNS
+from .metrics import CSV_COLUMNS, METRIC_NAMES
 from .nn import save_params
 
 REPORT_HEADER = ["model", "dataset", "seed", *CSV_COLUMNS]
-SUMMARY_HEADER = ["model", "dataset", "stat", *trainer.METRIC_NAMES]
+SUMMARY_HEADER = ["model", "dataset", "stat", *METRIC_NAMES]
 LOG_HEADER = ["step", "epoch", "lb", "lu", "lf", "lr", "val_metric"]
 COMPARISON_HEADER = [
     "metric", "model", "mean_rank", "rank_diff_vs_control", "significant",
@@ -70,8 +70,8 @@ def _write_run_outputs(out_dir: Path, cfg: ExperimentConfig, result, dataset_lab
     ]
     _write_csv(out_dir / "reports.csv", REPORT_HEADER, rows)
     summary = [
-        [cfg.model_name, dataset_label, "mean", *(repr(result.mean[m]) for m in trainer.METRIC_NAMES)],
-        [cfg.model_name, dataset_label, "std", *(repr(result.std[m]) for m in trainer.METRIC_NAMES)],
+        [cfg.model_name, dataset_label, "mean", *(repr(result.mean[m]) for m in METRIC_NAMES)],
+        [cfg.model_name, dataset_label, "std", *(repr(result.std[m]) for m in METRIC_NAMES)],
     ]
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, summary)
     ckpt_dir = out_dir / "checkpoints"
@@ -124,7 +124,7 @@ def cmd_run(config_path: str, args=None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         print(f"error in stage {stage}: {exc}", file=sys.stderr)
         return 1
-    for name in trainer.METRIC_NAMES:
+    for name in METRIC_NAMES:
         print(f"{name}: mean={result.mean[name]:.4f} std={result.std[name]:.4f}")
     return 0
 
@@ -176,17 +176,17 @@ def cmd_gridsearch(config_path: str, args=None) -> int:
             results = [_run_grid_cell(*job) for job in jobs]
         stage = "write-reports"
         rows = [
-            [repr(lu), repr(lf), *(repr(mean[m]) for m in trainer.METRIC_NAMES),
-             *(repr(std[m]) for m in trainer.METRIC_NAMES)]
+            [repr(lu), repr(lf), *(repr(mean[m]) for m in METRIC_NAMES),
+             *(repr(std[m]) for m in METRIC_NAMES)]
             for lu, lf, mean, std in results
         ]
         header = ["lambda_u", "lambda_f",
-                  *(f"mean_{m}" for m in trainer.METRIC_NAMES),
-                  *(f"std_{m}" for m in trainer.METRIC_NAMES)]
+                  *(f"mean_{m}" for m in METRIC_NAMES),
+                  *(f"std_{m}" for m in METRIC_NAMES)]
         _write_csv(out_dir / "gridsearch.csv", header, rows)
         _write_csv(out_dir / "grid_plot.csv",
-                   ["lambda_u", "lambda_f", *(f"mean_{m}" for m in trainer.METRIC_NAMES)],
-                   [row[: 2 + len(trainer.METRIC_NAMES)] for row in rows])
+                   ["lambda_u", "lambda_f", *(f"mean_{m}" for m in METRIC_NAMES)],
+                   [row[: 2 + len(METRIC_NAMES)] for row in rows])
     except (ConfigurationError, ParseError, FileNotFoundError) as exc:
         print(f"configuration error in stage {stage}: {exc}", file=sys.stderr)
         return 2
@@ -230,7 +230,7 @@ def cmd_eval(scores_path: str, labels_path: str, out_dir: str | None = None) -> 
     except Exception as exc:  # noqa: BLE001
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for name in trainer.METRIC_NAMES:
+    for name in METRIC_NAMES:
         print(f"{name}: {report.value(name):.6f}")
     for key, count in report.skipped.items():
         if count:
@@ -255,10 +255,11 @@ def _read_reports(pattern: str):
             if header != REPORT_HEADER:
                 raise ParseError(f"{path}: unexpected header {header}")
             for row in reader:
-                model, dataset = row[0], row[1]
-                cells.setdefault((model, dataset), []).append(
-                    metrics.MetricsReport.from_csv_row(row[3:])
-                )
+                try:
+                    report = metrics.MetricsReport.from_csv_row(row[3:])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+                cells.setdefault((row[0], row[1]), []).append(report)
     return cells
 
 
@@ -281,7 +282,7 @@ def cmd_compare(report_glob: str, control_name: str, out_dir: str | None = None,
         cd = stats.bonferroni_dunn_cd(k, n, alpha)
         control_idx = models.index(control_name)
         rows, plot_rows = [], []
-        for metric_name in trainer.METRIC_NAMES:
+        for metric_name in METRIC_NAMES:
             values = np.array([
                 [np.mean([r.value(metric_name) for r in cells[(m, d)]]) for m in models]
                 for d in datasets

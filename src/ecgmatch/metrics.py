@@ -3,9 +3,13 @@
 All ranking-based metrics use the "worst rank" convention for ties (an item
 tied with others takes the deepest of their shared positions) and score tied
 pairs as half-correct, which keeps every metric invariant under sample and
-class permutations. Rows or classes that cannot support a metric (no
-relevant label, single-valued class column) are skipped, not zero-filled,
-and the skip counts are carried in the report.
+class permutations. The four ranking metrics read one rank primitive,
+`_rank_counts`: per entry, how many entries of a masked set in its row score
+higher and at least as high, from one sort per row. Scores must be finite:
+NaN or +-inf raise ValueError, since no ranking orders them consistently.
+Rows or classes that cannot support a metric (no relevant label,
+single-valued class column) are skipped, not zero-filled, and the skip
+counts are carried in the report.
 """
 
 from __future__ import annotations
@@ -16,23 +20,16 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 
-CSV_COLUMNS = [
-    "ranking_loss",
-    "hamming_loss",
-    "coverage",
-    "map",
-    "macro_auc",
-    "macro_gbeta",
-    "skipped_ranking_rows",
-    "skipped_coverage_rows",
-    "skipped_map_classes",
-    "skipped_auc_classes",
-]
+METRIC_NAMES = ("ranking_loss", "hamming_loss", "coverage", "map", "macro_auc", "macro_gbeta")
+_SKIP_KEYS = ("ranking_rows", "coverage_rows", "map_classes", "auc_classes")
+CSV_COLUMNS = [*METRIC_NAMES, *(f"skipped_{key}" for key in _SKIP_KEYS)]
+# Metric orientation: True when larger values mean better performance.
+HIGHER_IS_BETTER = dict(zip(METRIC_NAMES, (False, False, False, True, True, True)))
 
 
 @dataclass
 class ScoreMatrix:
-    scores: np.ndarray  # (n, C) in [0, 1]
+    scores: np.ndarray  # (n, C) finite, in [0, 1]
     labels: np.ndarray  # (n, C) binary
 
     def __post_init__(self):
@@ -42,6 +39,8 @@ class ScoreMatrix:
             raise ValueError(
                 f"scores {self.scores.shape} and labels {self.labels.shape} must be matching 2-D"
             )
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("scores must be finite (found NaN or inf)")
         if not np.all((self.labels == 0.0) | (self.labels == 1.0)):
             raise ValueError("labels must be binary")
 
@@ -61,62 +60,72 @@ class MetricsReport:
         return float(getattr(self, name))
 
     def to_csv_row(self) -> list[str]:
-        vals = [self.ranking_loss, self.hamming_loss, self.coverage,
-                self.map, self.macro_auc, self.macro_gbeta]
-        skips = [self.skipped.get("ranking_rows", 0), self.skipped.get("coverage_rows", 0),
-                 self.skipped.get("map_classes", 0), self.skipped.get("auc_classes", 0)]
-        return [repr(float(v)) for v in vals] + [str(int(s)) for s in skips]
+        return ([repr(self.value(name)) for name in METRIC_NAMES]
+                + [str(int(self.skipped.get(key, 0))) for key in _SKIP_KEYS])
 
     @classmethod
     def from_csv_row(cls, row) -> "MetricsReport":
-        vals = [float(v) for v in row[:6]]
-        skips = [int(v) for v in row[6:10]] if len(row) >= 10 else [0, 0, 0, 0]
-        return cls(*vals, skipped={
-            "ranking_rows": skips[0], "coverage_rows": skips[1],
-            "map_classes": skips[2], "auc_classes": skips[3],
-        })
+        """Inverse of to_csv_row; ValueError unless the row has one number per CSV column."""
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"expected {len(CSV_COLUMNS)} metric cells, got {len(row)}")
+        k = len(METRIC_NAMES)
+        return cls(*map(float, row[:k]), skipped=dict(zip(_SKIP_KEYS, map(int, row[k:]))))
 
 
-# Metric orientation: True when larger values mean better performance.
-HIGHER_IS_BETTER = {
-    "ranking_loss": False,
-    "hamming_loss": False,
-    "coverage": False,
-    "map": True,
-    "macro_auc": True,
-    "macro_gbeta": True,
-}
+def _rank_counts(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(gt, ge): per entry, how many masked entries of its row score higher / at least as high.
+
+    One stable sort per row. A running count of tie groups over the sorted,
+    flattened array is an exact integer key for (row, tie group), so one
+    searchsorted of the keys into the sorted masked keys counts both.
+    """
+    n, c = scores.shape
+    order = np.argsort(scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    new_group = np.ones((n, c), dtype=np.int64)
+    new_group[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    keys = np.cumsum(new_group.ravel())
+    masked = keys[np.take_along_axis(mask, order, axis=1).ravel()]
+    below, upto = np.searchsorted(masked, np.stack([keys, keys + 1])).reshape(2, n, c)
+    row_ends = np.cumsum(mask.sum(axis=1))[:, None]
+    counts = np.empty((2, n, c), dtype=np.int64)
+    np.put_along_axis(counts, np.stack([order, order]), row_ends - np.stack([upto, below]), axis=2)
+    return counts
 
 
-def _worst_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based descending ranks where ties share the deepest position."""
-    s = scores[None, :] if scores.ndim == 1 else scores
-    greater = (s[:, :, None] > s[:, None, :]).sum(axis=1)
-    equal = (s[:, :, None] == s[:, None, :]).sum(axis=1)
-    ranks = greater + equal
-    return ranks[0] if scores.ndim == 1 else ranks
+def _pair_errors(scores: np.ndarray, labels: np.ndarray):
+    """Per row: twice the (positive, negative) pairs where the negative scores higher,
+    ties counting half (an exact integer), and the positive x negative pair count."""
+    pos, neg = labels == 1.0, labels == 0.0
+    gt, ge = _rank_counts(scores, neg)
+    return np.where(pos, gt + ge, 0).sum(axis=1), pos.sum(axis=1) * neg.sum(axis=1)
+
+
+def _mean_in_order(values: np.ndarray) -> float:
+    """Mean with the values added one at a time in order, NaN when there are none.
+
+    The reports keep this summation order; np.sum adds pairwise and can change the last bit.
+    """
+    return np.add.accumulate(values)[-1] / values.size if values.size else float("nan")
+
+
+def _macro_mean(per_class: dict) -> float:
+    """np.mean over the per-class values, NaN when no class was scored."""
+    return float(np.mean(list(per_class.values()))) if per_class else float("nan")
 
 
 def _ranking_loss(sm: ScoreMatrix):
-    total, counted, skipped = 0.0, 0, 0
-    for s, y in zip(sm.scores, sm.labels):
-        pos = s[y == 1.0]
-        neg = s[y == 0.0]
-        if pos.size == 0 or neg.size == 0:
-            skipped += 1
-            continue
-        wrong = (neg[None, :] > pos[:, None]).sum() + 0.5 * (neg[None, :] == pos[:, None]).sum()
-        total += wrong / (pos.size * neg.size)
-        counted += 1
-    return total, counted, skipped
+    twice_wrong, pairs = _pair_errors(sm.scores, sm.labels)
+    ok = pairs > 0
+    return twice_wrong[ok] / 2 / pairs[ok], int((~ok).sum())
 
 
 def ranking_loss(sm: ScoreMatrix) -> float:
     """Mean fraction of (relevant, irrelevant) pairs ranked out of order (ties count half)."""
-    total, counted, skipped = _ranking_loss(sm)
-    if counted == 0:
+    per_row, _ = _ranking_loss(sm)
+    if not per_row.size:
         raise UndefinedMetricError("ranking loss: no row has both relevant and irrelevant labels")
-    return total / counted
+    return _mean_in_order(per_row)
 
 
 def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
@@ -126,43 +135,28 @@ def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
 
 
 def _coverage(sm: ScoreMatrix):
-    total, counted, skipped = 0.0, 0, 0
-    for s, y in zip(sm.scores, sm.labels):
-        if y.sum() == 0:
-            skipped += 1
-            continue
-        ranks = _worst_ranks(s)
-        total += ranks[y == 1.0].max()
-        counted += 1
-    return total, counted, skipped
+    pos = sm.labels == 1.0
+    _, worst_ranks = _rank_counts(sm.scores, np.ones_like(pos))
+    has = pos.any(axis=1)
+    depth = np.where(pos, worst_ranks, 0).max(axis=1, initial=0)
+    return depth[has].astype(float), int((~has).sum())
 
 
 def coverage(sm: ScoreMatrix) -> float:
     """Mean depth (1-based rank) needed to cover every relevant label."""
-    total, counted, skipped = _coverage(sm)
-    if counted == 0:
+    per_row, _ = _coverage(sm)
+    if not per_row.size:
         raise UndefinedMetricError("coverage: no row has a relevant label")
-    return total / counted
-
-
-def _average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    pos_scores = scores[labels == 1.0]
-    precisions = []
-    for s in pos_scores:
-        rank = (scores > s).sum() + (scores == s).sum()
-        hits = (pos_scores > s).sum() + (pos_scores == s).sum()
-        precisions.append(hits / rank)
-    return float(np.mean(precisions))
+    return _mean_in_order(per_row)
 
 
 def _map(sm: ScoreMatrix):
-    per_class, skipped = {}, 0
-    for c in range(sm.scores.shape[1]):
-        if sm.labels[:, c].sum() == 0:
-            skipped += 1
-            continue
-        per_class[c] = _average_precision(sm.scores[:, c], sm.labels[:, c])
-    return per_class, skipped
+    scores, pos = sm.scores.T, sm.labels.T == 1.0
+    _, worst_ranks = _rank_counts(scores, np.ones_like(pos))
+    _, hits = _rank_counts(scores, pos)
+    precision = hits / worst_ranks
+    per_class = {c: float(np.mean(precision[c, pos[c]])) for c in range(len(pos)) if pos[c].any()}
+    return per_class, len(pos) - len(per_class)
 
 
 def mean_average_precision(sm: ScoreMatrix) -> float:
@@ -170,25 +164,14 @@ def mean_average_precision(sm: ScoreMatrix) -> float:
     per_class, _ = _map(sm)
     if not per_class:
         raise UndefinedMetricError("MAP: no class has a positive sample")
-    return float(np.mean(list(per_class.values())))
-
-
-def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    pos = scores[labels == 1.0]
-    neg = scores[labels == 0.0]
-    correct = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
-    return float(correct / (pos.size * neg.size))
+    return _macro_mean(per_class)
 
 
 def _macro_auc(sm: ScoreMatrix):
-    per_class, skipped = {}, 0
-    for c in range(sm.scores.shape[1]):
-        col = sm.labels[:, c]
-        if col.sum() == 0 or col.sum() == col.size:
-            skipped += 1
-            continue
-        per_class[c] = _auc(sm.scores[:, c], col)
-    return per_class, skipped
+    twice_wrong, pairs = _pair_errors(sm.scores.T, sm.labels.T)
+    per_class = {c: float((pairs[c] - twice_wrong[c] / 2) / pairs[c])
+                 for c in range(len(pairs)) if pairs[c]}
+    return per_class, len(pairs) - len(per_class)
 
 
 def macro_auc(sm: ScoreMatrix) -> float:
@@ -196,20 +179,16 @@ def macro_auc(sm: ScoreMatrix) -> float:
     per_class, _ = _macro_auc(sm)
     if not per_class:
         raise UndefinedMetricError("macro AUC: no class has both positives and negatives")
-    return float(np.mean(list(per_class.values())))
+    return _macro_mean(per_class)
 
 
-def _gbeta_per_class(sm: ScoreMatrix, beta: float, threshold: float):
-    pred = sm.scores > threshold
-    truth = sm.labels == 1.0
-    values = []
-    for c in range(sm.scores.shape[1]):
-        tp = float(np.sum(pred[:, c] & truth[:, c]))
-        fp = float(np.sum(pred[:, c] & ~truth[:, c]))
-        fn = float(np.sum(~pred[:, c] & truth[:, c]))
-        denom = tp + fn + beta * fp
-        values.append(tp / denom if denom > 0 else 0.0)
-    return values
+def _gbeta_per_class(sm: ScoreMatrix, beta: float, threshold: float) -> np.ndarray:
+    pred, truth = sm.scores > threshold, sm.labels == 1.0
+    tp = (pred & truth).sum(axis=0).astype(float)
+    fp = (pred & ~truth).sum(axis=0).astype(float)
+    fn = (~pred & truth).sum(axis=0).astype(float)
+    denom = tp + fn + beta * fp
+    return np.divide(tp, denom, out=np.zeros_like(tp), where=denom > 0)
 
 
 def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> float:
@@ -220,27 +199,22 @@ def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> f
 def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> MetricsReport:
     """All six metrics in one report; undefined metrics become NaN with their skips recorded."""
     sm = ScoreMatrix(scores, labels)
-    rl_total, rl_count, rl_skip = _ranking_loss(sm)
-    cov_total, cov_count, cov_skip = _coverage(sm)
+    rl_per_row, rl_skip = _ranking_loss(sm)
+    cov_per_row, cov_skip = _coverage(sm)
     map_per_class, map_skip = _map(sm)
     auc_per_class, auc_skip = _macro_auc(sm)
     gbeta_values = _gbeta_per_class(sm, beta, threshold)
     return MetricsReport(
-        ranking_loss=rl_total / rl_count if rl_count else float("nan"),
+        ranking_loss=_mean_in_order(rl_per_row),
         hamming_loss=hamming_loss(sm, threshold),
-        coverage=cov_total / cov_count if cov_count else float("nan"),
-        map=float(np.mean(list(map_per_class.values()))) if map_per_class else float("nan"),
-        macro_auc=float(np.mean(list(auc_per_class.values()))) if auc_per_class else float("nan"),
+        coverage=_mean_in_order(cov_per_row),
+        map=_macro_mean(map_per_class),
+        macro_auc=_macro_mean(auc_per_class),
         macro_gbeta=float(np.mean(gbeta_values)),
-        skipped={
-            "ranking_rows": rl_skip,
-            "coverage_rows": cov_skip,
-            "map_classes": map_skip,
-            "auc_classes": auc_skip,
-        },
+        skipped=dict(zip(_SKIP_KEYS, (rl_skip, cov_skip, map_skip, auc_skip))),
         per_class={
             "map": map_per_class,
             "macro_auc": auc_per_class,
-            "macro_gbeta": {c: v for c, v in enumerate(gbeta_values)},
+            "macro_gbeta": dict(enumerate(gbeta_values.tolist())),
         },
     )

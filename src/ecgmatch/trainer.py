@@ -377,9 +377,6 @@ class ExperimentResult:
     std: dict
 
 
-METRIC_NAMES = ("ranking_loss", "hamming_loss", "coverage", "map", "macro_auc", "macro_gbeta")
-
-
 def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds,
                    metric_threshold: float = 0.5, gbeta_beta: float = 2.0) -> ExperimentResult:
     """Full pipeline per seed: split, pre-train, SSL train, evaluate on test.
@@ -405,7 +402,7 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds,
         per_seed.append(SeedResult(int(seed), report, history, final))
 
     mean, std = {}, {}
-    for name in METRIC_NAMES:
+    for name in metrics.METRIC_NAMES:
         values = np.array([r.report.value(name) for r in per_seed])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns stay NaN

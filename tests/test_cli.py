@@ -97,6 +97,16 @@ def test_eval_non_numeric_cell_exits_2(tmp_path):
     assert main(["eval", "--scores", str(scores), "--labels", str(labels)]) == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_eval_non_finite_score_exits_2(tmp_path, capsys, cell):
+    scores = tmp_path / "s.csv"
+    labels = tmp_path / "l.csv"
+    scores.write_text(f"0.9,0.1\n{cell},0.4\n")
+    labels.write_text("1,0\n0,1\n")
+    assert main(["eval", "--scores", str(scores), "--labels", str(labels)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def _write_reports(path, model, per_dataset_values):
     """One reports.csv with a fixed metric value per dataset; all six metrics equal."""
     rows = []
@@ -151,6 +161,20 @@ def test_compare_missing_cells_exits_2(tmp_path, capsys):
 def test_compare_needs_two_models_and_datasets(tmp_path):
     _write_reports(tmp_path / "r0.csv", "m0", {"d1": 0.5, "d2": 0.5})
     assert main(["compare", "--reports", str(tmp_path / "r0.csv"), "--control", "m0"]) == 2
+
+
+@pytest.mark.parametrize("bad_row", [
+    ["m1", "d2", "1", "0.5", "0.5", "0.5"],  # truncated
+    ["m1", "d2", "1", "0.5", "oops", "0.5", "0.5", "0.5", "0.5", "0", "0", "0", "0"],  # non-numeric
+    ["m1", "d2", "1", "0.5", "0.5", "0.5", "0.5", "0.5", "0.5", "0", "0"],  # 11 cells
+], ids=["truncated", "non_numeric", "eleven_cells"])
+def test_compare_malformed_report_row_exits_2_naming_the_line(tmp_path, capsys, bad_row):
+    _write_reports(tmp_path / "r0.csv", "m0", {"d1": 0.5, "d2": 0.5})
+    _write_reports(tmp_path / "r1.csv", "m1", {"d1": 0.5, "d2": 0.5})
+    with open(tmp_path / "r1.csv", "a", newline="") as fh:
+        csv.writer(fh).writerow(bad_row)  # line 6: header + 2 datasets x 2 seeds before it
+    assert main(["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m0"]) == 2
+    assert "r1.csv:6:" in capsys.readouterr().err
 
 
 def test_annotate_known_lines(tmp_path, capsys):

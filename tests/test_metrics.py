@@ -20,9 +20,12 @@ def sm(scores, labels):
     return m.ScoreMatrix(np.atleast_2d(scores), np.atleast_2d(labels))
 
 
-def random_instance(g, n=None, c=5):
+def random_instance(g, n=None, c=5, quantum=None):
+    """Random scores and labels; `quantum` rounds the scores to its multiples, so ties are common."""
     n = n or int(g.integers(2, 51))
     scores = g.random((n, c))
+    if quantum:
+        scores = np.round(scores / quantum) * quantum
     labels = (g.random((n, c)) < 0.4).astype(float)
     return scores, labels
 
@@ -74,19 +77,42 @@ def test_macro_gbeta_examples():
 
 
 def test_all_metrics_match_bruteforce_oracles():
-    g = np.random.default_rng(0)
-    for _ in range(200):
-        scores, labels = random_instance(g)
-        inst = m.ScoreMatrix(scores, labels)
-        for name, impl in IMPLS.items():
-            try:
-                got = impl(inst)
-            except UndefinedMetricError:
-                with pytest.raises(ValueError):
-                    METRIC_ORACLES[name](scores, labels)
-                continue
-            want = METRIC_ORACLES[name](scores, labels)
-            assert abs(got - want) < 1e-9, name
+    # continuous scores, then ties, where worst ranks and half credit matter
+    for quantum in (None, 0.1, 0.25):
+        g = np.random.default_rng(0)
+        for _ in range(200):
+            scores, labels = random_instance(g, quantum=quantum)
+            inst = m.ScoreMatrix(scores, labels)
+            for name, impl in IMPLS.items():
+                try:
+                    got = impl(inst)
+                except UndefinedMetricError:
+                    with pytest.raises(ValueError):
+                        METRIC_ORACLES[name](scores, labels)
+                    continue
+                want = METRIC_ORACLES[name](scores, labels)
+                assert abs(got - want) < 1e-9, (name, quantum)
+
+
+# compute_all(...).to_csv_row() on tie-heavy inputs, recorded from the pairwise
+# implementation that preceded the sort-based rank counts.
+PINNED_ROWS = {
+    (0.1, 300, 5): "0.4728327228327229,0.4726666666666667,3.9963636363636366,0.4225883181561869,"
+                   "0.5232805928501966,0.2019864455124542,27,25,0,0",
+    (0.25, 40, 24): "0.47006578839529223,0.45416666666666666,23.15,0.4328006694483215,"
+                    "0.520077590597919,0.18156664857850502,0,0,0,0",
+    (0.5, 3, 8): "0.3215277777777778,0.4166666666666667,7.333333333333333,0.8095238095238094,"
+                 "0.8,0.20833333333333331,0,0,1,3",
+    (0.5, 1, 4): "0.8333333333333334,0.75,4.0,1.0,nan,0.0,0,0,1,4",
+}
+
+
+@pytest.mark.parametrize("quantum,n,c", list(PINNED_ROWS))
+def test_report_bytes_are_pinned_on_tied_scores(quantum, n, c):
+    scores, labels = random_instance(np.random.default_rng(11), n=n, c=c, quantum=quantum)
+    every_other = scores[::2]
+    every_other[every_other == 0.0] = -0.0  # -0.0 and 0.0 must tie
+    assert ",".join(m.compute_all(scores, labels).to_csv_row()) == PINNED_ROWS[quantum, n, c]
 
 
 def test_rank_metrics_invariant_under_monotone_transform():
@@ -160,7 +186,7 @@ def test_report_csv_roundtrip():
                            (np.random.default_rng(6).random((10, 5)) > 0.5).astype(float))
     row = report.to_csv_row()
     back = m.MetricsReport.from_csv_row(row)
-    for name in ("ranking_loss", "hamming_loss", "coverage", "map", "macro_auc", "macro_gbeta"):
+    for name in m.METRIC_NAMES:
         assert back.value(name) == pytest.approx(report.value(name), abs=1e-15)
     assert back.skipped == report.skipped
 
@@ -170,3 +196,6 @@ def test_score_matrix_validation():
         m.ScoreMatrix(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         m.ScoreMatrix(np.zeros((2, 2)), np.full((2, 2), 0.5))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            m.ScoreMatrix(np.array([[0.2, bad]]), np.array([[1.0, 0.0]]))

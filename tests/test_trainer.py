@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecgmatch import nn, pseudo, trainer
+from ecgmatch import metrics, nn, pseudo, trainer
 from ecgmatch.data import SplitSpec, SynthConfig, Subset, split_within, synth_generate
 from ecgmatch.errors import ConfigurationError
 from ecgmatch.rng import RandomStream
@@ -359,7 +359,7 @@ def test_run_experiment_three_seeds_and_supervised_baseline():
     cfg = quick_cfg(max_epochs=2, pretrain_max_epochs=3)
     result = trainer.run_experiment([ds], spec, cfg, seeds=[0, 1, 2])
     assert len(result.per_seed) == 3
-    assert set(result.mean) == set(trainer.METRIC_NAMES)
+    assert set(result.mean) == set(metrics.METRIC_NAMES)
 
     sup = trainer.run_experiment([ds], spec, quick_cfg(baseline="supervised_only",
                                                        pretrain_max_epochs=3), seeds=[0])
@@ -374,5 +374,5 @@ def test_run_experiment_is_deterministic():
     a = trainer.run_experiment([ds], spec, cfg, seeds=[0, 1])
     b = trainer.run_experiment([ds], spec, cfg, seeds=[0, 1])
     for ra, rb in zip(a.per_seed, b.per_seed):
-        for name in trainer.METRIC_NAMES:
+        for name in metrics.METRIC_NAMES:
             assert ra.report.value(name) == rb.report.value(name)
