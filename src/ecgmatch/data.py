@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -63,6 +63,9 @@ class Subset:
     labels: np.ndarray
     provenance: list  # dataset_id per sample
     class_names: tuple = SUPERCLASSES
+    # (pool_len, preprocessor, model inputs) of the clean signals, filled on
+    # first evaluation so that every later one scores the same matrix
+    encoded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=float)
@@ -433,10 +436,9 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
         raise ConfigurationError(f"prototypes must have shape {(c, cfg.channels, cfg.signal_length)}")
 
     signals = []
-    for i in range(cfg.n_samples):
-        base = np.tensordot(labels[i], protos, axes=1)
-        noise = stream.substream(1, i).generator().standard_normal(base.shape)
-        signals.append(base + cfg.noise_level * noise)
+    for label, g in zip(labels, stream.substream(1).children(cfg.n_samples)):
+        base = np.tensordot(label, protos, axes=1)
+        signals.append(base + cfg.noise_level * g.standard_normal(base.shape))
     return Dataset(signals, labels, cfg.dataset_id)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import augment, correlation, metrics, nn, pseudo
-from .data import SplitResult, SplitSpec, Subset, encode_subset, split
+from .data import _ENCODE_BLOCK, SplitResult, SplitSpec, Subset, encode_subset, split
 from .errors import ConfigurationError
 from .rng import RandomStream
 
@@ -155,8 +155,24 @@ def _encode(signals, pool_len: int, preprocessor=None):
 
 
 def _augment_encode(signals, stream: RandomStream, cfg: TrainConfig, strong: bool):
-    out = augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong)
-    return _encode(out, cfg.pool_len, cfg.preprocessor)
+    """Augment and encode in blocks of _ENCODE_BLOCK rows; row i draws from substream(i).
+
+    The augmented signals of one block are dropped once encoded, so a
+    bank-sized pool is never held augmented all at once.
+    """
+    return np.concatenate([
+        _encode(augment.augment_batch(signals[start : start + _ENCODE_BLOCK], stream, cfg.augment_cfg,
+                                      strong=strong, first=start), cfg.pool_len, cfg.preprocessor)
+        for start in range(0, len(signals), _ENCODE_BLOCK)
+    ])
+
+
+def _clean_inputs(subset: Subset, pool_len: int, preprocessor=None) -> np.ndarray:
+    """The subset's un-augmented model inputs, encoded once per (pool_len, preprocessor)."""
+    cached = subset.encoded
+    if cached is None or cached[0] != pool_len or cached[1] is not preprocessor:
+        cached = subset.encoded = (pool_len, preprocessor, _encode(subset.signals, pool_len, preprocessor))
+    return cached[2]
 
 
 def _model_config_for(cfg: TrainConfig, sample_signal, num_classes: int) -> nn.ModelConfig:
@@ -175,8 +191,8 @@ def _model_config_for(cfg: TrainConfig, sample_signal, num_classes: int) -> nn.M
 def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: Subset,
                    pool_len: int = 32, threshold: float = 0.5, beta: float = 2.0,
                    preprocessor=None) -> metrics.MetricsReport:
-    """Score a subset with clean (un-augmented) inputs."""
-    _, probs = nn.forward(model_cfg, params, _encode(subset.signals, pool_len, preprocessor))
+    """Score a subset with clean (un-augmented) inputs, encoded once per subset."""
+    _, probs = nn.forward(model_cfg, params, _clean_inputs(subset, pool_len, preprocessor))
     return metrics.compute_all(probs, subset.labels, threshold=threshold, beta=beta)
 
 

@@ -18,6 +18,13 @@ ALLOWED = {
     "neighbor_agreement": "the acceptance suite checks the agreement formula on one neighbourhood through it",
     "pearson_correlation": "the acceptance suite's class-distribution witness calls it",
     "load_params": "the one reader of the checkpoints that `ecgmatch run` writes",
+    # one-row views of augment_batch's block code
+    "signal_dropout": "the acceptance suite calls it",
+    "temporal_flip": "the acceptance suite calls it",
+    "channel_reorganization": "the acceptance suite calls it",
+    "random_noise": "the acceptance suite calls it",
+    "weak_augment": "the acceptance suite calls it",
+    "strong_augment": "the acceptance suite calls it",
 }
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,131 @@ def test_config_validation():
         AugmentConfig(noise_sigma=0.0)
     with pytest.raises(ValueError):
         AugmentConfig(strong_max_transforms=5)
+
+
+# --- the per-sample code that augment_batch replaced, kept as its reference ---
+
+def _ref_check(x):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValueError(f"signal must be a (channels, length) matrix, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal contains non-finite values")
+    return x
+
+
+def _ref_apply(tid, x, g, cfg):
+    x = _ref_check(x)
+    channels, length = x.shape
+    if tid == SIGNAL_DROPOUT:
+        w = int(g.integers(1, max(1, int(cfg.dropout_max_frac * length)) + 1))
+        start = int(g.integers(0, length - w + 1))
+        out = x.copy()
+        if cfg.dropout_all_channels:
+            out[:, start : start + w] = 0.0
+        else:
+            out[int(g.integers(0, channels)), start : start + w] = 0.0
+        return out
+    if tid == TEMPORAL_FLIP:
+        return x[:, ::-1].copy()
+    if tid == CHANNEL_REORGANIZATION:
+        if channels < 2:
+            warnings.warn("channel_reorganization on a single-channel signal is the identity")
+            return x.copy()
+        return x[g.permutation(channels)].copy()
+    scale = cfg.noise_sigma * x.std(axis=1, keepdims=True)
+    return x + scale * g.standard_normal(x.shape)
+
+
+def _ref_augment(x, g, cfg, strong):
+    ids = (SIGNAL_DROPOUT, TEMPORAL_FLIP, CHANNEL_REORGANIZATION, RANDOM_NOISE)
+    if strong:
+        t = int(g.integers(1, cfg.strong_max_transforms + 1))
+        queue = [ids[i] for i in g.permutation(4)[:t]]
+    else:
+        queue = [ids[int(g.integers(0, 4))]]
+    out = _ref_check(x)
+    for tid in queue:
+        out = _ref_apply(tid, out, g, cfg)
+    return out
+
+
+def _ref_batch(signals, stream, cfg, strong):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return [_ref_augment(x, stream.substream(i).generator(), cfg, strong)
+                for i, x in enumerate(signals)]
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _signals(g, n, shapes):
+    return [g.normal(size=shapes[i % len(shapes)]) * 10.0 ** g.uniform(-3, 3) for i in range(n)]
+
+
+@pytest.mark.parametrize("strong, cfg_kw", [
+    (False, {}),
+    (False, {"dropout_all_channels": False}),
+    (False, {"dropout_max_frac": 1.0}),
+    (True, {"strong_max_transforms": 1}),
+    (True, {"strong_max_transforms": 2}),
+    (True, {"strong_max_transforms": 3}),
+    (True, {}),
+    (True, {"dropout_all_channels": False, "dropout_max_frac": 1.0}),
+])
+@pytest.mark.parametrize("shape", [(3, 256), (5, 17), (4, 1)])
+def test_augment_batch_equals_per_row_reference(strong, cfg_kw, shape):
+    cfg = AugmentConfig(**cfg_kw)
+    g = np.random.default_rng([int(strong), *shape])
+    xs = _signals(g, 120, [shape])
+    xs[3] = np.full(shape, 2.5)  # constant rows take no noise
+    stream = RandomStream(int(g.integers(0, 2**63)), (3, 1))
+    _assert_same_bytes(augment_batch(xs, stream, cfg, strong=strong), _ref_batch(xs, stream, cfg, strong))
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_augment_batch_single_channel_warns_and_equals_reference(strong):
+    xs = _signals(np.random.default_rng(4), 60, [(1, 30)])
+    stream, cfg = RandomStream(9), AugmentConfig()
+    with pytest.warns(UserWarning, match="single-channel"):
+        got = augment_batch(xs, stream, cfg, strong=strong)
+    _assert_same_bytes(got, _ref_batch(xs, stream, cfg, strong))
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_augment_batch_ragged_list_spanning_two_blocks_equals_reference(strong):
+    xs = _signals(np.random.default_rng(5), 600, [(3, 256), (3, 100), (3, 1), (3, 256)])
+    stream, cfg = RandomStream(2**64 - 1, (2**33,)), AugmentConfig()
+    _assert_same_bytes(augment_batch(xs, stream, cfg, strong=strong), _ref_batch(xs, stream, cfg, strong))
+
+
+def test_augment_batch_offset_draws_the_rows_of_the_full_list():
+    xs = _signals(np.random.default_rng(6), 40, [(2, 20)])
+    stream, cfg = RandomStream(3), AugmentConfig()
+    full = augment_batch(xs, stream, cfg, strong=True)
+    _assert_same_bytes(augment_batch(xs[25:], stream, cfg, strong=True, first=25), full[25:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(bad):
+    xs = _signals(np.random.default_rng(7), 10, [(3, 40)])
+    xs[6][1, 5] = bad
+    for strong in (False, True):
+        with pytest.raises(ValueError, match="non-finite"):
+            augment_batch(xs, RandomStream(0), AugmentConfig(), strong=strong)
+    with pytest.raises(ValueError, match="non-finite"):
+        weak_augment(xs[6], RandomStream(0), AugmentConfig())
+
+
+def test_noise_overflowing_mid_queue_raises_like_the_per_row_code():
+    x = 1e200 * ramp_signal(channels=3)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_queue(x, [RANDOM_NOISE, TEMPORAL_FLIP], RandomStream(1))
+        # noise last: nothing checks its output, here or in the per-row code
+        last = apply_queue(x, [TEMPORAL_FLIP, RANDOM_NOISE], RandomStream(1))
+    assert not np.all(np.isfinite(last))

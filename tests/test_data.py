@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,18 @@ def test_synth_seed_determinism():
     np.testing.assert_array_equal(a.labels, b.labels)
     for sa, sb in zip(a.signals, b.signals):
         np.testing.assert_array_equal(sa, sb)
+
+
+@pytest.mark.parametrize("kw, digest", [
+    (dict(n_samples=300, channels=3, signal_length=256, seed=5), "16a8c8b76d25bd6f"),
+    (dict(n_samples=40, channels=2, signal_length=64, noise_level=1.2, seed=99), "cb74ab720abd3184"),
+])
+def test_synth_dataset_bytes_are_pinned(kw, digest):
+    ds = synth_generate(SynthConfig(**kw))
+    h = hashlib.sha256(ds.labels.tobytes())
+    for x in ds.signals:
+        h.update(np.ascontiguousarray(x).tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_synth_correlated_classes_cooccur_more():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ecgmatch import metrics, nn, pseudo, trainer
-from ecgmatch.data import SplitSpec, SynthConfig, Subset, split_within, synth_generate
+from ecgmatch import augment, metrics, nn, pseudo, trainer
+from ecgmatch.data import SplitSpec, SynthConfig, Subset, encode_subset, split_within, synth_generate
 from ecgmatch.errors import ConfigurationError
 from ecgmatch.rng import RandomStream
 from ecgmatch.trainer import (
@@ -287,6 +287,47 @@ def test_custom_preprocessor_hook_drives_model_width():
     report = trainer.evaluate_model(state.model_cfg, best, splits.test,
                                     preprocessor=cfg.preprocessor)
     assert np.isfinite(report.hamming_loss)
+
+
+@pytest.mark.parametrize("strong", [False, True])
+@pytest.mark.parametrize("preprocessor", [None, lambda x: x.std(axis=1)])
+def test_fused_augment_encode_equals_augment_then_encode(strong, preprocessor):
+    g = np.random.default_rng(12)
+    signals = [g.normal(size=(3, length)) for length in [256, 64, 256, 9] * 150]  # 600 rows, 3 blocks
+    cfg = quick_cfg(preprocessor=preprocessor)
+    stream = RandomStream(5, (_NS_STEP, 2))
+    augmented = augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong)
+    if preprocessor is None:
+        want = encode_subset(augmented, cfg.pool_len)
+    else:
+        want = np.vstack([preprocessor(x) for x in augmented])
+    got = _augment_encode(signals, stream, cfg, strong=strong)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_evaluate_model_encodes_each_subset_once():
+    splits = quick_splits()
+    cfg = quick_cfg(pretrain_max_epochs=2)
+    teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
+    model_cfg = trainer._model_config_for(cfg, splits.labeled.signals[0], 5)
+    test = Subset(list(splits.test.signals), splits.test.labels, list(splits.test.provenance))
+    fresh = encode_subset(test.signals, cfg.pool_len)
+    want = metrics.compute_all(nn.forward(model_cfg, teacher, fresh)[1], test.labels).to_csv_row()
+
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return encode_subset([x], cfg.pool_len)[0]
+
+    for preprocessor, encodes in ((None, 0), (counting, len(test)), (counting, len(test))):
+        report = trainer.evaluate_model(model_cfg, teacher, test, cfg.pool_len, preprocessor=preprocessor)
+        assert report.to_csv_row() == want
+        assert len(calls) == encodes
+    assert test.encoded[1] is counting
+    # a different preprocessor or pool length encodes again
+    trainer.evaluate_model(model_cfg, teacher, test, cfg.pool_len)
+    assert test.encoded[1] is None and test.encoded[2].tobytes() == fresh.tobytes()
 
 
 def test_bank_rows_update_only_for_batch_indices():
