@@ -10,13 +10,14 @@ plus noise, so class structure and co-occurrence are both controllable.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import ConfigurationError, ParseError
 from .rng import RandomStream
@@ -63,8 +64,8 @@ class Subset:
     labels: np.ndarray
     provenance: list  # dataset_id per sample
     class_names: tuple = SUPERCLASSES
-    # (pool_len, preprocessor, model inputs) of the clean signals, filled on
-    # first evaluation so that every later one scores the same matrix
+    # (pool_len, model inputs) of the clean signals, filled on first
+    # evaluation so that every later one scores the same matrix
     encoded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -189,7 +190,8 @@ def _load_raw(path, dataset_id, class_names) -> Dataset:
         n, channels, length, c = _RAW_HEADER.unpack(head)
         if min(n, channels, length, c) < 0:
             raise ParseError(f"{path}: negative header field")
-        labels_raw = fh.read(4 * n * c)
+        size = os.fstat(fh.fileno()).st_size  # a block larger than the file is truncated
+        labels_raw = fh.read(4 * n * c) if 4 * n * c <= size else b""
         if len(labels_raw) != 4 * n * c:
             raise ParseError(f"{path}: truncated label block (offset {_RAW_HEADER.size})")
         labels = np.frombuffer(labels_raw, dtype="<f4").reshape(n, c).astype(float)
@@ -197,7 +199,7 @@ def _load_raw(path, dataset_id, class_names) -> Dataset:
             raise ParseError(f"{path}: non-binary label value")
         signals = []
         for i in range(n):
-            block = fh.read(4 * channels * length)
+            block = fh.read(4 * channels * length) if 4 * channels * length <= size else b""
             if len(block) != 4 * channels * length:
                 raise ParseError(f"{path}: truncated signal block for sample {i}")
             signals.append(np.frombuffer(block, dtype="<f4").reshape(channels, length).astype(float))
@@ -424,7 +426,7 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
             f"{np.array_str(suggestion, precision=4)}"
         ) from None
 
-    thresholds = norm.isf(np.asarray(cfg.target_marginals))
+    thresholds = -ndtri(np.asarray(cfg.target_marginals))  # the upper-tail normal quantile
     stream = RandomStream(cfg.seed)
     g_labels = stream.substream(0).generator()
     z = g_labels.standard_normal((cfg.n_samples, c)) @ chol.T

@@ -4,7 +4,7 @@ All ranking-based metrics use the "worst rank" convention for ties (an item
 tied with others takes the deepest of their shared positions) and score tied
 pairs as half-correct, which keeps every metric invariant under sample and
 class permutations. The four ranking metrics read one rank primitive,
-`_rank_counts`: per entry, how many entries of a masked set in its row score
+`rank_counts`: per entry, how many entries of a masked set in its row score
 higher and at least as high, from one sort per row. Scores must be finite:
 NaN or +-inf raise ValueError, since no ranking orders them consistently.
 Rows or classes that cannot support a metric (no relevant label,
@@ -72,7 +72,7 @@ class MetricsReport:
         return cls(*map(float, row[:k]), skipped=dict(zip(_SKIP_KEYS, map(int, row[k:]))))
 
 
-def _rank_counts(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def rank_counts(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(gt, ge): per entry, how many masked entries of its row score higher / at least as high.
 
     One stable sort per row. A running count of tie groups over the sorted,
@@ -97,7 +97,7 @@ def _pair_errors(scores: np.ndarray, labels: np.ndarray):
     """Per row: twice the (positive, negative) pairs where the negative scores higher,
     ties counting half (an exact integer), and the positive x negative pair count."""
     pos, neg = labels == 1.0, labels == 0.0
-    gt, ge = _rank_counts(scores, neg)
+    gt, ge = rank_counts(scores, neg)
     return np.where(pos, gt + ge, 0).sum(axis=1), pos.sum(axis=1) * neg.sum(axis=1)
 
 
@@ -136,7 +136,7 @@ def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
 
 def _coverage(sm: ScoreMatrix):
     pos = sm.labels == 1.0
-    _, worst_ranks = _rank_counts(sm.scores, np.ones_like(pos))
+    _, worst_ranks = rank_counts(sm.scores, np.ones_like(pos))
     has = pos.any(axis=1)
     depth = np.where(pos, worst_ranks, 0).max(axis=1, initial=0)
     return depth[has].astype(float), int((~has).sum())
@@ -152,8 +152,8 @@ def coverage(sm: ScoreMatrix) -> float:
 
 def _map(sm: ScoreMatrix):
     scores, pos = sm.scores.T, sm.labels.T == 1.0
-    _, worst_ranks = _rank_counts(scores, np.ones_like(pos))
-    _, hits = _rank_counts(scores, pos)
+    _, worst_ranks = rank_counts(scores, np.ones_like(pos))
+    _, hits = rank_counts(scores, pos)
     precision = hits / worst_ranks
     per_class = {c: float(np.mean(precision[c, pos[c]])) for c in range(len(pos)) if pos[c].any()}
     return per_class, len(pos) - len(per_class)

@@ -19,6 +19,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -403,9 +404,10 @@ def read_matrices(path) -> list[np.ndarray]:
                 raise ConfigurationError(f"{path}: negative shape ({rows}, {cols}) for matrix {i}")
             shapes.append((rows, cols))
         mats = []
+        size = os.fstat(fh.fileno()).st_size  # a payload larger than the file is truncated
         for rows, cols in shapes:
             n = rows * cols
-            buf = fh.read(8 * n)
+            buf = fh.read(8 * n) if 8 * n <= size else b""
             if len(buf) != 8 * n:
                 raise ConfigurationError(f"{path}: truncated checkpoint payload")
             mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())

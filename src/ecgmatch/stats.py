@@ -1,6 +1,7 @@
 """Friedman rank test and Bonferroni-Dunn critical-difference comparison.
 
-Models are ranked per dataset row (rank 1 = best, tie-averaged). The
+Models are ranked per dataset row (rank 1 = best, tie-averaged) with the
+rank primitive the ranking metrics share, `metrics.rank_counts`. The
 Friedman chi-square over mean ranks is converted to the F-form statistic
 
     F = (N - 1) * chi2 / (N * (k - 1) - chi2)
@@ -14,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as spstats
+from scipy.special import fdtri
 
 from .errors import ConfigurationError, ContractViolation
+from .metrics import rank_counts
 
 # Two-tailed critical values q_alpha for comparing k - 1 models against one
 # control (Dunn's procedure with Bonferroni correction); standard published
@@ -64,9 +66,10 @@ class RankTable:
 
 
 def rank_models(pt: PerformanceTable) -> RankTable:
-    """Rank models within each dataset row; the best value gets rank 1."""
-    oriented = -pt.values if pt.higher_is_better else pt.values
-    ranks = np.vstack([spstats.rankdata(row, method="average") for row in oriented])
+    """Rank models within each dataset row, best = 1; ties share (#better + #as good + 1) / 2."""
+    scores = pt.values if pt.higher_is_better else -pt.values
+    better, at_least = rank_counts(scores, np.ones(scores.shape, dtype=bool))
+    ranks = (better + at_least + 1) / 2
     return RankTable(ranks=ranks, mean_ranks=ranks.mean(axis=0))
 
 
@@ -83,7 +86,7 @@ def friedman_statistic(rt: RankTable):
 
 def f_critical_value(k: int, n: int, alpha: float = 0.05) -> float:
     """F-distribution quantile at (k-1, (k-1)(N-1)) degrees of freedom."""
-    return float(spstats.f.ppf(1.0 - alpha, k - 1, (k - 1) * (n - 1)))
+    return float(fdtri(k - 1, (k - 1) * (n - 1), 1.0 - alpha))
 
 
 def bonferroni_dunn_cd(k: int, n: int, alpha: float = 0.05) -> float:

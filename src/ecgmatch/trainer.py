@@ -73,9 +73,6 @@ class TrainConfig:
     pretrain_patience: int = 10
     pretrain_augment: bool = True
     augment_cfg: augment.AugmentConfig = field(default_factory=augment.AugmentConfig)
-    # library hook for externally preprocessed inputs: maps one signal matrix
-    # to a flat feature vector, replacing the z-score + pooling default
-    preprocessor: object = None
 
     def __post_init__(self):
         if self.batch_labeled < 1 or self.batch_unlabeled < 1:
@@ -88,6 +85,9 @@ class TrainConfig:
             raise ConfigurationError(f"unknown similarity kind {self.similarity!r}")
 
     def effective_weights(self) -> nn.LossWeights:
+        """(lambda_u, lambda_f) after ablations; supervised_only trains on the labeled loss alone."""
+        if self.baseline == "supervised_only":
+            return nn.LossWeights(0.0, 0.0)
         lu = 0.0 if self.ablations.no_pseudo else self.weights.lambda_u
         lf = 0.0 if self.ablations.no_align else self.weights.lambda_f
         return nn.LossWeights(lu, lf)
@@ -131,7 +131,6 @@ class TrainState:
     banks: pseudo.MemoryBanks | None
     label_correlation: np.ndarray | None
     step: int = 0
-    epoch: int = 0
     last_acceptance: np.ndarray | None = None  # per-class accepted fraction, threshold rule only
 
 
@@ -147,13 +146,6 @@ class UnlabeledBatch:
     indices: np.ndarray  # positions in the unlabeled pool / memory banks
 
 
-def _encode(signals, pool_len: int, preprocessor=None):
-    """The one encode path: `preprocessor` per signal if given, else encode_subset."""
-    if preprocessor is not None:
-        return np.vstack([np.asarray(preprocessor(x), dtype=float).ravel() for x in signals])
-    return encode_subset(signals, pool_len)
-
-
 def _augment_encode(signals, stream: RandomStream, cfg: TrainConfig, strong: bool):
     """Augment and encode in blocks of _ENCODE_BLOCK rows; row i draws from substream(i).
 
@@ -161,26 +153,17 @@ def _augment_encode(signals, stream: RandomStream, cfg: TrainConfig, strong: boo
     bank-sized pool is never held augmented all at once.
     """
     return np.concatenate([
-        _encode(augment.augment_batch(signals[start : start + _ENCODE_BLOCK], stream, cfg.augment_cfg,
-                                      strong=strong, first=start), cfg.pool_len, cfg.preprocessor)
+        encode_subset(augment.augment_batch(signals[start : start + _ENCODE_BLOCK], stream, cfg.augment_cfg,
+                                            strong=strong, first=start), cfg.pool_len)
         for start in range(0, len(signals), _ENCODE_BLOCK)
     ])
 
 
-def _clean_inputs(subset: Subset, pool_len: int, preprocessor=None) -> np.ndarray:
-    """The subset's un-augmented model inputs, encoded once per (pool_len, preprocessor)."""
-    cached = subset.encoded
-    if cached is None or cached[0] != pool_len or cached[1] is not preprocessor:
-        cached = subset.encoded = (pool_len, preprocessor, _encode(subset.signals, pool_len, preprocessor))
-    return cached[2]
-
-
-def _model_config_for(cfg: TrainConfig, sample_signal, num_classes: int) -> nn.ModelConfig:
-    """Width follows the encoded input, so custom preprocessors just work."""
-    width = _encode([sample_signal], cfg.pool_len, cfg.preprocessor).shape[1]
+def _model_config_for(cfg: TrainConfig, labeled: Subset) -> nn.ModelConfig:
+    """The network for `labeled`: encode_subset's width is channels * pool_len."""
     return nn.ModelConfig(
-        input_dim=width,
-        num_classes=num_classes,
+        input_dim=np.shape(labeled.signals[0])[0] * cfg.pool_len,
+        num_classes=labeled.labels.shape[1],
         hidden_dims=cfg.hidden_dims,
         feature_dim=cfg.feature_dim,
         head_hidden=cfg.head_hidden,
@@ -189,10 +172,11 @@ def _model_config_for(cfg: TrainConfig, sample_signal, num_classes: int) -> nn.M
 
 
 def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: Subset,
-                   pool_len: int = 32, threshold: float = 0.5, beta: float = 2.0,
-                   preprocessor=None) -> metrics.MetricsReport:
-    """Score a subset with clean (un-augmented) inputs, encoded once per subset."""
-    _, probs = nn.forward(model_cfg, params, _clean_inputs(subset, pool_len, preprocessor))
+                   pool_len: int = 32, threshold: float = 0.5, beta: float = 2.0) -> metrics.MetricsReport:
+    """Score a subset with clean (un-augmented) inputs, encoded once per subset and pool_len."""
+    if subset.encoded is None or subset.encoded[0] != pool_len:
+        subset.encoded = (pool_len, encode_subset(subset.signals, pool_len))
+    _, probs = nn.forward(model_cfg, params, subset.encoded[1])
     return metrics.compute_all(probs, subset.labels, threshold=threshold, beta=beta)
 
 
@@ -206,7 +190,7 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
         raise ConfigurationError("labeled split is empty")
     if labeled.labels.sum() == 0:
         raise ConfigurationError("no positive labels in any class; nothing to pre-train on")
-    model_cfg = _model_config_for(cfg, labeled.signals[0], labeled.labels.shape[1])
+    model_cfg = _model_config_for(cfg, labeled)
     stream = RandomStream(cfg.seed)
     params = nn.init_params(model_cfg, stream.substream(_NS_INIT))
     velocity = params.zeros_like()
@@ -224,13 +208,13 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
                 sub = stream.substream(_NS_PRETRAIN, epoch, it, _ROLE_LABELED)
                 inputs = _augment_encode(signals, sub, cfg, strong=False)
             else:
-                inputs = _encode(signals, cfg.pool_len, cfg.preprocessor)
+                inputs = encode_subset(signals, cfg.pool_len)
             batch = nn.StepBatch(labeled_inputs=inputs, labels=labeled.labels[idx])
             _, grads = nn.backward(model_cfg, params, batch, nn.LossWeights(0.0, 0.0))
             lr = nn.lr_at(step, cfg.optimizer)
             params, velocity = nn.sgd_step(params, grads, velocity, lr, cfg.optimizer.momentum)
             step += 1
-        report = evaluate_model(model_cfg, params, val, cfg.pool_len, preprocessor=cfg.preprocessor)
+        report = evaluate_model(model_cfg, params, val, cfg.pool_len)
         stop = stopper.update(report.value(cfg.eval_metric))
         if stopper.improved_last:
             best = params.copy()
@@ -242,10 +226,10 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
 def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
                      teacher: nn.ParameterSet) -> TrainState:
     """Set up the student, banks and the frozen labeled correlation matrix."""
-    model_cfg = _model_config_for(cfg, labeled.signals[0], labeled.labels.shape[1])
+    model_cfg = _model_config_for(cfg, labeled)
     weights = cfg.effective_weights()
     banks = None
-    if cfg.baseline != "supervised_only" and weights.lambda_u > 0.0:
+    if weights.lambda_u > 0.0:
         if len(unlabeled) == 0:
             raise ConfigurationError("unlabeled split is empty; cannot build memory banks")
         stream = RandomStream(cfg.seed).substream(_NS_BANK)
@@ -265,12 +249,11 @@ def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
 
 
 def train_step(state: TrainState, labeled_batch: LabeledBatch,
-               unlabeled_batch: UnlabeledBatch | None, cfg: TrainConfig,
-               tau: float | None = None) -> nn.LossBreakdown:
+               unlabeled_batch: UnlabeledBatch | None, cfg: TrainConfig) -> nn.LossBreakdown:
     """One optimization step; mutates `state` (student, teacher, banks, counters).
 
-    `tau` switches the agreement weights to the fixed-confidence-threshold
-    rule (1 where max(pseudo, 1-pseudo) >= tau, else 0).
+    The fixed_threshold baseline replaces the agreement weights with 1 where
+    max(pseudo, 1-pseudo) >= cfg.fixed_threshold_tau, else 0.
     """
     weights = cfg.effective_weights()
     stream = RandomStream(cfg.seed).substream(_NS_STEP, state.step)
@@ -292,9 +275,8 @@ def train_step(state: TrainState, labeled_batch: LabeledBatch,
             query_features, _ = nn.forward(state.model_cfg, state.student, weak_inputs)
             targets, alpha = pseudo.generate_pseudo_labels(state.banks, query_features, cfg.knn,
                                                            self_indices=unlabeled_batch.indices)
-            if tau is not None:
-                conf = np.maximum(targets, 1.0 - targets)
-                alpha = (conf >= tau).astype(float)
+            if cfg.baseline == "fixed_threshold":
+                alpha = (np.maximum(targets, 1.0 - targets) >= cfg.fixed_threshold_tau).astype(float)
                 state.last_acceptance = alpha.mean(axis=0)
             elif cfg.ablations.no_nam:
                 alpha = np.ones_like(targets)
@@ -326,14 +308,10 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
     labeled, unlabeled, val = splits.labeled, splits.unlabeled, splits.val
     state = init_train_state(labeled, unlabeled, cfg, teacher)
     weights = cfg.effective_weights()
-    use_unlabeled = cfg.baseline != "supervised_only" and (
-        weights.lambda_u > 0.0 or weights.lambda_f > 0.0
-    )
-    tau = cfg.fixed_threshold_tau if cfg.baseline == "fixed_threshold" else None
+    use_unlabeled = weights.lambda_u > 0.0 or weights.lambda_f > 0.0
 
     stopper = EarlyStopper(cfg.patience, metrics.HIGHER_IS_BETTER[cfg.eval_metric])
-    report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len,
-                            preprocessor=cfg.preprocessor)
+    report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len)
     stopper.update(report.value(cfg.eval_metric))
     best = state.student.copy()
     history = [{"step": 0, "epoch": 0, "lb": "", "lu": "", "lf": "", "lr": "",
@@ -344,7 +322,6 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
     batch_size = min(cfg.batch_labeled, n_lab)
     iters = _iterations(n_lab, batch_size)
     for epoch in range(1, cfg.max_epochs + 1):
-        state.epoch = epoch
         order = stream.substream(_NS_LABELED_ORDER, epoch).generator().permutation(n_lab)
         ub_indices = (
             _unlabeled_batches(len(unlabeled), iters, min(cfg.batch_unlabeled, max(len(unlabeled), 1)),
@@ -359,7 +336,7 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
             if use_unlabeled:
                 u_idx = np.asarray(ub_indices[it], dtype=int)
                 un_batch = UnlabeledBatch([unlabeled.signals[i] for i in u_idx], u_idx)
-            last = train_step(state, lab_batch, un_batch, cfg, tau=tau)
+            last = train_step(state, lab_batch, un_batch, cfg)
             row = {"step": state.step, "epoch": epoch,
                    "lb": last.supervised, "lu": last.unsupervised,
                    "lf": last.alignment, "lr": nn.lr_at(state.step - 1, cfg.optimizer),
@@ -367,8 +344,7 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
             if state.last_acceptance is not None:
                 row["acceptance"] = state.last_acceptance.tolist()
             history.append(row)
-        report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len,
-                                preprocessor=cfg.preprocessor)
+        report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len)
         history[-1]["val_metric"] = report.value(cfg.eval_metric)
         stop = stopper.update(report.value(cfg.eval_metric))
         if stopper.improved_last:
@@ -406,15 +382,12 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds,
         cfg_s = replace(cfg, seed=int(seed))
         splits = split(datasets, spec_s)
         teacher = pretrain_teacher(splits.labeled, splits.val, cfg_s)
-        model_cfg = _model_config_for(cfg_s, splits.labeled.signals[0],
-                                      splits.labeled.labels.shape[1])
         if cfg_s.baseline == "supervised_only":
             final, history = teacher, []
         else:
             final, _, history = ssl_train(splits, cfg_s, teacher)
-        report = evaluate_model(model_cfg, final, splits.test, cfg_s.pool_len,
-                                threshold=metric_threshold, beta=gbeta_beta,
-                                preprocessor=cfg_s.preprocessor)
+        report = evaluate_model(_model_config_for(cfg_s, splits.labeled), final, splits.test, cfg_s.pool_len,
+                                threshold=metric_threshold, beta=gbeta_beta)
         per_seed.append(SeedResult(int(seed), report, history, final))
 
     mean, std = {}, {}

@@ -127,6 +127,26 @@ METRIC_ORACLES = {
 }
 
 
+# --- rank statistics ----------------------------------------------------------
+
+
+def rank_models_oracle(values, higher_is_better):
+    """Tie-averaged ranks per row, 1 = best: (#strictly better + #at least as good + 1) / 2."""
+    ranks = []
+    for row in values:
+        out = []
+        for v in row:
+            if higher_is_better:
+                better = sum(1 for w in row if w > v)
+                as_good = sum(1 for w in row if w >= v)
+            else:
+                better = sum(1 for w in row if w < v)
+                as_good = sum(1 for w in row if w <= v)
+            out.append((better + as_good + 1) / 2)
+        ranks.append(out)
+    return np.array(ranks, dtype=float)
+
+
 # --- network forward, straight-line re-evaluation -----------------------------
 
 

@@ -5,10 +5,16 @@ The source of `ecgmatch` and of the benchmark harness is parsed, and every
 top-level function or class, or a public method, that no reference names is
 API that only tests call, and it fails this test. Names that only the test
 suite or an outside reader calls on purpose are listed in ALLOWED.
+
+Likewise every `TrainConfig` field is set from the JSON config, so no
+training knob is reachable only from Python.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from ecgmatch.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ecgmatch").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
@@ -63,3 +69,16 @@ def test_every_public_name_has_a_caller_outside_tests():
               if name.rsplit(".", 1)[-1] not in referenced and name not in ALLOWED]
     assert unused == [], f"public names with no caller outside the tests: {unused}"
 
+
+
+def test_every_train_config_field_is_set_from_the_json_config():
+    """A TrainConfig field that `config._parse_train` never passes is a knob no config can turn."""
+    tree = ast.parse((ROOT / "src" / "ecgmatch" / "config.py").read_text())
+    parse_train = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_parse_train")
+    calls = [node for node in ast.walk(parse_train) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "TrainConfig"]
+    assert len(calls) == 1
+    passed = {kw.arg for kw in calls[0].keywords}
+    missing = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in passed]
+    assert missing == [], f"TrainConfig fields no config can set: {missing}"

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ecgmatch import cli
+from ecgmatch import cli, data
 from ecgmatch.cli import REPORT_HEADER, main
 
 
@@ -55,6 +55,14 @@ def test_run_smoke_writes_reports_with_finite_metrics(tmp_path, capsys):
     log_rows = read_csv(tmp_path / "run" / "train_log_seed0.csv")
     assert log_rows[0] == ["step", "epoch", "lb", "lu", "lf", "lr", "val_metric"]
     assert (tmp_path / "run" / "checkpoints" / "student_seed0.bin").exists()
+
+
+def test_run_raw_dataset_with_oversized_header_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "ds.bin"
+    dataset.write_bytes(data._RAW_HEADER.pack(2**62, 3, 4, 5) + bytes(64))
+    path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)], "format": "raw_f32"})
+    assert main(["run", "--config", str(path)]) == 2
+    assert "truncated label block" in capsys.readouterr().err
 
 
 def test_run_outputs_are_byte_identical_for_same_config(tmp_path):

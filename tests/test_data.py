@@ -86,6 +86,16 @@ def test_raw_truncation_is_a_parse_error(tmp_path):
         load_dataset(path, "raw_f32")
 
 
+@pytest.mark.parametrize("header", [(2**62, 3, 4, 5), (1, 2**62, 4, 0), (1, 3, 2**62, 0)],
+                         ids=["labels", "channels", "length"])
+def test_raw_header_larger_than_the_file_is_a_parse_error(tmp_path, header):
+    # each claimed block overflows a read's size argument; it must be caught against the file size
+    path = tmp_path / "ds.bin"
+    path.write_bytes(data._RAW_HEADER.pack(*header) + bytes(64))
+    with pytest.raises(ParseError, match="truncated"):
+        load_dataset(path, "raw_f32")
+
+
 # --- annotation mapping ----------------------------------------------------
 
 

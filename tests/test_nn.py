@@ -284,6 +284,16 @@ def test_read_matrices_rejects_truncated_shape_table(tmp_path):
         nn.read_matrices(path)
 
 
+def test_read_matrices_rejects_shape_larger_than_the_file(tmp_path):
+    path = tmp_path / "m.bin"
+    nn.write_matrices(path, [np.ones((2, 4))])
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = (2**62).to_bytes(8, "little")  # 8 * rows * cols overflows a read's size argument
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigurationError, match="truncated checkpoint payload"):
+        nn.read_matrices(path)
+
+
 def test_read_matrices_rejects_negative_shape(tmp_path):
     path = tmp_path / "m.bin"
     nn.write_matrices(path, [np.ones((2, 3))])

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.stats import f as f_dist, norm
+from scipy.stats import f as f_dist, norm, rankdata
 
+import ecgmatch
 from ecgmatch import stats
 from ecgmatch.errors import ConfigurationError, ContractViolation
+
+from oracles import rank_models_oracle
 
 
 def test_rank_models_strict_order():
@@ -22,6 +30,32 @@ def test_rank_models_tie_average():
     pt = stats.PerformanceTable(np.array([[0.1, 0.1, 0.9], [0.2, 0.3, 0.4]]), higher_is_better=False)
     rt = stats.rank_models(pt)
     np.testing.assert_array_equal(rt.ranks[0], [1.5, 1.5, 3])
+
+
+def _tie_heavy_tables(seed, count):
+    """Random (N, k) tables drawn from a few levels, with +-0.0 among them."""
+    g = np.random.default_rng(seed)
+    for _ in range(count):
+        n, k = int(g.integers(2, 8)), int(g.integers(2, 11))
+        levels = np.array([0.0, -0.0, 0.25, -0.25, 0.5, 1.0, 1e-300, -1e300])[: int(g.integers(2, 9))]
+        values = g.choice(levels, size=(n, k))
+        if g.integers(2):  # some tables mix in continuous values
+            values = np.where(g.random((n, k)) < 0.5, values, g.normal(size=(n, k)))
+        yield values, bool(g.integers(2))
+
+
+def test_rank_models_matches_brute_force_oracle_bytewise():
+    for values, higher in _tie_heavy_tables(7, 500):
+        got = stats.rank_models(stats.PerformanceTable(values, higher_is_better=higher)).ranks
+        want = rank_models_oracle(values.tolist(), higher)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (values, higher)
+
+
+def test_rank_models_matches_scipy_rankdata_bytewise():
+    for values, higher in _tie_heavy_tables(8, 500):
+        got = stats.rank_models(stats.PerformanceTable(values, higher_is_better=higher)).ranks
+        want = np.vstack([rankdata(-row if higher else row, method="average") for row in values])
+        assert got.tobytes() == want.tobytes(), (values, higher)
 
 
 def test_rank_rows_sum_to_constant():
@@ -82,8 +116,18 @@ def test_friedman_invariances():
 
 
 def test_f_critical_value_matches_scipy():
-    assert stats.f_critical_value(8, 4, 0.05) == pytest.approx(float(f_dist.ppf(0.95, 7, 21)))
+    for alpha in (0.01, 0.05, 0.1):
+        for k in range(2, 11):
+            for n in range(2, 21):
+                assert stats.f_critical_value(k, n, alpha) == float(f_dist.ppf(1 - alpha, k - 1, (k - 1) * (n - 1)))
     assert stats.f_critical_value(8, 4, 0.05) == pytest.approx(2.488, abs=5e-3)
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    code = "import sys, ecgmatch.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(ecgmatch.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_reference_critical_value_is_stored_verbatim():

@@ -58,7 +58,6 @@ def clone_state(state):
         banks=banks,
         label_correlation=None if state.label_correlation is None else state.label_correlation.copy(),
         step=state.step,
-        epoch=state.epoch,
     )
 
 
@@ -108,8 +107,7 @@ def test_pretrain_reduces_training_loss_on_average():
     for seed in (0, 1, 2):
         splits = quick_splits(seed=seed)
         cfg = quick_cfg(seed=seed, pretrain_max_epochs=1, pretrain_patience=1)
-        model_cfg = trainer._model_config_for(cfg, splits.labeled.signals[0],
-                                              splits.labeled.labels.shape[1])
+        model_cfg = trainer._model_config_for(cfg, splits.labeled)
         init = nn.init_params(model_cfg, RandomStream(seed).substream(0))
 
         from ecgmatch.data import encode_subset
@@ -130,7 +128,7 @@ def test_pretrain_reaches_high_map_on_separable_fixture():
     cfg = quick_cfg(seed=5, pool_len=16, pretrain_max_epochs=50, pretrain_patience=10,
                     optimizer=nn.OptimizerConfig(max_steps=500, ema_momentum=0.99))
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
-    model_cfg = trainer._model_config_for(cfg, splits.labeled.signals[0], 5)
+    model_cfg = trainer._model_config_for(cfg, splits.labeled)
     report = trainer.evaluate_model(model_cfg, teacher, splits.val, cfg.pool_len)
     assert report.map > 0.95
 
@@ -187,6 +185,20 @@ def test_step_with_zero_weights_equals_pure_supervised_step():
     assert breakdown.unsupervised == 0.0 and breakdown.alignment == 0.0
 
 
+def test_supervised_only_ignores_the_unlabeled_batch():
+    splits = quick_splits()
+    cfg = quick_cfg(baseline="supervised_only", pretrain_max_epochs=2)
+    assert cfg.effective_weights() == nn.LossWeights(0.0, 0.0)
+    state, lab, un = make_state_and_batches(cfg, splits)
+    assert state.banks is None and state.label_correlation is None
+    zero_cfg = quick_cfg(weights=nn.LossWeights(0.0, 0.0), pretrain_max_epochs=2)
+    zero_state, _, _ = make_state_and_batches(zero_cfg, splits)
+
+    breakdown = trainer.train_step(state, lab, un, cfg)
+    assert breakdown == trainer.train_step(zero_state, lab, un, zero_cfg)
+    assert params_equal(state.student, zero_state.student)
+
+
 def test_no_pseudo_ablation_disables_banks_and_unsupervised_loss():
     splits = quick_splits()
     cfg = quick_cfg(ablations=Ablations(no_pseudo=True), pretrain_max_epochs=2)
@@ -227,14 +239,14 @@ def test_no_nam_forces_unit_weights_and_threshold_zero_matches(monkeypatch):
 
     # fixed threshold tau=0 accepts everything: identical update, bitwise
     cfg_thr = quick_cfg(baseline="fixed_threshold", fixed_threshold_tau=0.0, pretrain_max_epochs=2)
-    trainer.train_step(state_b, lab, un, cfg_thr, tau=0.0)
+    trainer.train_step(state_b, lab, un, cfg_thr)
     assert np.all(captured[-1] == 1.0)
     assert params_equal(state.student, state_b.student)
 
 
 def test_threshold_one_rejects_all_pseudo_labels(monkeypatch):
     splits = quick_splits()
-    cfg = quick_cfg(baseline="fixed_threshold", pretrain_max_epochs=2)
+    cfg = quick_cfg(baseline="fixed_threshold", fixed_threshold_tau=1.0, pretrain_max_epochs=2)
     state, lab, un = make_state_and_batches(cfg, splits)
     captured = []
     real_backward = nn.backward
@@ -244,14 +256,14 @@ def test_threshold_one_rejects_all_pseudo_labels(monkeypatch):
         return real_backward(model_cfg, params, batch, weights)
 
     monkeypatch.setattr(trainer.nn, "backward", spy)
-    breakdown = trainer.train_step(state, lab, un, cfg, tau=1.0)
+    breakdown = trainer.train_step(state, lab, un, cfg)
     assert np.all(captured[-1] == 0.0)
     assert breakdown.unsupervised == 0.0  # every cell fully down-weighted
 
 
 def test_threshold_step_alpha_is_binary(monkeypatch):
     splits = quick_splits()
-    cfg = quick_cfg(baseline="fixed_threshold", pretrain_max_epochs=2)
+    cfg = quick_cfg(baseline="fixed_threshold", fixed_threshold_tau=0.6, pretrain_max_epochs=2)
     state, lab, un = make_state_and_batches(cfg, splits)
     captured = []
     real_backward = nn.backward
@@ -261,7 +273,7 @@ def test_threshold_step_alpha_is_binary(monkeypatch):
         return real_backward(model_cfg, params, batch, weights)
 
     monkeypatch.setattr(trainer.nn, "backward", spy)
-    trainer.train_step(state, lab, un, cfg, tau=0.6)
+    trainer.train_step(state, lab, un, cfg)
     targets, alpha = captured[-1]
     conf = np.maximum(targets, 1.0 - targets)
     np.testing.assert_array_equal(alpha, (conf >= 0.6).astype(float))
@@ -269,65 +281,59 @@ def test_threshold_step_alpha_is_binary(monkeypatch):
 
 def test_threshold_step_logs_per_class_acceptance():
     splits = quick_splits()
-    cfg = quick_cfg(baseline="fixed_threshold", pretrain_max_epochs=2)
+    cfg = quick_cfg(baseline="fixed_threshold", fixed_threshold_tau=0.6, pretrain_max_epochs=2)
     state, lab, un = make_state_and_batches(cfg, splits)
-    trainer.train_step(state, lab, un, cfg, tau=0.6)
+    trainer.train_step(state, lab, un, cfg)
     assert state.last_acceptance is not None
     assert state.last_acceptance.shape == (5,)
     assert np.all((state.last_acceptance >= 0.0) & (state.last_acceptance <= 1.0))
 
 
-def test_custom_preprocessor_hook_drives_model_width():
-    splits = quick_splits()
-    cfg = quick_cfg(pretrain_max_epochs=2, max_epochs=1,
-                    preprocessor=lambda x: x.mean(axis=1))  # one feature per channel
-    teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
-    assert teacher.layers[0][0].shape[0] == 2  # channels, not channels * pool_len
-    best, state, _ = trainer.ssl_train(splits, cfg, teacher)
-    report = trainer.evaluate_model(state.model_cfg, best, splits.test,
-                                    preprocessor=cfg.preprocessor)
-    assert np.isfinite(report.hamming_loss)
-
-
 @pytest.mark.parametrize("strong", [False, True])
-@pytest.mark.parametrize("preprocessor", [None, lambda x: x.std(axis=1)])
-def test_fused_augment_encode_equals_augment_then_encode(strong, preprocessor):
+def test_fused_augment_encode_equals_augment_then_encode(strong):
     g = np.random.default_rng(12)
     signals = [g.normal(size=(3, length)) for length in [256, 64, 256, 9] * 150]  # 600 rows, 3 blocks
-    cfg = quick_cfg(preprocessor=preprocessor)
+    cfg = quick_cfg()
     stream = RandomStream(5, (_NS_STEP, 2))
-    augmented = augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong)
-    if preprocessor is None:
-        want = encode_subset(augmented, cfg.pool_len)
-    else:
-        want = np.vstack([preprocessor(x) for x in augmented])
+    want = encode_subset(augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong), cfg.pool_len)
     got = _augment_encode(signals, stream, cfg, strong=strong)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_evaluate_model_encodes_each_subset_once():
+def test_model_width_is_channels_times_pool_len():
+    splits = quick_splits()  # 2-channel signals
+    for pool_len in (4, 8):
+        cfg = quick_cfg(pool_len=pool_len)
+        model_cfg = trainer._model_config_for(cfg, splits.labeled)
+        assert model_cfg.input_dim == encode_subset(splits.labeled.signals[:1], pool_len).shape[1] == 2 * pool_len
+
+
+def test_evaluate_model_encodes_each_subset_once(monkeypatch):
     splits = quick_splits()
     cfg = quick_cfg(pretrain_max_epochs=2)
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
-    model_cfg = trainer._model_config_for(cfg, splits.labeled.signals[0], 5)
+    model_cfg = trainer._model_config_for(cfg, splits.labeled)
     test = Subset(list(splits.test.signals), splits.test.labels, list(splits.test.provenance))
     fresh = encode_subset(test.signals, cfg.pool_len)
     want = metrics.compute_all(nn.forward(model_cfg, teacher, fresh)[1], test.labels).to_csv_row()
 
     calls = []
 
-    def counting(x):
-        calls.append(1)
-        return encode_subset([x], cfg.pool_len)[0]
+    def counting(signals, pool_len=32):
+        calls.append((len(signals), pool_len))
+        return encode_subset(signals, pool_len)
 
-    for preprocessor, encodes in ((None, 0), (counting, len(test)), (counting, len(test))):
-        report = trainer.evaluate_model(model_cfg, teacher, test, cfg.pool_len, preprocessor=preprocessor)
+    monkeypatch.setattr(trainer, "encode_subset", counting)
+    for _ in range(3):
+        report = trainer.evaluate_model(model_cfg, teacher, test, cfg.pool_len)
         assert report.to_csv_row() == want
-        assert len(calls) == encodes
-    assert test.encoded[1] is counting
-    # a different preprocessor or pool length encodes again
-    trainer.evaluate_model(model_cfg, teacher, test, cfg.pool_len)
-    assert test.encoded[1] is None and test.encoded[2].tobytes() == fresh.tobytes()
+        assert calls == [(len(test), cfg.pool_len)]
+    assert test.encoded[0] == cfg.pool_len and test.encoded[1].tobytes() == fresh.tobytes()
+    # a different pool length encodes again
+    cfg4 = quick_cfg(pool_len=4)
+    model4 = trainer._model_config_for(cfg4, splits.labeled)
+    trainer.evaluate_model(model4, nn.init_params(model4, RandomStream(0)), test, cfg4.pool_len)
+    assert calls[1:] == [(len(test), 4)] and test.encoded[0] == 4
 
 
 def test_bank_rows_update_only_for_batch_indices():
