@@ -23,7 +23,8 @@ import numpy as np
 
 from . import metrics, stats, trainer
 from .config import ExperimentConfig, load_experiment_config
-from .data import AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, save_dataset, synth_generate
+from .data import (AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, parse_rows, save_dataset,
+                   synth_generate)
 from .errors import ConfigurationError, ParseError
 from .metrics import CSV_COLUMNS, METRIC_NAMES
 from .nn import save_params
@@ -198,21 +199,17 @@ def cmd_gridsearch(config_path: str, args=None) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    rows = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            try:
-                rows.append([float(v) for v in cells])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise ParseError(f"{path}:{lineno}: ragged row")
-    if not rows:
+        lines = fh.read().split("\n")
+    matrix, bad = parse_rows(lines, skip_blank=True)
+    if bad is not None:
+        index, _, error = bad
+        if error is not None:
+            raise ParseError(f"{path}:{index + 1}: non-numeric cell ({error})")
+        raise ParseError(f"{path}:{index + 1}: ragged row")
+    if not len(matrix):
         raise ParseError(f"{path}: empty matrix file")
-    return np.array(rows)
+    return matrix
 
 
 def cmd_eval(scores_path: str, labels_path: str, out_dir: str | None = None) -> int:

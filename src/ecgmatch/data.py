@@ -138,6 +138,46 @@ def load_dataset(path, format: str = "csv", dataset_id: str | None = None,
     raise ConfigurationError(f"unknown format {format!r}")
 
 
+def parse_rows(lines, width=None, skip_blank=False):
+    """Rows of comma-separated floats: (rows before the first bad line, bad).
+
+    `bad` is None when every line parsed. Otherwise it is (index into `lines`,
+    cell count, float()'s ValueError or None) of the first line with a cell
+    that float() rejects or with other than `width` cells (the first row's
+    count when `width` is None). Under `skip_blank`, whitespace-only lines are
+    skipped.
+
+    numpy's C reader parses a well-formed block. When it fails or warns, a
+    scan with one float() per cell decides, so the accepted lines and their
+    values are the scan's: float() also takes whitespace-only lines, `1_0` and
+    non-ASCII digits, which the reader rejects. `comments=None` keeps the
+    reader from taking `0.1#c` as 0.1.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on a block with no data
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        # the reader skips empty lines, which only `skip_blank` allows
+        if (skip_blank or len(rows) == len(lines)) and (width is None or width == rows.shape[1]):
+            return rows, None
+    except (ValueError, UserWarning):
+        pass
+    parsed = []
+    for index, line in enumerate(lines):
+        if skip_blank and not line.strip():
+            continue
+        cells = line.strip().split(",")
+        width = len(cells) if width is None else width
+        try:
+            row, error = [float(v) for v in cells], None
+        except ValueError as exc:
+            row, error = None, exc
+        if error is not None or len(cells) != width:
+            return np.array(parsed).reshape(len(parsed), width), (index, len(cells), error)
+        parsed.append(row)
+    return np.array(parsed).reshape(len(parsed), width or 0), None
+
+
 def _load_csv(path, dataset_id, class_names) -> Dataset:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -150,36 +190,34 @@ def _load_csv(path, dataset_id, class_names) -> Dataset:
         n, channels, length, c = (int(v) for v in header)
     except ValueError as exc:
         raise ParseError(f"{path}:1: non-integer header field ({exc})") from None
+    if min(n, channels, length, c) < 0:
+        raise ParseError(f"{path}:1: negative header field")
     expected = 1 + n * (1 + channels)
     if len(lines) != expected:
         raise ParseError(f"{path}: expected {expected} lines for n={n}, found {len(lines)}")
-    signals, labels = [], []
-    lineno = 1
-    for i in range(n):
-        lineno += 1
-        cells = lines[lineno - 1].split(",")
-        if len(cells) != c:
-            raise ParseError(f"{path}:{lineno}: label row needs {c} cells, found {len(cells)}")
-        try:
-            row = [float(v) for v in cells]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric label cell") from None
-        if any(v not in (0.0, 1.0) for v in row):
-            raise ParseError(f"{path}:{lineno}: labels must be 0 or 1")
-        labels.append(row)
-        sig = np.empty((channels, length))
-        for ch in range(channels):
-            lineno += 1
-            cells = lines[lineno - 1].split(",")
-            if len(cells) != length:
-                raise ParseError(f"{path}:{lineno}: signal row needs {length} cells, found {len(cells)}")
-            try:
-                sig[ch] = [float(v) for v in cells]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric signal cell") from None
-        signals.append(sig)
+    # sample i is a label row on line 2 + i * stride, then its signal rows
+    stride = 1 + channels
+    body = lines[1:]
+    labels, bad_label = parse_rows(body[::stride], c)
+    signals, bad_signal = parse_rows([line for k, line in enumerate(body) if k % stride], length)
+    errors = []  # (line number, message): the first failure of each kind, in file order
+    non_binary = np.flatnonzero(~((labels == 0.0) | (labels == 1.0)).all(axis=1))
+    if non_binary.size:
+        errors.append((2 + non_binary[0] * stride, "labels must be 0 or 1"))
+    if bad_label is not None:
+        i, found, _ = bad_label
+        errors.append((2 + i * stride, f"label row needs {c} cells, found {found}"
+                       if found != c else "non-numeric label cell"))
+    if bad_signal is not None:
+        j, found, _ = bad_signal
+        errors.append((3 + j // channels * stride + j % channels,
+                       f"signal row needs {length} cells, found {found}"
+                       if found != length else "non-numeric signal cell"))
+    if errors:
+        lineno, message = min(errors)
+        raise ParseError(f"{path}:{lineno}: {message}")
     names = tuple(class_names) if class_names else _default_names(c)
-    return Dataset(signals, np.array(labels).reshape(n, c), dataset_id or str(path), names)
+    return Dataset(list(signals.reshape(n, channels, length)), labels, dataset_id or str(path), names)
 
 
 def _load_raw(path, dataset_id, class_names) -> Dataset:
@@ -190,6 +228,8 @@ def _load_raw(path, dataset_id, class_names) -> Dataset:
         n, channels, length, c = _RAW_HEADER.unpack(head)
         if min(n, channels, length, c) < 0:
             raise ParseError(f"{path}: negative header field")
+        if n and not channels * length:  # zero-byte samples: the file would not bound n
+            raise ParseError(f"{path}: zero-byte signal block (channels {channels}, length {length})")
         size = os.fstat(fh.fileno()).st_size  # a block larger than the file is truncated
         labels_raw = fh.read(4 * n * c) if 4 * n * c <= size else b""
         if len(labels_raw) != 4 * n * c:

@@ -5,7 +5,9 @@ tied with others takes the deepest of their shared positions) and score tied
 pairs as half-correct, which keeps every metric invariant under sample and
 class permutations. The four ranking metrics read one rank primitive,
 `rank_counts`: per entry, how many entries of a masked set in its row score
-higher and at least as high, from one sort per row. Scores must be finite:
+higher and at least as high. It sorts each row once, and every mask passed
+with that sort shares it, so `compute_all` sorts the samples once and the
+classes once for all four. Scores must be finite:
 NaN or +-inf raise ValueError, since no ranking orders them consistently.
 Rows or classes that cannot support a metric (no relevant label,
 single-valued class column) are skipped, not zero-filled, and the skip
@@ -72,32 +74,41 @@ class MetricsReport:
         return cls(*map(float, row[:k]), skipped=dict(zip(_SKIP_KEYS, map(int, row[k:]))))
 
 
-def rank_counts(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(gt, ge): per entry, how many masked entries of its row score higher / at least as high.
+def rank_counts(scores: np.ndarray, *masks: np.ndarray) -> list:
+    """One (gt, ge) pair per mask: per entry, how many masked entries of its row
+    score higher / at least as high.
 
-    One stable sort per row. A running count of tie groups over the sorted,
-    flattened array is an exact integer key for (row, tie group), so one
-    searchsorted of the keys into the sorted masked keys counts both.
+    One stable sort per row, shared by every mask. Each tie group is a run of
+    the sorted, flattened array; a running count of a mask's entries, read at
+    the run's first and last position, gives the masked entries before the
+    group and up to its end, as exact integers.
     """
     n, c = scores.shape
+    if not scores.size:
+        return [(np.zeros((n, c), dtype=np.int64),) * 2 for _ in masks]
     order = np.argsort(scores, axis=1, kind="stable")
     ranked = np.take_along_axis(scores, order, axis=1)
-    new_group = np.ones((n, c), dtype=np.int64)
-    new_group[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    keys = np.cumsum(new_group.ravel())
-    masked = keys[np.take_along_axis(mask, order, axis=1).ravel()]
-    below, upto = np.searchsorted(masked, np.stack([keys, keys + 1])).reshape(2, n, c)
-    row_ends = np.cumsum(mask.sum(axis=1))[:, None]
-    counts = np.empty((2, n, c), dtype=np.int64)
-    np.put_along_axis(counts, np.stack([order, order]), row_ends - np.stack([upto, below]), axis=2)
-    return counts
+    first = np.ones((n, c), dtype=bool)  # opens a tie group
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], n * c) - 1
+    row_last = (starts // c + 1) * c - 1  # last position of each group's row
+    group = np.empty(n * c, dtype=np.int64)  # tie group of each entry, in its unsorted place
+    group[(order + c * np.arange(n)[:, None]).ravel()] = first.astype(np.int64).cumsum() - 1
+    pairs = []
+    for mask in masks:
+        hit = np.take_along_axis(mask, order, axis=1).ravel()
+        seen = hit.astype(np.int64).cumsum()
+        in_row = seen[row_last]
+        gt, ge = in_row - seen[ends], in_row - seen[starts] + hit[starts]
+        pairs.append((np.take(gt, group).reshape(n, c), np.take(ge, group).reshape(n, c)))
+    return pairs
 
 
-def _pair_errors(scores: np.ndarray, labels: np.ndarray):
+def _pair_errors(pos: np.ndarray, neg: np.ndarray, neg_counts):
     """Per row: twice the (positive, negative) pairs where the negative scores higher,
     ties counting half (an exact integer), and the positive x negative pair count."""
-    pos, neg = labels == 1.0, labels == 0.0
-    gt, ge = rank_counts(scores, neg)
+    gt, ge = neg_counts
     return np.where(pos, gt + ge, 0).sum(axis=1), pos.sum(axis=1) * neg.sum(axis=1)
 
 
@@ -114,15 +125,16 @@ def _macro_mean(per_class: dict) -> float:
     return float(np.mean(list(per_class.values()))) if per_class else float("nan")
 
 
-def _ranking_loss(sm: ScoreMatrix):
-    twice_wrong, pairs = _pair_errors(sm.scores, sm.labels)
+def _ranking_loss(pos, neg, neg_counts):
+    twice_wrong, pairs = _pair_errors(pos, neg, neg_counts)
     ok = pairs > 0
     return twice_wrong[ok] / 2 / pairs[ok], int((~ok).sum())
 
 
 def ranking_loss(sm: ScoreMatrix) -> float:
     """Mean fraction of (relevant, irrelevant) pairs ranked out of order (ties count half)."""
-    per_row, _ = _ranking_loss(sm)
+    neg = sm.labels == 0.0
+    per_row, _ = _ranking_loss(sm.labels == 1.0, neg, *rank_counts(sm.scores, neg))
     if not per_row.size:
         raise UndefinedMetricError("ranking loss: no row has both relevant and irrelevant labels")
     return _mean_in_order(per_row)
@@ -134,9 +146,8 @@ def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
     return float(np.mean(pred != sm.labels))
 
 
-def _coverage(sm: ScoreMatrix):
-    pos = sm.labels == 1.0
-    _, worst_ranks = rank_counts(sm.scores, np.ones_like(pos))
+def _coverage(pos, all_counts):
+    _, worst_ranks = all_counts
     has = pos.any(axis=1)
     depth = np.where(pos, worst_ranks, 0).max(axis=1, initial=0)
     return depth[has].astype(float), int((~has).sum())
@@ -144,16 +155,16 @@ def _coverage(sm: ScoreMatrix):
 
 def coverage(sm: ScoreMatrix) -> float:
     """Mean depth (1-based rank) needed to cover every relevant label."""
-    per_row, _ = _coverage(sm)
+    pos = sm.labels == 1.0
+    per_row, _ = _coverage(pos, *rank_counts(sm.scores, np.ones_like(pos)))
     if not per_row.size:
         raise UndefinedMetricError("coverage: no row has a relevant label")
     return _mean_in_order(per_row)
 
 
-def _map(sm: ScoreMatrix):
-    scores, pos = sm.scores.T, sm.labels.T == 1.0
-    _, worst_ranks = rank_counts(scores, np.ones_like(pos))
-    _, hits = rank_counts(scores, pos)
+def _map(pos, all_counts, pos_counts):
+    """Per class (a row of the transposed matrices), from the worst ranks and the positive hits."""
+    (_, worst_ranks), (_, hits) = all_counts, pos_counts
     precision = hits / worst_ranks
     per_class = {c: float(np.mean(precision[c, pos[c]])) for c in range(len(pos)) if pos[c].any()}
     return per_class, len(pos) - len(per_class)
@@ -161,14 +172,15 @@ def _map(sm: ScoreMatrix):
 
 def mean_average_precision(sm: ScoreMatrix) -> float:
     """Macro mean over classes of average precision (classes without positives skipped)."""
-    per_class, _ = _map(sm)
+    pos = sm.labels.T == 1.0
+    per_class, _ = _map(pos, *rank_counts(sm.scores.T, np.ones_like(pos), pos))
     if not per_class:
         raise UndefinedMetricError("MAP: no class has a positive sample")
     return _macro_mean(per_class)
 
 
-def _macro_auc(sm: ScoreMatrix):
-    twice_wrong, pairs = _pair_errors(sm.scores.T, sm.labels.T)
+def _macro_auc(pos, neg, neg_counts):
+    twice_wrong, pairs = _pair_errors(pos, neg, neg_counts)
     per_class = {c: float((pairs[c] - twice_wrong[c] / 2) / pairs[c])
                  for c in range(len(pairs)) if pairs[c]}
     return per_class, len(pairs) - len(per_class)
@@ -176,7 +188,8 @@ def _macro_auc(sm: ScoreMatrix):
 
 def macro_auc(sm: ScoreMatrix) -> float:
     """Macro mean pairwise AUC (ties half credit); single-valued classes skipped."""
-    per_class, _ = _macro_auc(sm)
+    neg = sm.labels.T == 0.0
+    per_class, _ = _macro_auc(sm.labels.T == 1.0, neg, *rank_counts(sm.scores.T, neg))
     if not per_class:
         raise UndefinedMetricError("macro AUC: no class has both positives and negatives")
     return _macro_mean(per_class)
@@ -199,10 +212,16 @@ def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> f
 def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> MetricsReport:
     """All six metrics in one report; undefined metrics become NaN with their skips recorded."""
     sm = ScoreMatrix(scores, labels)
-    rl_per_row, rl_skip = _ranking_loss(sm)
-    cov_per_row, cov_skip = _coverage(sm)
-    map_per_class, map_skip = _map(sm)
-    auc_per_class, auc_skip = _macro_auc(sm)
+    pos, neg = sm.labels == 1.0, sm.labels == 0.0
+    every = np.ones_like(pos)
+    # one sort per orientation: rows (samples) for the ranking loss and
+    # coverage, columns (classes) for MAP and AUC
+    row_neg, row_all = rank_counts(sm.scores, neg, every)
+    col_all, col_pos, col_neg = rank_counts(sm.scores.T, every.T, pos.T, neg.T)
+    rl_per_row, rl_skip = _ranking_loss(pos, neg, row_neg)
+    cov_per_row, cov_skip = _coverage(pos, row_all)
+    map_per_class, map_skip = _map(pos.T, col_all, col_pos)
+    auc_per_class, auc_skip = _macro_auc(pos.T, neg.T, col_neg)
     gbeta_values = _gbeta_per_class(sm, beta, threshold)
     return MetricsReport(
         ranking_loss=_mean_in_order(rl_per_row),

@@ -68,7 +68,7 @@ class RankTable:
 def rank_models(pt: PerformanceTable) -> RankTable:
     """Rank models within each dataset row, best = 1; ties share (#better + #as good + 1) / 2."""
     scores = pt.values if pt.higher_is_better else -pt.values
-    better, at_least = rank_counts(scores, np.ones(scores.shape, dtype=bool))
+    [(better, at_least)] = rank_counts(scores, np.ones(scores.shape, dtype=bool))
     ranks = (better + at_least + 1) / 2
     return RankTable(ranks=ranks, mean_ranks=ranks.mean(axis=0))
 

@@ -65,6 +65,14 @@ def test_run_raw_dataset_with_oversized_header_exits_2(tmp_path, capsys):
     assert "truncated label block" in capsys.readouterr().err
 
 
+def test_run_raw_dataset_with_zero_byte_samples_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "ds.bin"
+    dataset.write_bytes(data._RAW_HEADER.pack(200000, 0, 5, 0))
+    path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)], "format": "raw_f32"})
+    assert main(["run", "--config", str(path)]) == 2
+    assert "zero-byte signal block" in capsys.readouterr().err
+
+
 def test_run_outputs_are_byte_identical_for_same_config(tmp_path):
     path_a, _ = smoke_config(tmp_path, out_name="a")
     assert main(["run", "--config", str(path_a)]) == 0
@@ -113,6 +121,95 @@ def test_eval_non_finite_score_exits_2(tmp_path, capsys, cell):
     labels.write_text("1,0\n0,1\n")
     assert main(["eval", "--scores", str(scores), "--labels", str(labels)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def _scan_matrix(path):
+    """The line scan `cli._load_matrix` used before numpy's reader: one float() per cell."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError as exc:
+                raise cli.ParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise cli.ParseError(f"{path}:{lineno}: ragged row")
+    if not rows:
+        raise cli.ParseError(f"{path}: empty matrix file")
+    return np.array(rows)
+
+
+def _outcome(load, path):
+    """The parsed bits and shape, or the error type and text."""
+    try:
+        matrix = load(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+    return matrix.shape, matrix.view(np.uint64).tobytes()
+
+
+MATRIX_CASES = {
+    "blank line": "0.5,0.25\n\n0.75,1\n",
+    "whitespace-only line": "0.5,0.25\n \t \n0.75,1\n",
+    "form-feed line": "0.5,0.25\n\f\n0.75,1\n",
+    "crlf": "0.5,0.25\r\n0.75,1\r\n",
+    "lone cr": "0.5,0.25\r0.75,1\r",
+    "underscore": "1_0,0.5\n0.25,0.75\n",
+    "non-ascii digit": "١,0.5\n0.25,٣.5\n",
+    "hash in cell": "0.1#c,0.5\n",
+    "hash line": "0.5,0.25\n# note\n",
+    "quoted cell": '"0.5",0.25\n',
+    "empty cell": "0.5,,0.25\n",
+    "trailing comma": "0.5,0.25,\n",
+    "ragged row": "0.5,0.25\n0.75\n",
+    "ragged and non-numeric": "0.5,0.25\nx\n",
+    "empty file": "",
+    "only blank lines": "\n \n\n",
+    "single row": "0.5,0.25,0.75\n",
+    "single column": "0.5\n0.25\n0.75\n",
+    "single cell": "0.5",
+    "padded cells": " 0.5 , 0.25\t\n\t1e-3,2 \n",
+    "no final newline": "0.5,0.25\n0.75,1",
+    "special values": "nan,-inf\ninfinity,-0\n",
+    "nul byte": "0.5,0\x00\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MATRIX_CASES))
+def test_load_matrix_matches_the_line_scan(tmp_path, case):
+    path = tmp_path / "m.csv"
+    path.write_bytes(MATRIX_CASES[case].encode())
+    assert _outcome(cli._load_matrix, str(path)) == _outcome(_scan_matrix, str(path))
+
+
+def test_load_matrix_keeps_what_only_the_scan_accepts(tmp_path):
+    # numpy's reader rejects these lines; the scan behind it still decides
+    path = tmp_path / "m.csv"
+    path.write_bytes("1_0,١\n \n\f\n0.5,2\n".encode())
+    np.testing.assert_array_equal(cli._load_matrix(str(path)), [[10.0, 1.0], [0.5, 2.0]])
+    path.write_text("0.5,0.25\n0.1#c,0.5\n")
+    with pytest.raises(cli.ParseError, match=":2: non-numeric cell"):
+        cli._load_matrix(str(path))
+
+
+def test_load_matrix_round_trips_every_float_bit_for_bit(tmp_path):
+    g = np.random.default_rng(7)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+                         1.7976931348623157e308])
+    path = tmp_path / "m.csv"
+    for _ in range(20):
+        shape = (int(g.integers(1, 40)), int(g.integers(1, 9)))
+        x = g.standard_normal(shape) * 10.0 ** g.integers(-320, 300, shape)
+        pick = g.random(shape) < 0.2
+        x[pick] = g.choice(specials, size=int(pick.sum()))
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        got = cli._load_matrix(str(path))
+        assert got.shape == x.shape
+        assert got.view(np.uint64).tobytes() == x.view(np.uint64).tobytes()
+        assert _outcome(cli._load_matrix, str(path)) == _outcome(_scan_matrix, str(path))
 
 
 def _write_reports(path, model, per_dataset_values):

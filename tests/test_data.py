@@ -96,6 +96,176 @@ def test_raw_header_larger_than_the_file_is_a_parse_error(tmp_path, header):
         load_dataset(path, "raw_f32")
 
 
+@pytest.mark.parametrize("header", [(200000, 0, 5, 0), (200000, 3, 0, 0), (7, 0, 0, 2)],
+                         ids=["no-channels", "no-length", "no-signal"])
+def test_raw_header_with_zero_byte_samples_is_a_parse_error(tmp_path, header):
+    # a zero-byte sample is not bounded by the file: n could be anything
+    path = tmp_path / "ds.bin"
+    path.write_bytes(data._RAW_HEADER.pack(*header) + bytes(4 * header[0] * header[3]))
+    with pytest.raises(ParseError, match="zero-byte signal block"):
+        load_dataset(path, "raw_f32")
+
+
+def test_raw_empty_dataset_still_loads(tmp_path):
+    path = tmp_path / "ds.bin"
+    path.write_bytes(data._RAW_HEADER.pack(0, 0, 0, 5))
+    assert len(load_dataset(path, "raw_f32")) == 0
+
+
+def _scan_csv(path):
+    """The CSV loader before numpy's reader: one float() per cell, file order.
+
+    Returns (labels, signals) instead of a Dataset.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if len(header) != 4:
+        raise ParseError(f"{path}:1: header must be n,channels,length,C")
+    try:
+        n, channels, length, c = (int(v) for v in header)
+    except ValueError as exc:
+        raise ParseError(f"{path}:1: non-integer header field ({exc})") from None
+    expected = 1 + n * (1 + channels)
+    if len(lines) != expected:
+        raise ParseError(f"{path}: expected {expected} lines for n={n}, found {len(lines)}")
+    signals, labels = [], []
+    lineno = 1
+    for _ in range(n):
+        lineno += 1
+        cells = lines[lineno - 1].split(",")
+        if len(cells) != c:
+            raise ParseError(f"{path}:{lineno}: label row needs {c} cells, found {len(cells)}")
+        try:
+            row = [float(v) for v in cells]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric label cell") from None
+        if any(v not in (0.0, 1.0) for v in row):
+            raise ParseError(f"{path}:{lineno}: labels must be 0 or 1")
+        labels.append(row)
+        sig = np.empty((channels, length))
+        for ch in range(channels):
+            lineno += 1
+            cells = lines[lineno - 1].split(",")
+            if len(cells) != length:
+                raise ParseError(f"{path}:{lineno}: signal row needs {length} cells, found {len(cells)}")
+            try:
+                sig[ch] = [float(v) for v in cells]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric signal cell") from None
+        signals.append(sig)
+    return np.array(labels).reshape(n, c), signals
+
+
+def _csv_outcome(load, path):
+    """The parsed bits and shapes, or the error type and text."""
+    try:
+        labels, signals = load(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+    return [(a.shape, a.view(np.uint64).tobytes()) for a in (labels, *signals)]
+
+
+def _load_csv_arrays(path):
+    ds = load_dataset(path, "csv")
+    return ds.labels, ds.signals
+
+
+CSV_BASE = ["3,2,3,2",
+            "1,0", "0.5,1.5,-2.0", "1e-3,2,3",
+            "0,1", "4,5,6", "-0.0,0.25,1e300",
+            "1,1", "5e-324,-1e300,2", "7,8,9"]
+# one line replaced: (line index, text)
+CSV_EDITS = {
+    "blank signal line": (2, ""),
+    "whitespace-only signal line": (2, "  "),
+    "blank label line": (4, ""),
+    "underscore": (3, "1_0,2,3"),
+    "non-ascii digit": (3, "١,2,3"),
+    "hash in cell": (3, "0.1#c,2,3"),
+    "quoted cell": (3, '"0.5",2,3'),
+    "empty cell": (3, "0.5,,3"),
+    "trailing comma": (3, "0.5,2,3,"),
+    "ragged signal row": (6, "0.5,2"),
+    "non-numeric label": (4, "x,1"),
+    "label row width": (4, "0,1,1"),
+    "non-binary label": (7, "1,2"),
+    "nan label": (7, "nan,1"),
+    "padded cells": (5, " 4 ,\t5,6 "),
+}
+CSV_TEXTS = {
+    "clean": "\n".join(CSV_BASE) + "\n",
+    **{name: "\n".join(CSV_BASE[:k] + [text] + CSV_BASE[k + 1:]) + "\n"
+       for name, (k, text) in CSV_EDITS.items()},
+    "form-feed line": "\n".join(CSV_BASE[:3] + ["\f"] + CSV_BASE[3:]) + "\n",
+    "crlf": "\r\n".join(CSV_BASE) + "\r\n",
+    "lone cr": "\r".join(CSV_BASE) + "\r",
+    "empty file": "",
+    "only blank lines": "\n\n\n",
+    "no samples": "0,2,3,2\n",
+    "single label row": "1,0,3,2\n1,0\n",
+    "single column": "2,1,1,1\n1\n0.5\n0\n-0.5\n",
+    "single column whitespace label": "2,1,1,1\n1\n0.5\n \n-0.5\n",
+    # two bad lines: the first one in the file is named
+    "signal before label": "\n".join(CSV_BASE[:3] + ["x,1,2", "0,7"] + CSV_BASE[5:]) + "\n",
+    "label before signal": "\n".join(CSV_BASE[:4] + ["0,2"] + CSV_BASE[5:8] + ["1,2"] + CSV_BASE[9:]) + "\n",
+    "binary before width": "\n".join(CSV_BASE[:4] + ["2,0"] + CSV_BASE[5:7] + ["1"] + CSV_BASE[8:]) + "\n",
+    "width before binary": "\n".join(CSV_BASE[:4] + ["0,0,0"] + CSV_BASE[5:7] + ["3,1"] + CSV_BASE[8:]) + "\n",
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_TEXTS))
+def test_csv_loader_matches_the_line_scan(tmp_path, case):
+    path = tmp_path / "ds.csv"
+    path.write_bytes(CSV_TEXTS[case].encode())
+    assert _csv_outcome(_load_csv_arrays, path) == _csv_outcome(_scan_csv, path)
+
+
+def test_csv_loader_matches_the_line_scan_on_random_edits(tmp_path):
+    g = np.random.default_rng(3)
+    replacements = ["", " ", "x", "1_0", "nan", "2", "0.5,", ",1", "1,0", "0,1,1", "1,2,3", "4,5",
+                    "1e400,0,-0.0", "١,0,1", "0.1#c,1,1"]
+    path = tmp_path / "ds.csv"
+    outcomes = set()
+    for _ in range(300):
+        lines = list(CSV_BASE)
+        for k in g.choice(np.arange(1, len(lines)), size=int(g.integers(1, 4)), replace=False):
+            lines[k] = replacements[g.integers(len(replacements))]
+        path.write_text("\n".join(lines) + "\n")
+        want = _csv_outcome(_scan_csv, path)
+        assert _csv_outcome(_load_csv_arrays, path) == want
+        outcomes.add(want[0] if isinstance(want, tuple) else "parsed")
+    assert outcomes == {"ParseError", "parsed"}
+
+
+def test_csv_round_trips_every_float_bit_for_bit(tmp_path):
+    g = np.random.default_rng(5)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300]
+    x = g.standard_normal((6, 3, 40)) * 10.0 ** g.integers(-320, 300, (6, 3, 40))
+    pick = g.random(x.shape) < 0.2
+    x[pick] = g.choice(specials, size=int(pick.sum()))
+    labels = (g.random((6, 5)) < 0.5).astype(float)
+    path = tmp_path / "ds.csv"
+    rows = ["6,3,40,5"]
+    for sig, lab in zip(x, labels):
+        rows.append(",".join("%d" % v for v in lab))
+        rows += [",".join("%.17g" % v for v in row) for row in sig]
+    path.write_text("\n".join(rows) + "\n")
+    ds = load_dataset(path, "csv")
+    assert np.stack(ds.signals).view(np.uint64).tobytes() == x.view(np.uint64).tobytes()
+    np.testing.assert_array_equal(ds.labels, labels)
+
+
+@pytest.mark.parametrize("header", ["3,-1,4,5", "-2,-2,4,5", "1,2,-4,5", "1,0,4,-5"])
+def test_csv_negative_header_field_is_a_parse_error(tmp_path, header):
+    path = tmp_path / "ds.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(ParseError, match=":1: negative header field"):
+        load_dataset(path, "csv")
+
+
 # --- annotation mapping ----------------------------------------------------
 
 

@@ -115,6 +115,57 @@ def test_report_bytes_are_pinned_on_tied_scores(quantum, n, c):
     assert ",".join(m.compute_all(scores, labels).to_csv_row()) == PINNED_ROWS[quantum, n, c]
 
 
+def _brute_rank_counts(scores, mask):
+    """Per entry, masked entries of its row scoring higher / at least as high, pair by pair."""
+    n, c = scores.shape
+    gt, ge = np.zeros((n, c), dtype=np.int64), np.zeros((n, c), dtype=np.int64)
+    for i in range(n):
+        for j in range(c):
+            gt[i, j] = sum(mask[i, k] and scores[i, k] > scores[i, j] for k in range(c))
+            ge[i, j] = sum(mask[i, k] and scores[i, k] >= scores[i, j] for k in range(c))
+    return gt, ge
+
+
+def test_rank_counts_shares_one_sort_across_masks_and_matches_brute_force():
+    g = np.random.default_rng(12)
+    for trial in range(300):
+        n, c = [(1, 1), (1, 7), (9, 1)][trial] if trial < 3 else g.integers(1, 12, size=2)
+        scores = np.round(g.random((n, c)) * g.integers(1, 6)) / 4 - 0.5  # few distinct values
+        scores[g.random((n, c)) < 0.2] = 0.0
+        scores[g.random((n, c)) < 0.2] = -0.0  # ties with 0.0
+        masks = [g.random((n, c)) < g.random(), np.zeros((n, c), dtype=bool), np.ones((n, c), dtype=bool)]
+        together = m.rank_counts(scores, *masks)
+        assert len(together) == len(masks)
+        for mask, (gt, ge) in zip(masks, together):
+            [(alone_gt, alone_ge)] = m.rank_counts(scores, mask)
+            want_gt, want_ge = _brute_rank_counts(scores, mask)
+            for got, alone, want in ((gt, alone_gt, want_gt), (ge, alone_ge, want_ge)):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, alone)
+                np.testing.assert_array_equal(got, want)
+
+
+def test_rank_counts_on_empty_shapes():
+    for shape in ((0, 4), (3, 0), (0, 0)):
+        [(gt, ge)] = m.rank_counts(np.zeros(shape), np.ones(shape, dtype=bool))
+        assert gt.shape == ge.shape == shape
+
+
+def test_compute_all_sorts_once_per_orientation(monkeypatch):
+    calls, rank_counts = [], m.rank_counts
+
+    def counting(scores, *masks):
+        calls.append((scores.shape, len(masks)))
+        return rank_counts(scores, *masks)
+
+    monkeypatch.setattr(m, "rank_counts", counting)
+    scores, labels = random_instance(np.random.default_rng(13), n=30, c=4, quantum=0.1)
+    report = m.compute_all(scores, labels)
+    assert calls == [((30, 4), 2), ((4, 30), 3)]
+    monkeypatch.undo()
+    assert report.to_csv_row() == m.compute_all(scores, labels).to_csv_row()
+
+
 def test_rank_metrics_invariant_under_monotone_transform():
     g = np.random.default_rng(1)
     for _ in range(20):
