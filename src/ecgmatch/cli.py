@@ -23,8 +23,8 @@ import numpy as np
 
 from . import metrics, stats, trainer
 from .config import ExperimentConfig, load_experiment_config
-from .data import (AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, parse_rows, save_dataset,
-                   synth_generate)
+from .data import (AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, parse_rows, read_lines,
+                   save_dataset, synth_generate)
 from .errors import ConfigurationError, ParseError
 from .metrics import CSV_COLUMNS, METRIC_NAMES
 from .nn import save_params
@@ -101,7 +101,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if out is not None:
         cfg = replace(cfg, output_dir=str(out))
     if seed is not None:
-        cfg = replace(cfg, seeds=[seed])
+        cfg = replace(cfg, seeds=(seed,))
     return cfg
 
 
@@ -115,8 +115,8 @@ def cmd_run(config_path: str, args=None) -> int:
         datasets = _load_datasets(cfg)
         stage = "train"
         result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds,
-                                        metric_threshold=cfg.metric_threshold,
-                                        gbeta_beta=cfg.gbeta_beta)
+                                        metric_threshold=cfg.metrics.threshold,
+                                        gbeta_beta=cfg.metrics.gbeta_beta)
         stage = "write-reports"
         _write_run_outputs(Path(cfg.output_dir), cfg, result, _dataset_label(cfg, datasets))
     except (ConfigurationError, ParseError, FileNotFoundError) as exc:
@@ -131,11 +131,11 @@ def cmd_run(config_path: str, args=None) -> int:
 
 
 def _grid_cells(cfg: ExperimentConfig):
-    if cfg.grid_axis == "cartesian":
-        return [(lu, lf) for lu in cfg.grid_values for lf in cfg.grid_values]
-    if cfg.grid_axis == "lambda_f":
-        return [(cfg.grid_fixed, lf) for lf in cfg.grid_values]
-    return [(lu, cfg.grid_fixed) for lu in cfg.grid_values]
+    if cfg.grid.axis == "cartesian":
+        return [(lu, lf) for lu in cfg.grid.values for lf in cfg.grid.values]
+    if cfg.grid.axis == "lambda_f":
+        return [(cfg.grid.fixed, lf) for lf in cfg.grid.values]
+    return [(lu, cfg.grid.fixed) for lu in cfg.grid.values]
 
 
 def _run_grid_cell(config_path: str, lu: float, lf: float, cell_dir: str, seeds):
@@ -149,8 +149,8 @@ def _run_grid_cell(config_path: str, lu: float, lf: float, cell_dir: str, seeds)
     cfg = replace(cfg, train=replace(cfg.train, weights=type(cfg.train.weights)(lu, lf)))
     datasets = _load_datasets(cfg)
     result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds,
-                                    metric_threshold=cfg.metric_threshold,
-                                    gbeta_beta=cfg.gbeta_beta)
+                                    metric_threshold=cfg.metrics.threshold,
+                                    gbeta_beta=cfg.metrics.gbeta_beta)
     _write_run_outputs(Path(cell_dir), cfg, result, _dataset_label(cfg, datasets))
     return lu, lf, result.mean, result.std
 
@@ -199,9 +199,7 @@ def cmd_gridsearch(config_path: str, args=None) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    matrix, bad = parse_rows(lines, skip_blank=True)
+    matrix, bad = parse_rows(read_lines(path), skip_blank=True)
     if bad is not None:
         index, _, error = bad
         if error is not None:

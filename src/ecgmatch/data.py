@@ -178,9 +178,20 @@ def parse_rows(lines, width=None, skip_blank=False):
     return np.array(parsed).reshape(len(parsed), width or 0), None
 
 
-def _load_csv(path, dataset_id, class_names) -> Dataset:
+def read_lines(path) -> list:
+    """A text file split at `\n`, `\r\n` and `\r` only, less one trailing empty line.
+
+    `str.splitlines` would also split at `\f`, `\v`, `\x1c`-`\x1e`, `\x85`, `\u2028` and `\u2029`.
+    """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _load_csv(path, dataset_id, class_names) -> Dataset:
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -237,14 +248,13 @@ def _load_raw(path, dataset_id, class_names) -> Dataset:
         labels = np.frombuffer(labels_raw, dtype="<f4").reshape(n, c).astype(float)
         if not np.all((labels == 0.0) | (labels == 1.0)):
             raise ParseError(f"{path}: non-binary label value")
-        signals = []
-        for i in range(n):
-            block = fh.read(4 * channels * length) if 4 * channels * length <= size else b""
-            if len(block) != 4 * channels * length:
-                raise ParseError(f"{path}: truncated signal block for sample {i}")
-            signals.append(np.frombuffer(block, dtype="<f4").reshape(channels, length).astype(float))
+        sample_bytes = 4 * channels * length
+        block = fh.read(min(n * sample_bytes, size))
+        if len(block) != n * sample_bytes:
+            raise ParseError(f"{path}: truncated signal block for sample {len(block) // sample_bytes}")
+    signals = np.frombuffer(block, dtype="<f4").reshape(n, channels, length).astype(float)
     names = tuple(class_names) if class_names else _default_names(c)
-    return Dataset(signals, labels, dataset_id or str(path), names)
+    return Dataset(list(signals), labels, dataset_id or str(path), names)
 
 
 def _default_names(c: int) -> tuple:

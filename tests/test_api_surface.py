@@ -6,14 +6,18 @@ top-level function or class, or a public method, that no reference names is
 API that only tests call, and it fails this test. Names that only the test
 suite or an outside reader calls on purpose are listed in ALLOWED.
 
-Likewise every `TrainConfig` field is set from the JSON config, so no
-training knob is reachable only from Python.
+Likewise every `TrainConfig` field but `seed`, which `seeds` sets, is set
+from the JSON config, so no training knob is reachable only from Python.
 """
 
 import ast
 import dataclasses
 from pathlib import Path
 
+import pytest
+
+from ecgmatch.config import parse_experiment_config
+from ecgmatch.errors import ConfigurationError
 from ecgmatch.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,14 +75,27 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 
 
+# a non-default value for every TrainConfig field but `seed`, at its JSON key
+EVERY_TRAIN_KNOB = {
+    "similarity": "pearson",
+    "augment": {"noise_sigma": 0.2},
+    "train": {
+        "batch_labeled": 3, "batch_unlabeled": 5, "lambda_u": 0.1, "lambda_f": 0.2,
+        "knn": {"k": 3}, "optimizer": {"lr0": 0.1}, "max_epochs": 2, "patience": 3,
+        "eval_metric": "macro_auc", "ablations": {"no_nam": True}, "baseline": "fixed_threshold",
+        "fixed_threshold_tau": 0.5, "hidden_dims": [4], "feature_dim": 4, "head_hidden": 4,
+        "activation": "tanh", "pool_len": 4, "pretrain_max_epochs": 2, "pretrain_patience": 2,
+        "pretrain_augment": False,
+    },
+}
+
+
 def test_every_train_config_field_is_set_from_the_json_config():
-    """A TrainConfig field that `config._parse_train` never passes is a knob no config can turn."""
-    tree = ast.parse((ROOT / "src" / "ecgmatch" / "config.py").read_text())
-    parse_train = next(node for node in tree.body
-                       if isinstance(node, ast.FunctionDef) and node.name == "_parse_train")
-    calls = [node for node in ast.walk(parse_train) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr == "TrainConfig"]
-    assert len(calls) == 1
-    passed = {kw.arg for kw in calls[0].keywords}
-    missing = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in passed]
-    assert missing == [], f"TrainConfig fields no config can set: {missing}"
+    """A TrainConfig field no config key sets is a knob no config can turn; `seed` comes from `seeds`."""
+    doc = {"data": {"synth": {}}, **EVERY_TRAIN_KNOB}
+    train = parse_experiment_config(doc).train
+    names = {f.name for f in dataclasses.fields(TrainConfig)}
+    changed = {name for name in names if getattr(train, name) != getattr(TrainConfig(), name)}
+    assert changed == names - {"seed"}, f"TrainConfig fields no config can set: {names - {'seed'} - changed}"
+    with pytest.raises(ConfigurationError, match=r"unknown keys in train: \['seed'\]"):
+        parse_experiment_config({**doc, "train": {**doc["train"], "seed": 5}})

@@ -361,23 +361,43 @@ def test_gridsearch_seed_override_reaches_every_cell(tmp_path, monkeypatch, how)
     assert [row[2] for row in rows[1:]] == ["7"]
 
 
+# each case sets the key at a path of the config to a value
+CONFIG_VALUE_ERRORS = {
+    "noise_sigma_zero": (("augment", "noise_sigma"), 0),
+    "seeds_not_a_list": (("seeds",), "ab"),
+    "seeds_not_integers": (("seeds",), [1.7, True]),
+    "output_dir_null": (("output_dir",), None),
+    "dropout_all_channels_string": (("augment", "dropout_all_channels"), "false"),
+    "train_frac_nan": (("split", "train_frac"), float("nan")),
+    "lr0_nan": (("train", "optimizer", "lr0"), float("nan")),
+    "lr0_beyond_double": (("train", "optimizer", "lr0"), 10**400),
+    "train_seed": (("train", "seed"), 5),
+    "split_seed": (("split", "seed"), 5),
+}
+
+
 @pytest.mark.parametrize("verb", ["run", "gridsearch"])
-@pytest.mark.parametrize("case", ["noise_sigma_zero", "seeds_not_a_list", "env_seed_not_an_int"])
+@pytest.mark.parametrize("case", [*CONFIG_VALUE_ERRORS, "env_seed_not_an_int"])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, verb, case):
+    monkeypatch.chdir(tmp_path)  # a relative output directory lands here
     config, doc = smoke_config(tmp_path)
-    if case == "noise_sigma_zero":
-        doc["augment"] = {"noise_sigma": 0}
-    elif case == "seeds_not_a_list":
-        doc["seeds"] = "ab"
+    if case in CONFIG_VALUE_ERRORS:
+        (*sections, key), value = CONFIG_VALUE_ERRORS[case]
+        where = doc
+        for section in sections:
+            where = where.setdefault(section, {})
+        where[key] = value
     else:
         monkeypatch.setenv("ECGMATCH_SEED", "x")
-    config.write_text(json.dumps(doc))
+    config.write_text(json.dumps(doc))  # NaN is written as the non-standard constant NaN
     assert main([verb, "--config", str(config)]) == 2
     assert "configuration error in stage load-config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["run", "gridsearch"])
-@pytest.mark.parametrize("key,value", [("batch_labeled", "x"), ("hidden_dims", 5), ("knn", 3)])
+@pytest.mark.parametrize("key,value", [("batch_labeled", "x"), ("hidden_dims", 5), ("knn", 3),
+                                       ("hidden_dims", "128"), ("pretrain_augment", "false"),
+                                       ("batch_labeled", 64.9)])
 def test_wrongly_typed_train_values_exit_2_naming_the_section(tmp_path, capsys, verb, key, value):
     config, doc = smoke_config(tmp_path)
     doc["train"][key] = value

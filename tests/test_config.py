@@ -1,0 +1,97 @@
+"""The config schema against the README's JSON example, and the JSON load.
+
+Every leaf value of the example is swapped for each of a set of wrongly (or
+oddly) typed JSON values, one key at a time and then a few at a time: the
+parser must accept the result or raise ConfigurationError, never anything
+else. A file that is no standard JSON is a ConfigurationError too.
+"""
+
+import copy
+import json
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ecgmatch.config import load_experiment_config, parse_experiment_config
+from ecgmatch.errors import ConfigurationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SWAPS = ["x", True, 1.5, 10**400, [1], [[1], [1, 2]], {}, None]
+
+
+def readme_example() -> dict:
+    block = re.search(r"### Config file\n.*?```json\n(.*?)```", README.read_text(), re.S)
+    return json.loads(block.group(1))
+
+
+def leaf_paths(doc, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def with_value(doc, path, value):
+    doc = copy.deepcopy(doc)
+    where = doc
+    for key in path[:-1]:
+        where = where[key]
+    where[path[-1]] = value
+    return doc
+
+
+def outcome(doc):
+    try:
+        parse_experiment_config(doc)
+    except ConfigurationError:
+        return "rejected"
+    return "parsed"
+
+
+def test_readme_example_is_the_all_defaults_config():
+    example = parse_experiment_config(readme_example())
+    defaults = parse_experiment_config({"data": {"synth": {}}})
+    assert replace(example, output_dir=defaults.output_dir) == defaults
+
+
+def test_every_readme_leaf_swapped_for_a_wrong_type_parses_or_is_a_configuration_error():
+    example = readme_example()
+    paths = list(leaf_paths(example))
+    assert len(paths) > 50  # the walk found the example
+    seen = set()
+    for path in paths:
+        for value in SWAPS:
+            seen.add(outcome(with_value(example, path, value)))
+    assert seen == {"parsed", "rejected"}
+
+
+def test_random_multi_key_swaps_parse_or_are_a_configuration_error():
+    example = readme_example()
+    paths = list(leaf_paths(example))
+    g = np.random.default_rng(8)
+    for _ in range(200):
+        doc = example
+        for k in g.choice(len(paths), size=int(g.integers(2, 5)), replace=False):
+            doc = with_value(doc, paths[k], SWAPS[g.integers(len(SWAPS))])
+        outcome(doc)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_non_standard_json_constants_are_rejected(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text('{"data": {"synth": {}}, "metrics": {"threshold": %s}}' % text)
+    with pytest.raises(ConfigurationError, match=f"{text} is not a JSON number"):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("text", [b'{"seeds": ' + b"[" * 100000 + b"1" + b"]" * 100000 + b"}",
+                                  b'{"output_dir": "\xff"}'], ids=["too deeply nested", "not utf-8"])
+def test_unreadable_json_is_a_configuration_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigurationError, match="invalid JSON"):
+        load_experiment_config(path)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ecgmatch import data
+from ecgmatch import cli, data
 from ecgmatch.data import (
     AnnotationMap,
     Dataset,
@@ -86,6 +86,16 @@ def test_raw_truncation_is_a_parse_error(tmp_path):
         load_dataset(path, "raw_f32")
 
 
+def test_raw_truncation_names_the_first_incomplete_sample(tmp_path):
+    ds = tiny_dataset(n=4)
+    path = tmp_path / "ds.bin"
+    save_dataset(path, ds, "raw_f32")
+    sample = 4 * 2 * 8
+    path.write_bytes(path.read_bytes()[:data._RAW_HEADER.size + 4 * 4 * 5 + 2 * sample + 10])
+    with pytest.raises(ParseError, match="truncated signal block for sample 2$"):
+        load_dataset(path, "raw_f32")
+
+
 @pytest.mark.parametrize("header", [(2**62, 3, 4, 5), (1, 2**62, 4, 0), (1, 3, 2**62, 0)],
                          ids=["labels", "channels", "length"])
 def test_raw_header_larger_than_the_file_is_a_parse_error(tmp_path, header):
@@ -118,7 +128,9 @@ def _scan_csv(path):
     Returns (labels, signals) instead of a Dataset.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")  # universal newlines: also \r\n and \r
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -200,6 +212,9 @@ CSV_TEXTS = {
     **{name: "\n".join(CSV_BASE[:k] + [text] + CSV_BASE[k + 1:]) + "\n"
        for name, (k, text) in CSV_EDITS.items()},
     "form-feed line": "\n".join(CSV_BASE[:3] + ["\f"] + CSV_BASE[3:]) + "\n",
+    # str.splitlines breaks at these; a line does not
+    **{f"{name} in cell": "\n".join(CSV_BASE[:3] + [f"1e-3,{sep}2,3"] + CSV_BASE[4:]) + "\n"
+       for name, sep in [("form feed", "\f"), ("next line", "\x85"), ("line separator", "\u2028")]},
     "crlf": "\r\n".join(CSV_BASE) + "\r\n",
     "lone cr": "\r".join(CSV_BASE) + "\r",
     "empty file": "",
@@ -238,6 +253,17 @@ def test_csv_loader_matches_the_line_scan_on_random_edits(tmp_path):
         assert _csv_outcome(_load_csv_arrays, path) == want
         outcomes.add(want[0] if isinstance(want, tuple) else "parsed")
     assert outcomes == {"ParseError", "parsed"}
+
+
+@pytest.mark.parametrize("sep", ["\f", "\x1c", "\x85", "\u2028"])
+def test_csv_signal_cell_with_a_splitlines_break_reads_like_eval(tmp_path, sep):
+    # `ecgmatch eval` and the dataset loader break lines at the same characters
+    path = tmp_path / "ds.csv"
+    path.write_text(f"1,1,2,2\n1,0\n0.5,{sep}1\n")
+    ds = load_dataset(path, "csv")
+    matrix = tmp_path / "row.csv"
+    matrix.write_text(f"0.5,{sep}1\n")
+    np.testing.assert_array_equal(ds.signals[0], cli._load_matrix(str(matrix)))
 
 
 def test_csv_round_trips_every_float_bit_for_bit(tmp_path):
