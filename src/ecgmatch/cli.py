@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Verbs: run, gridsearch, eval, compare, annotate, synth. Exit codes: 0 on
-success, 1 on runtime failure (message carries the failing stage), 2 on
-configuration or parse problems. Flag defaults can be overridden with
-environment variables prefixed ECGMATCH_ (ECGMATCH_OUT, ECGMATCH_SEED,
-ECGMATCH_THREADS).
+success, 1 on runtime failure, 2 on configuration or parse problems; run,
+gridsearch and synth name the failing stage. Flag defaults can be
+overridden with environment variables prefixed ECGMATCH_ (ECGMATCH_OUT,
+ECGMATCH_SEED, ECGMATCH_THREADS).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .data import (AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, p
                    save_dataset, synth_generate)
 from .errors import ConfigurationError, ParseError
 from .metrics import CSV_COLUMNS, METRIC_NAMES
-from .nn import save_params
+from .nn import LossWeights, save_params
 
 REPORT_HEADER = ["model", "dataset", "seed", *CSV_COLUMNS]
 SUMMARY_HEADER = ["model", "dataset", "stat", *METRIC_NAMES]
@@ -38,14 +39,25 @@ COMPARISON_HEADER = [
 ]
 
 
+def _guarded(body, args) -> int:
+    """`body(args, stage)` under the exit-code contract; the one boundary of every verb.
+
+    A body returns its exit code and names each stage it enters by calling
+    `stage(name)`. A configuration or parse problem is exit 2 and any other
+    failure exit 1, with the last stage entered in the message.
+    """
+    stages = []
+    try:
+        return body(args, stages.append)
+    except Exception as exc:  # noqa: BLE001 - boundary of the process
+        config = isinstance(exc, (ConfigurationError, ParseError, FileNotFoundError))
+        where = f" in stage {stages[-1]}" if stages else ""
+        print(f"{'configuration error' if config else 'error'}{where}: {exc}", file=sys.stderr)
+        return 2 if config else 1
+
+
 def _env(name: str, default):
     return os.environ.get(f"ECGMATCH_{name}", default)
-
-
-def _load_datasets(cfg: ExperimentConfig):
-    if cfg.data.synth is not None:
-        return [synth_generate(cfg.data.synth)]
-    return [load_dataset(p, cfg.data.format) for p in cfg.data.paths]
 
 
 def _dataset_label(cfg: ExperimentConfig, datasets) -> str:
@@ -95,38 +107,43 @@ def _int_env(name: str, default):
         raise ConfigurationError(f"{name.lower()} override must be an integer, got {value!r}") from None
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+def _load(args, stage):
+    """The config at --config with the flag and ECGMATCH_ overrides applied, and its datasets."""
+    stage("load-config")
+    cfg = load_experiment_config(args.config)
     out = _env("OUT", args.out)
     seed = _int_env("SEED", args.seed)
+    if "threads" in args:  # gridsearch's worker count
+        args.threads = _int_env("THREADS", args.threads or 1)
     if out is not None:
         cfg = replace(cfg, output_dir=str(out))
     if seed is not None:
         cfg = replace(cfg, seeds=(seed,))
-    return cfg
+    stage("load-data")
+    if cfg.data.synth is not None:
+        return cfg, [synth_generate(cfg.data.synth)]
+    return cfg, [load_dataset(p, cfg.data.format) for p in cfg.data.paths]
 
 
-def cmd_run(config_path: str, args=None) -> int:
-    stage = "load-config"
-    try:
-        cfg = load_experiment_config(config_path)
-        if args is not None:
-            cfg = _apply_overrides(cfg, args)
-        stage = "load-data"
-        datasets = _load_datasets(cfg)
-        stage = "train"
-        result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds,
-                                        metric_threshold=cfg.metrics.threshold,
-                                        gbeta_beta=cfg.metrics.gbeta_beta)
-        stage = "write-reports"
-        _write_run_outputs(Path(cfg.output_dir), cfg, result, _dataset_label(cfg, datasets))
-    except (ConfigurationError, ParseError, FileNotFoundError) as exc:
-        print(f"configuration error in stage {stage}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - boundary of the process
-        print(f"error in stage {stage}: {exc}", file=sys.stderr)
-        return 1
+def _train(cfg: ExperimentConfig, datasets, out_dir: Path, stage=lambda name: None):
+    """Train every seed of `cfg` on `datasets`, write the run's files to `out_dir`: (mean, std).
+
+    A grid cell is one such call, in this process or a worker, and reports no stage of its own.
+    """
+    stage("train")
+    result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds,
+                                    metric_threshold=cfg.metrics.threshold,
+                                    gbeta_beta=cfg.metrics.gbeta_beta)
+    stage("write-reports")
+    _write_run_outputs(out_dir, cfg, result, _dataset_label(cfg, datasets))
+    return result.mean, result.std
+
+
+def _run(args, stage) -> int:
+    cfg, datasets = _load(args, stage)
+    mean, std = _train(cfg, datasets, Path(cfg.output_dir), stage)
     for name in METRIC_NAMES:
-        print(f"{name}: mean={result.mean[name]:.4f} std={result.std[name]:.4f}")
+        print(f"{name}: mean={mean[name]:.4f} std={std[name]:.4f}")
     return 0
 
 
@@ -138,62 +155,27 @@ def _grid_cells(cfg: ExperimentConfig):
     return [(lu, cfg.grid.fixed) for lu in cfg.grid.values]
 
 
-def _run_grid_cell(config_path: str, lu: float, lf: float, cell_dir: str, seeds):
-    """Worker for one grid cell; re-loads everything so cells parallelize cleanly.
-
-    `seeds` carries the --seed / ECGMATCH_SEED override, which the reloaded
-    file does not have.
-    """
-    cfg = load_experiment_config(config_path)
-    cfg = replace(cfg, output_dir=cell_dir, seeds=seeds)
-    cfg = replace(cfg, train=replace(cfg.train, weights=type(cfg.train.weights)(lu, lf)))
-    datasets = _load_datasets(cfg)
-    result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds,
-                                    metric_threshold=cfg.metrics.threshold,
-                                    gbeta_beta=cfg.metrics.gbeta_beta)
-    _write_run_outputs(Path(cell_dir), cfg, result, _dataset_label(cfg, datasets))
-    return lu, lf, result.mean, result.std
-
-
-def cmd_gridsearch(config_path: str, args=None) -> int:
-    stage = "load-config"
-    try:
-        cfg = load_experiment_config(config_path)
-        if args is not None:
-            cfg = _apply_overrides(cfg, args)
-        cells = _grid_cells(cfg)
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        threads = _int_env("THREADS", getattr(args, "threads", 1) or 1)
-        stage = "train"
-        jobs = [
-            (config_path, lu, lf, str(out_dir / f"cell_lu{lu:g}_lf{lf:g}"), cfg.seeds)
-            for lu, lf in cells
-        ]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_run_grid_cell, *zip(*jobs)))
-        else:
-            results = [_run_grid_cell(*job) for job in jobs]
-        stage = "write-reports"
-        rows = [
-            [repr(lu), repr(lf), *(repr(mean[m]) for m in METRIC_NAMES),
-             *(repr(std[m]) for m in METRIC_NAMES)]
-            for lu, lf, mean, std in results
-        ]
-        header = ["lambda_u", "lambda_f",
-                  *(f"mean_{m}" for m in METRIC_NAMES),
-                  *(f"std_{m}" for m in METRIC_NAMES)]
-        _write_csv(out_dir / "gridsearch.csv", header, rows)
-        _write_csv(out_dir / "grid_plot.csv",
-                   ["lambda_u", "lambda_f", *(f"mean_{m}" for m in METRIC_NAMES)],
-                   [row[: 2 + len(METRIC_NAMES)] for row in rows])
-    except (ConfigurationError, ParseError, FileNotFoundError) as exc:
-        print(f"configuration error in stage {stage}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001
-        print(f"error in stage {stage}: {exc}", file=sys.stderr)
-        return 1
+def _gridsearch(args, stage) -> int:
+    """One `_train` per grid cell, all on the config and datasets loaded once."""
+    cfg, datasets = _load(args, stage)
+    cells = _grid_cells(cfg)
+    out_dir = Path(cfg.output_dir)
+    stage("train")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cell_cfgs = [replace(cfg, train=replace(cfg.train, weights=LossWeights(lu, lf))) for lu, lf in cells]
+    cell_dirs = [out_dir / f"cell_lu{lu:g}_lf{lf:g}" for lu, lf in cells]
+    if args.threads > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(_train, cell_cfgs, repeat(datasets), cell_dirs))
+    else:
+        results = list(map(_train, cell_cfgs, repeat(datasets), cell_dirs))
+    stage("write-reports")
+    rows = [[repr(lu), repr(lf), *(repr(stat[m]) for stat in (mean, std) for m in METRIC_NAMES)]
+            for (lu, lf), (mean, std) in zip(cells, results)]
+    header = ["lambda_u", "lambda_f", *(f"{stat}_{m}" for stat in ("mean", "std") for m in METRIC_NAMES)]
+    _write_csv(out_dir / "gridsearch.csv", header, rows)
+    width = 2 + len(METRIC_NAMES)
+    _write_csv(out_dir / "grid_plot.csv", header[:width], [row[:width] for row in rows])
     print(f"gridsearch finished: {len(cells)} cells -> {out_dir / 'gridsearch.csv'}")
     return 0
 
@@ -210,31 +192,30 @@ def _load_matrix(path: str) -> np.ndarray:
     return matrix
 
 
-def cmd_eval(scores_path: str, labels_path: str, out_dir: str | None = None) -> int:
+def _eval(args, stage) -> int:
+    scores = _load_matrix(args.scores)
+    labels = _load_matrix(args.labels)
+    if scores.shape != labels.shape:
+        raise ConfigurationError(f"scores {scores.shape} and labels {labels.shape} differ in shape")
     try:
-        scores = _load_matrix(scores_path)
-        labels = _load_matrix(labels_path)
-        if scores.shape != labels.shape:
-            raise ConfigurationError(
-                f"scores {scores.shape} and labels {labels.shape} differ in shape"
-            )
         report = metrics.compute_all(scores, labels)
-    except (ConfigurationError, ParseError, FileNotFoundError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # scores no ranking orders, or labels that are not binary
+        raise ConfigurationError(str(exc)) from None
     for name in METRIC_NAMES:
         print(f"{name}: {report.value(name):.6f}")
     for key, count in report.skipped.items():
         if count:
             print(f"skipped {key}: {count}")
-    if out_dir is not None:
-        out = Path(out_dir)
+    if args.out is not None:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "metrics_report.csv", CSV_COLUMNS, [report.to_csv_row()])
     return 0
+
+
+def cmd_eval(scores_path: str, labels_path: str, out_dir: str | None = None) -> int:
+    """`ecgmatch eval --scores scores_path --labels labels_path [--out out_dir]`: its exit code."""
+    return _guarded(_eval, argparse.Namespace(scores=scores_path, labels=labels_path, out=out_dir))
 
 
 def _read_reports(pattern: str):
@@ -258,71 +239,59 @@ def _read_reports(pattern: str):
     return cells
 
 
-def cmd_compare(report_glob: str, control_name: str, out_dir: str | None = None,
-                alpha: float = 0.05) -> int:
-    try:
-        cells = _read_reports(report_glob)
-        models = sorted({m for m, _ in cells})
-        datasets = sorted({d for _, d in cells})
-        if len(models) < 2 or len(datasets) < 2:
-            raise ConfigurationError(
-                f"need >= 2 models and >= 2 datasets, found {len(models)} / {len(datasets)}"
-            )
-        if control_name not in models:
-            raise ConfigurationError(f"control {control_name!r} not among models {models}")
-        missing = [(m, d) for m in models for d in datasets if (m, d) not in cells]
-        if missing:
-            raise ConfigurationError(f"missing (model, dataset) cells: {missing}")
-        k, n = len(models), len(datasets)
-        cd = stats.bonferroni_dunn_cd(k, n, alpha)
-        control_idx = models.index(control_name)
-        rows, plot_rows = [], []
-        for metric_name in METRIC_NAMES:
-            values = np.array([
-                [np.mean([r.value(metric_name) for r in cells[(m, d)]]) for m in models]
-                for d in datasets
+def _compare(args, stage) -> int:
+    control_name, alpha = args.control, args.alpha
+    cells = _read_reports(args.reports)
+    models = sorted({m for m, _ in cells})
+    datasets = sorted({d for _, d in cells})
+    if len(models) < 2 or len(datasets) < 2:
+        raise ConfigurationError(
+            f"need >= 2 models and >= 2 datasets, found {len(models)} / {len(datasets)}"
+        )
+    if control_name not in models:
+        raise ConfigurationError(f"control {control_name!r} not among models {models}")
+    missing = [(m, d) for m in models for d in datasets if (m, d) not in cells]
+    if missing:
+        raise ConfigurationError(f"missing (model, dataset) cells: {missing}")
+    k, n = len(models), len(datasets)
+    cd = stats.bonferroni_dunn_cd(k, n, alpha)
+    control_idx = models.index(control_name)
+    rows, plot_rows = [], []
+    for metric_name in METRIC_NAMES:
+        values = np.array([
+            [np.mean([r.value(metric_name) for r in cells[(m, d)]]) for m in models]
+            for d in datasets
+        ])
+        table = stats.PerformanceTable(values, metrics.HIGHER_IS_BETTER[metric_name])
+        ranks = stats.rank_models(table)
+        chi2, ff = stats.friedman_statistic(ranks)
+        fcrit = stats.f_critical_value(k, n, alpha)
+        verdicts = {v.model_index: v for v in stats.dunn_compare(ranks, control_idx, cd)}
+        for j, model in enumerate(models):
+            verdict = verdicts.get(j)
+            rows.append([
+                metric_name, model, repr(float(ranks.mean_ranks[j])),
+                repr(verdict.rank_difference) if verdict else "0.0",
+                str(verdict.significant).lower() if verdict else "control",
+                repr(float(chi2)), repr(float(ff)), repr(fcrit),
+                repr(stats.REFERENCE_CRITICAL_VALUE_K8_N4), repr(cd),
             ])
-            table = stats.PerformanceTable(values, metrics.HIGHER_IS_BETTER[metric_name])
-            ranks = stats.rank_models(table)
-            chi2, ff = stats.friedman_statistic(ranks)
-            fcrit = stats.f_critical_value(k, n, alpha)
-            verdicts = {v.model_index: v for v in stats.dunn_compare(ranks, control_idx, cd)}
-            for j, model in enumerate(models):
-                verdict = verdicts.get(j)
-                rows.append([
-                    metric_name, model, repr(float(ranks.mean_ranks[j])),
-                    repr(verdict.rank_difference) if verdict else "0.0",
-                    str(verdict.significant).lower() if verdict else "control",
-                    repr(float(chi2)), repr(float(ff)), repr(fcrit),
-                    repr(stats.REFERENCE_CRITICAL_VALUE_K8_N4), repr(cd),
-                ])
-                plot_rows.append([metric_name, model, repr(float(ranks.mean_ranks[j])), repr(cd)])
-    except (ConfigurationError, ParseError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            plot_rows.append([metric_name, model, repr(float(ranks.mean_ranks[j])), repr(cd)])
     print(f"critical difference (k={k}, N={n}, alpha={alpha}): {cd:.4f}")
     for row in rows:
         if row[4] == "true":
             print(f"{row[0]}: {control_name} vs {row[1]} significant (rank diff {float(row[3]):.3f})")
-    if out_dir is not None:
-        out = Path(out_dir)
+    if args.out is not None:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "comparison.csv", COMPARISON_HEADER, rows)
         _write_csv(out / "cd_plot.csv", ["metric", "model", "mean_rank", "cd"], plot_rows)
     return 0
 
 
-def cmd_annotate(terms_file: str, map_file: str | None = None) -> int:
-    try:
-        am = AnnotationMap.from_file(map_file) if map_file else AnnotationMap.default()
-        with open(terms_file) as fh:
-            lines = [line.strip() for line in fh]
-    except (ParseError, FileNotFoundError, ConfigurationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+def _annotate(args, stage) -> int:
+    am = AnnotationMap.from_file(args.map) if args.map else AnnotationMap.default()
+    lines = [line.strip() for line in read_lines(args.terms)]
     print("classes: " + ",".join(SUPERCLASSES))
     unmappable = []
     for lineno, line in enumerate(lines, start=1):
@@ -343,39 +312,32 @@ def cmd_annotate(terms_file: str, map_file: str | None = None) -> int:
     return 0
 
 
-def cmd_synth(config_path: str, out_path: str) -> int:
-    stage = "load-config"
-    try:
-        cfg = load_experiment_config(config_path)
-        if cfg.data.synth is None:
-            raise ConfigurationError("config has no data.synth section")
-        stage = "generate"
-        ds = synth_generate(cfg.data.synth)
-        stage = "write-dataset"
-        out = Path(out_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_dataset(out, ds, cfg.data.format)
-        from .correlation import correlation_matrix
+def _synth(args, stage) -> int:
+    stage("load-config")
+    cfg = load_experiment_config(args.config)
+    if cfg.data.synth is None:
+        raise ConfigurationError("config has no data.synth section")
+    stage("generate")
+    ds = synth_generate(cfg.data.synth)
+    stage("write-dataset")
+    out = Path(args.out_file)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_dataset(out, ds, cfg.data.format)
+    from .correlation import correlation_matrix
 
-        manifest = {
-            "n_samples": len(ds),
-            "num_classes": ds.num_classes,
-            "empirical_marginals": [float(m) for m in ds.labels.mean(axis=0)],
-            "empirical_label_correlation": [
-                [float(v) for v in row] for row in correlation_matrix(ds.labels, "cosine")
-            ],
-        }
-        stage = "write-manifest"
-        manifest_path = out.with_suffix(out.suffix + ".manifest.json")
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except (ConfigurationError, ParseError, FileNotFoundError) as exc:
-        print(f"configuration error in stage {stage}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001
-        print(f"error in stage {stage}: {exc}", file=sys.stderr)
-        return 1
+    manifest = {
+        "n_samples": len(ds),
+        "num_classes": ds.num_classes,
+        "empirical_marginals": [float(m) for m in ds.labels.mean(axis=0)],
+        "empirical_label_correlation": [
+            [float(v) for v in row] for row in correlation_matrix(ds.labels, "cosine")
+        ],
+    }
+    stage("write-manifest")
+    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {out} and {manifest_path}")
     return 0
 
@@ -389,30 +351,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, help="run a single seed instead of the configured list")
 
     p_run = sub.add_parser("run", help="run one experiment from a config file")
+    p_run.set_defaults(body=_run)
     p_run.add_argument("--config", required=True)
     common(p_run)
 
     p_grid = sub.add_parser("gridsearch", help="sweep the loss-weight grid")
+    p_grid.set_defaults(body=_gridsearch)
     p_grid.add_argument("--config", required=True)
     common(p_grid)
     p_grid.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
 
     p_eval = sub.add_parser("eval", help="metrics for external score/label matrices")
+    p_eval.set_defaults(body=_eval)
     p_eval.add_argument("--scores", required=True)
     p_eval.add_argument("--labels", required=True)
     p_eval.add_argument("--out", default=None)
 
     p_cmp = sub.add_parser("compare", help="rank-based model comparison from report CSVs")
+    p_cmp.set_defaults(body=_compare)
     p_cmp.add_argument("--reports", required=True, help="glob of reports.csv files")
     p_cmp.add_argument("--control", required=True)
     p_cmp.add_argument("--out", default=None)
     p_cmp.add_argument("--alpha", type=float, default=0.05)
 
     p_ann = sub.add_parser("annotate", help="map diagnosis terms to superclass vectors")
+    p_ann.set_defaults(body=_annotate)
     p_ann.add_argument("--terms", required=True)
     p_ann.add_argument("--map", default=None)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic dataset plus manifest")
+    p_syn.set_defaults(body=_synth)
     p_syn.add_argument("--config", required=True)
     p_syn.add_argument("--out-file", required=True)
 
@@ -421,19 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args)
-    if args.command == "gridsearch":
-        return cmd_gridsearch(args.config, args)
-    if args.command == "eval":
-        return cmd_eval(args.scores, args.labels, args.out)
-    if args.command == "compare":
-        return cmd_compare(args.reports, args.control, args.out, args.alpha)
-    if args.command == "annotate":
-        return cmd_annotate(args.terms, args.map)
-    if args.command == "synth":
-        return cmd_synth(args.config, args.out_file)
-    return 2
+    return _guarded(args.body, args)
 
 
 if __name__ == "__main__":

@@ -147,21 +147,24 @@ def parse_rows(lines, width=None, skip_blank=False):
     count when `width` is None). Under `skip_blank`, whitespace-only lines are
     skipped.
 
-    numpy's C reader parses a well-formed block. When it fails or warns, a
-    scan with one float() per cell decides, so the accepted lines and their
-    values are the scan's: float() also takes whitespace-only lines, `1_0` and
-    non-ASCII digits, which the reader rejects. `comments=None` keeps the
-    reader from taking `0.1#c` as 0.1.
+    numpy's C reader parses a well-formed block. When it fails or warns, or
+    the block holds a character it strips from a cell and float() does not
+    (`\x1c`-`\x1f`), a scan with one float() per cell decides, so the
+    accepted lines and their values are the scan's: float() also takes
+    whitespace-only lines, `1_0` and non-ASCII digits, which the reader
+    rejects. `comments=None` keeps the reader from taking `0.1#c` as 0.1.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt only warns on a block with no data
-            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-        # the reader skips empty lines, which only `skip_blank` allows
-        if (skip_blank or len(rows) == len(lines)) and (width is None or width == rows.shape[1]):
-            return rows, None
-    except (ValueError, UserWarning):
-        pass
+    text = "\n".join(lines)
+    if not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns on a block with no data
+                rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+            # the reader skips empty lines, which only `skip_blank` allows
+            if (skip_blank or len(rows) == len(lines)) and (width is None or width == rows.shape[1]):
+                return rows, None
+        except (ValueError, UserWarning):
+            pass
     parsed = []
     for index, line in enumerate(lines):
         if skip_blank and not line.strip():
@@ -179,12 +182,16 @@ def parse_rows(lines, width=None, skip_blank=False):
 
 
 def read_lines(path) -> list:
-    """A text file split at `\n`, `\r\n` and `\r` only, less one trailing empty line.
+    """A UTF-8 text file split at `\n`, `\r\n` and `\r` only, less one trailing empty line.
 
     `str.splitlines` would also split at `\f`, `\v`, `\x1c`-`\x1e`, `\x85`, `\u2028` and `\u2029`.
+    Undecodable bytes are a ParseError naming the path.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines[-1]:
         lines.pop()
     return lines
@@ -275,18 +282,16 @@ class AnnotationMap:
     @classmethod
     def from_file(cls, path) -> "AnnotationMap":
         entries: dict[str, set] = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected 'term<TAB>superclass'")
-                term, superclass = cls._normalize(parts[0]), parts[1].strip()
-                if superclass not in SUPERCLASSES:
-                    raise ParseError(f"{path}:{lineno}: unknown superclass {superclass!r}")
-                entries.setdefault(term, set()).add(superclass)
+        for lineno, line in enumerate(read_lines(path), start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 'term<TAB>superclass'")
+            term, superclass = cls._normalize(parts[0]), parts[1].strip()
+            if superclass not in SUPERCLASSES:
+                raise ParseError(f"{path}:{lineno}: unknown superclass {superclass!r}")
+            entries.setdefault(term, set()).add(superclass)
         if not entries:
             raise ParseError(f"{path}: mapping file has no entries")
         return cls(entries)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigurationError/ParseError to exit code 2 and every other
-failure to exit code 1.
+The CLI maps ConfigurationError, ParseError and FileNotFoundError to exit
+code 2 and every other failure to exit code 1.
 """
 
 

@@ -346,7 +346,6 @@ class OptimizerConfig:
     power: float = 0.75
     max_steps: int = 5000
     ema_momentum: float = 0.999
-    increasing_schedule: bool = False  # literal power-growth form, off by default
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -362,8 +361,7 @@ class OptimizerConfig:
 def lr_at(step: int, cfg: OptimizerConfig) -> float:
     """Annealed learning rate lr0 * (1 + gamma*step/max_steps)^(-power)."""
     base = 1.0 + cfg.gamma * step / cfg.max_steps
-    exponent = cfg.power if cfg.increasing_schedule else -cfg.power
-    return cfg.lr0 * base**exponent
+    return cfg.lr0 * base**-cfg.power
 
 
 # --- flat binary checkpoints -------------------------------------------------

@@ -99,3 +99,25 @@ def test_every_train_config_field_is_set_from_the_json_config():
     assert changed == names - {"seed"}, f"TrainConfig fields no config can set: {names - {'seed'} - changed}"
     with pytest.raises(ConfigurationError, match=r"unknown keys in train: \['seed'\]"):
         parse_experiment_config({**doc, "train": {**doc["train"], "seed": 5}})
+
+
+def _broad_handlers(tree):
+    """(function, line) of each handler that catches Exception or more."""
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                owner.setdefault(sub, node.name)  # ast.walk is breadth-first: the outermost function wins
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException"))
+                   for t in caught):
+                yield owner.get(node), node.lineno
+
+
+def test_the_cli_boundary_is_the_one_broad_exception_handler():
+    """Only `cli._guarded` turns an arbitrary failure into an exit code; nothing else swallows one."""
+    found = [(path.name, function) for path in sorted((ROOT / "src" / "ecgmatch").glob("*.py"))
+             for function, _ in _broad_handlers(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == [("cli.py", "_guarded")]

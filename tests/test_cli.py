@@ -175,6 +175,9 @@ MATRIX_CASES = {
     "no final newline": "0.5,0.25\n0.75,1",
     "special values": "nan,-inf\ninfinity,-0\n",
     "nul byte": "0.5,0\x00\n",
+    # numpy's reader strips these from a cell; float() rejects them (str.strip takes them off a line's ends)
+    **{f"{sep!r} {side}": text for sep in "\x1c\x1d\x1e\x1f"
+       for side, text in [("leading", f"0.5,{sep}1\n"), ("trailing", f"0.5{sep},1\n")]},
 }
 
 
@@ -427,3 +430,66 @@ def test_synth_write_failure_exits_1_with_stage(tmp_path, capsys):
     out_dir.mkdir()  # a directory where the dataset file should go
     assert main(["synth", "--config", str(config), "--out-file", str(out_dir)]) == 1
     assert "error in stage write-dataset" in capsys.readouterr().err
+
+
+def _grid_config(tmp_path, out_name):
+    config, doc = smoke_config(tmp_path, out_name=out_name)
+    doc["seeds"] = [0, 1]
+    doc["grid"] = {"axis": "lambda_u", "values": [0.0, 0.8], "fixed": 0.8}
+    doc["data"]["synth"]["n_samples"] = 120
+    doc["train"]["max_epochs"] = 1
+    doc["train"]["pretrain_max_epochs"] = 1
+    config = tmp_path / f"{out_name}.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_gridsearch_worker_processes_write_the_same_files_as_one_process(tmp_path):
+    for threads in ("1", "2"):
+        config = _grid_config(tmp_path, f"grid{threads}")
+        assert main(["gridsearch", "--config", str(config), "--threads", threads]) == 0
+    one, two = _tree_bytes(tmp_path / "grid1"), _tree_bytes(tmp_path / "grid2")
+    assert len(one) == 2 + 2 * (2 + 2 + 2)  # grid CSVs; per cell reports, summary, 2 logs, 2 checkpoints
+    assert one == two
+
+
+def test_gridsearch_missing_data_path_exits_2_in_load_data(tmp_path, capsys):
+    config, _ = smoke_config(tmp_path, data={"paths": [str(tmp_path / "absent.csv")]})
+    assert main(["gridsearch", "--config", str(config)]) == 2
+    assert "configuration error in stage load-data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "gridsearch", "eval", "annotate"])
+def test_undecodable_text_input_exits_2_naming_the_path(tmp_path, capsys, verb):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("1,1,2,2\n1,0\n0.5,\xb51\n".encode("latin-1"))  # µ is no UTF-8 byte
+    if verb in ("run", "gridsearch"):
+        config, _ = smoke_config(tmp_path, data={"paths": [str(bad)]})
+        argv = [verb, "--config", str(config)]
+    elif verb == "eval":
+        argv = ["eval", "--scores", str(bad), "--labels", str(bad)]
+    else:
+        argv = ["annotate", "--terms", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+    if verb in ("run", "gridsearch"):
+        assert "configuration error in stage load-data" in err
+
+
+@pytest.mark.parametrize("verb", ["run", "gridsearch", "eval", "compare", "annotate", "synth"])
+def test_a_directory_for_an_input_file_is_an_exit_code_not_a_traceback(tmp_path, verb):
+    folder = str(tmp_path)
+    argv = {
+        "run": ["run", "--config", folder],
+        "gridsearch": ["gridsearch", "--config", folder],
+        "eval": ["eval", "--scores", folder, "--labels", folder],
+        "compare": ["compare", "--reports", folder, "--control", "m0"],
+        "annotate": ["annotate", "--terms", folder],
+        "synth": ["synth", "--config", folder, "--out-file", str(tmp_path / "ds.csv")],
+    }[verb]
+    assert main(argv) in (1, 2)

@@ -95,3 +95,9 @@ def test_unreadable_json_is_a_configuration_error(tmp_path, text):
     path.write_bytes(text)
     with pytest.raises(ConfigurationError, match="invalid JSON"):
         load_experiment_config(path)
+
+
+def test_the_increasing_schedule_knob_is_gone():
+    doc = {"data": {"synth": {}}, "train": {"optimizer": {"increasing_schedule": False}}}
+    with pytest.raises(ConfigurationError, match=r"unknown keys in train.optimizer: \['increasing_schedule'\]"):
+        parse_experiment_config(doc)

@@ -248,12 +248,6 @@ def test_lr_schedule_values_and_monotonicity():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_lr_schedule_literal_increasing_flag():
-    cfg = nn.OptimizerConfig(increasing_schedule=True)
-    assert nn.lr_at(cfg.max_steps, cfg) == pytest.approx(0.03 * 11.0**0.75, rel=1e-12)
-    assert nn.lr_at(100, cfg) > nn.lr_at(0, cfg)
-
-
 def test_checkpoint_roundtrip(tmp_path):
     cfg = small_cfg()
     params = nn.init_params(cfg, np.random.default_rng(16))
