@@ -131,12 +131,23 @@ def _train(cfg: ExperimentConfig, datasets, out_dir: Path, stage=lambda name: No
     A grid cell is one such call, in this process or a worker, and reports no stage of its own.
     """
     stage("train")
-    result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds,
-                                    metric_threshold=cfg.metrics.threshold,
-                                    gbeta_beta=cfg.metrics.gbeta_beta)
+    result = trainer.run_experiment(datasets, cfg.split, cfg.train, cfg.seeds)
     stage("write-reports")
     _write_run_outputs(out_dir, cfg, result, _dataset_label(cfg, datasets))
     return result.mean, result.std
+
+
+_worker_datasets: list = []  # a gridsearch worker process's datasets, set once by the pool initializer
+
+
+def _set_worker_datasets(datasets) -> None:
+    global _worker_datasets
+    _worker_datasets = datasets
+
+
+def _train_cell(cfg: ExperimentConfig, out_dir: Path):
+    """`_train` in a gridsearch worker: only the cell's config and directory cross the process boundary."""
+    return _train(cfg, _worker_datasets, out_dir)
 
 
 def _run(args, stage) -> int:
@@ -156,7 +167,8 @@ def _grid_cells(cfg: ExperimentConfig):
 
 
 def _gridsearch(args, stage) -> int:
-    """One `_train` per grid cell, all on the config and datasets loaded once."""
+    """One `_train` per grid cell, all on the config and datasets loaded once; each worker
+    process of `--threads N` receives the datasets once, through the pool initializer."""
     cfg, datasets = _load(args, stage)
     cells = _grid_cells(cfg)
     out_dir = Path(cfg.output_dir)
@@ -165,8 +177,9 @@ def _gridsearch(args, stage) -> int:
     cell_cfgs = [replace(cfg, train=replace(cfg.train, weights=LossWeights(lu, lf))) for lu, lf in cells]
     cell_dirs = [out_dir / f"cell_lu{lu:g}_lf{lf:g}" for lu, lf in cells]
     if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_train, cell_cfgs, repeat(datasets), cell_dirs))
+        with ProcessPoolExecutor(max_workers=args.threads, initializer=_set_worker_datasets,
+                                 initargs=(datasets,)) as pool:
+            results = list(pool.map(_train_cell, cell_cfgs, cell_dirs))
     else:
         results = list(map(_train, cell_cfgs, repeat(datasets), cell_dirs))
     stage("write-reports")
@@ -225,17 +238,16 @@ def _read_reports(pattern: str):
     if not paths:
         raise ConfigurationError(f"no report files match {pattern!r}")
     for path in paths:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != REPORT_HEADER:
-                raise ParseError(f"{path}: unexpected header {header}")
-            for row in reader:
-                try:
-                    report = metrics.MetricsReport.from_csv_row(row[3:])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-                cells.setdefault((row[0], row[1]), []).append(report)
+        reader = csv.reader(line + "\n" for line in read_lines(path))  # a quoted cell keeps its line breaks
+        header = next(reader, None)
+        if header != REPORT_HEADER:
+            raise ParseError(f"{path}: unexpected header {header}")
+        for row in reader:
+            try:
+                report = metrics.MetricsReport.from_csv_row(row[3:])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+            cells.setdefault((row[0], row[1]), []).append(report)
     return cells
 
 

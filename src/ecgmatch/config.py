@@ -4,11 +4,12 @@ Each section is a dataclass whose fields are its keys. A field's default is
 the key's default, and the default's type is the key's JSON type (`_convert`
 states the rule), so this module declares no default of its own. Sections
 live with what they configure: `trainer.TrainConfig` with its `knn`,
-`optimizer` and `ablations`, `augment.AugmentConfig`, `data.SplitSpec` and
+`optimizer` and `ablations`, `augment.AugmentConfig`, `metrics.MetricsConfig`
+(the root `metrics` section, held by TrainConfig), `data.SplitSpec` and
 `data.SynthConfig`; the rest are below. `parse_experiment_config` sets the
-few fields that other keys feed, and `seed` and `class_prototypes` are no
-keys. Unknown keys are rejected everywhere, so a typo fails loudly instead
-of running defaults. Every failure is a ConfigurationError. See README.
+few fields that other keys feed, and `seed` is no key. Unknown keys are
+rejected everywhere, so a typo fails loudly instead of running defaults.
+Every failure is a ConfigurationError. See README.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from . import augment, nn, trainer
+from . import augment, metrics, nn, trainer
 from .data import SplitSpec, SynthConfig
 from .errors import ConfigurationError
 
@@ -43,12 +44,6 @@ class DataSource:
 
 
 @dataclass(frozen=True)
-class MetricsConfig:
-    threshold: float = 0.5
-    gbeta_beta: float = 2.0
-
-
-@dataclass(frozen=True)
 class GridConfig:
     axis: str = "lambda_f"
     values: tuple = (0.0, 0.4, 0.8, 1.2, 1.6)
@@ -67,7 +62,6 @@ class ExperimentConfig:
     output_dir: str = "runs"
     seeds: tuple = (0, 1, 2)
     split: SplitSpec = field(default_factory=SplitSpec)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
     grid: GridConfig = field(default_factory=GridConfig)
 
     def __post_init__(self):
@@ -148,7 +142,7 @@ def _synth(doc) -> SynthConfig:
         if len({len(row) for row in corr}) > 1:
             raise ConfigurationError("invalid value in data.synth: target_correlation rows differ in length")
         corr = np.array(corr, dtype=float)
-    return _build(SynthConfig, doc, "data.synth", skip=("class_prototypes",), target_correlation=corr)
+    return _build(SynthConfig, doc, "data.synth", target_correlation=corr)
 
 
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
@@ -158,6 +152,7 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
     # run_experiment sets both seeds from each entry of `seeds`
     train = _build(trainer.TrainConfig, train, "train", skip=("seed", "similarity"), weights=weights,
                    augment_cfg=_build(augment.AugmentConfig, root.pop("augment", {}), "augment"),
+                   metrics=_build(metrics.MetricsConfig, root.pop("metrics", {}), "metrics"),
                    **_take(trainer.TrainConfig, root, _ROOT, ("similarity",)))
     split = _build(SplitSpec, root.pop("split", {}), "split", skip=("seed",))
     data = _object(root.pop("data", {}), "data")

@@ -52,11 +52,8 @@ def correlation_matrix(y: np.ndarray, kind: str = "cosine") -> np.ndarray:
     if kind == "cosine":
         u = normalize_columns(y)
         return u.T @ u
-    if kind == "pearson":
-        centered = y - y.mean(axis=0, keepdims=True)
-        u = normalize_columns(centered)
-        rho = u.T @ u
-        return rho * rho
+    if kind == "pearson":  # the squared cosine of the centered columns
+        return correlation_matrix(y - y.mean(axis=0, keepdims=True), "cosine") ** 2
     if kind == "euclidean":
         return 1.0 / (1.0 + _column_differences(y)[1])
     raise ContractViolation(f"unknown similarity kind {kind!r}")
@@ -78,32 +75,23 @@ def pearson_correlation(y_c1: np.ndarray, y_c2: np.ndarray) -> float:
 # --- gradients for the alignment loss ----------------------------------------
 
 
-def _normalize_backward(y: np.ndarray, d_u: np.ndarray) -> np.ndarray:
-    """Backprop through column normalization u = y / ||y|| (zero columns get zero grad)."""
-    norms = np.linalg.norm(y, axis=0)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    u = y / safe
-    # d y = (d_u - u * <u, d_u>) / ||y|| columnwise
-    dots = np.sum(u * d_u, axis=0, keepdims=True)
-    d_y = (d_u - u * dots) / safe
-    return np.where(norms > 0.0, d_y, 0.0)
-
-
 def correlation_matrix_backward(y: np.ndarray, kind: str, d_r: np.ndarray) -> np.ndarray:
     """Gradient of sum(R * d_r) w.r.t. the input rows, for R = correlation_matrix(y, kind)."""
     y = np.asarray(y, dtype=float)
     d_r = np.asarray(d_r, dtype=float)
     if kind == "cosine":
-        u = normalize_columns(y)
+        # u = y / ||y|| per column, so d y = (d_u - u <u, d_u>) / ||y||; zero columns get zero
+        norms = np.linalg.norm(y, axis=0)
+        safe = np.where(norms > 0.0, norms, 1.0)
+        u = y / safe
         d_u = u @ (d_r + d_r.T)
-        return _normalize_backward(y, d_u)
+        d_y = (d_u - u * np.sum(u * d_u, axis=0, keepdims=True)) / safe
+        return np.where(norms > 0.0, d_y, 0.0)
     if kind == "pearson":
+        # the cosine backward of the centered columns at d rho = 2 rho d_r, then centering's
         centered = y - y.mean(axis=0, keepdims=True)
-        u = normalize_columns(centered)
-        rho = u.T @ u
-        d_rho = 2.0 * rho * d_r
-        d_u = u @ (d_rho + d_rho.T)
-        d_centered = _normalize_backward(centered, d_u)
+        rho = correlation_matrix(centered, "cosine")
+        d_centered = correlation_matrix_backward(centered, "cosine", 2.0 * rho * d_r)
         return d_centered - d_centered.mean(axis=0, keepdims=True)
     if kind == "euclidean":
         # d R_ij / d y_i = -(y_i - y_j) / ((1 + d_ij)^2 d_ij); coincident columns get zero

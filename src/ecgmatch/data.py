@@ -79,8 +79,7 @@ class Subset:
 class SplitSpec:
     protocol: str = "within"  # within | cross | mix
     train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
+    val_frac: float = 0.1  # the test split is the rest
     labeled_frac: float = 0.05
     seed: int = 0
     held_out_dataset: str | None = None
@@ -88,8 +87,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.protocol not in ("within", "cross", "mix"):
             raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ConfigurationError("train/val/test fractions must sum to 1")
+        if not (self.train_frac > 0.0 and self.val_frac >= 0.0 and self.train_frac + self.val_frac <= 1.0):
+            raise ConfigurationError("need train_frac > 0, val_frac >= 0 and train_frac + val_frac <= 1")
         if not 0.0 < self.labeled_frac <= 1.0:
             raise ConfigurationError("labeled fraction must be in (0, 1]")
 
@@ -128,13 +127,12 @@ def save_dataset(path, ds: Dataset, format: str = "csv") -> None:
         raise ConfigurationError(f"unknown format {format!r}")
 
 
-def load_dataset(path, format: str = "csv", dataset_id: str | None = None,
-                 class_names: tuple | None = None) -> Dataset:
-    """Parse a dataset file; raises ParseError with the offending location."""
+def load_dataset(path, format: str = "csv") -> Dataset:
+    """Parse a dataset file, with the path as its id; raises ParseError with the offending location."""
     if format == "csv":
-        return _load_csv(path, dataset_id, class_names)
+        return _load_csv(path)
     if format == "raw_f32":
-        return _load_raw(path, dataset_id, class_names)
+        return _load_raw(path)
     raise ConfigurationError(f"unknown format {format!r}")
 
 
@@ -197,7 +195,7 @@ def read_lines(path) -> list:
     return lines
 
 
-def _load_csv(path, dataset_id, class_names) -> Dataset:
+def _load_csv(path) -> Dataset:
     lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -234,11 +232,10 @@ def _load_csv(path, dataset_id, class_names) -> Dataset:
     if errors:
         lineno, message = min(errors)
         raise ParseError(f"{path}:{lineno}: {message}")
-    names = tuple(class_names) if class_names else _default_names(c)
-    return Dataset(list(signals.reshape(n, channels, length)), labels, dataset_id or str(path), names)
+    return Dataset(list(signals.reshape(n, channels, length)), labels, str(path), _default_names(c))
 
 
-def _load_raw(path, dataset_id, class_names) -> Dataset:
+def _load_raw(path) -> Dataset:
     with open(path, "rb") as fh:
         head = fh.read(_RAW_HEADER.size)
         if len(head) < _RAW_HEADER.size:
@@ -260,8 +257,7 @@ def _load_raw(path, dataset_id, class_names) -> Dataset:
         if len(block) != n * sample_bytes:
             raise ParseError(f"{path}: truncated signal block for sample {len(block) // sample_bytes}")
     signals = np.frombuffer(block, dtype="<f4").reshape(n, channels, length).astype(float)
-    names = tuple(class_names) if class_names else _default_names(c)
-    return Dataset(list(signals), labels, dataset_id or str(path), names)
+    return Dataset(list(signals), labels, str(path), _default_names(c))
 
 
 def _default_names(c: int) -> tuple:
@@ -418,25 +414,25 @@ def split(datasets, spec: SplitSpec) -> SplitResult:
 @dataclass
 class SynthConfig:
     n_samples: int = 2000
-    num_classes: int = 5
     target_marginals: tuple = (0.35, 0.3, 0.25, 0.3, 0.2)
     target_correlation: np.ndarray | None = None  # latent C x C, unit diagonal
     signal_length: int = 256
     channels: int = 3
-    class_prototypes: np.ndarray | None = None  # (C, channels, length)
     noise_level: float = 0.25
     seed: int = 0
     dataset_id: str = "synthetic"
 
     def __post_init__(self):
         if self.n_samples < 1 or self.num_classes < 2:
-            raise ConfigurationError("need n_samples >= 1 and num_classes >= 2")
-        if len(self.target_marginals) != self.num_classes:
-            raise ConfigurationError("target_marginals length must equal num_classes")
+            raise ConfigurationError("need n_samples >= 1 and at least two target_marginals")
         if any(not 0.0 < m < 1.0 for m in self.target_marginals):
             raise ConfigurationError("target marginals must lie in (0, 1)")
         if self.noise_level < 0.0:
             raise ConfigurationError("noise_level must be nonnegative")
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.target_marginals)
 
 
 def nearest_positive_definite(matrix: np.ndarray, floor: float = 1e-8) -> np.ndarray:
@@ -487,16 +483,12 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     z = g_labels.standard_normal((cfg.n_samples, c)) @ chol.T
     labels = (z > thresholds[None, :]).astype(float)
 
-    protos = cfg.class_prototypes
-    protos = default_prototypes(cfg) if protos is None else np.asarray(protos, dtype=float)
-    if protos.shape != (c, cfg.channels, cfg.signal_length):
-        raise ConfigurationError(f"prototypes must have shape {(c, cfg.channels, cfg.signal_length)}")
-
+    protos = default_prototypes(cfg)
     signals = []
     for label, g in zip(labels, stream.substream(1).children(cfg.n_samples)):
         base = np.tensordot(label, protos, axes=1)
         signals.append(base + cfg.noise_level * g.standard_normal(base.shape))
-    return Dataset(signals, labels, cfg.dataset_id)
+    return Dataset(signals, labels, cfg.dataset_id, _default_names(c))
 
 
 # --- preprocessing ------------------------------------------------------------

@@ -29,6 +29,14 @@ CSV_COLUMNS = [*METRIC_NAMES, *(f"skipped_{key}" for key in _SKIP_KEYS)]
 HIGHER_IS_BETTER = dict(zip(METRIC_NAMES, (False, False, False, True, True, True)))
 
 
+@dataclass(frozen=True)
+class MetricsConfig:
+    """The decision threshold of hamming_loss and macro_gbeta, and macro_gbeta's beta."""
+
+    threshold: float = 0.5
+    gbeta_beta: float = 2.0
+
+
 @dataclass
 class ScoreMatrix:
     scores: np.ndarray  # (n, C) finite, in [0, 1]

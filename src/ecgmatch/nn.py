@@ -166,32 +166,20 @@ def _backprop(cfg: ModelConfig, params: ParameterSet, cache, d_z_out: np.ndarray
             d = d * _act_prime(cfg, preacts[idx - 1])
 
 
-def bce_supervised(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy over all (sample, class) cells."""
+def bce(probs: np.ndarray, targets: np.ndarray, alpha: np.ndarray | None = None) -> float:
+    """Mean binary cross-entropy over all (sample, class) cells against (soft) targets,
+    each cell weighted by its alpha in [0, 1] when alpha is given."""
     p = np.asarray(probs, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if np.any(np.isnan(p)) or np.any(np.isnan(y)):
-        raise NumericError("NaN input to binary cross-entropy")
-    if p.shape != y.shape:
-        raise ConfigurationError(f"shape mismatch {p.shape} vs {y.shape}")
-    pc = np.clip(p, EPS, 1.0 - EPS)
-    return float(-np.mean((1.0 - y) * np.log(1.0 - pc) + y * np.log(pc)))
-
-
-def bce_weighted_unsupervised(probs: np.ndarray, pseudo: np.ndarray, alpha: np.ndarray) -> float:
-    """Per-cell binary cross-entropy against soft targets, weighted by alpha."""
-    p = np.asarray(probs, dtype=float)
-    t = np.asarray(pseudo, dtype=float)
-    a = np.asarray(alpha, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    a = np.ones_like(p) if alpha is None else np.asarray(alpha, dtype=float)
     if np.any(np.isnan(p)) or np.any(np.isnan(t)) or np.any(np.isnan(a)):
-        raise NumericError("NaN input to weighted binary cross-entropy")
+        raise NumericError("NaN input to binary cross-entropy")
     if not (p.shape == t.shape == a.shape):
-        raise ConfigurationError("probs, pseudo and alpha must share a shape")
+        raise ConfigurationError(f"probs {p.shape}, targets {t.shape} and alpha {a.shape} must share a shape")
     if np.any(a < 0.0) or np.any(a > 1.0):
         raise ContractViolation("alpha entries must lie in [0, 1]")
     pc = np.clip(p, EPS, 1.0 - EPS)
-    cell = -((1.0 - t) * np.log(1.0 - pc) + t * np.log(pc))
-    return float(np.mean(a * cell))
+    return float(np.mean(a * -((1.0 - t) * np.log(1.0 - pc) + t * np.log(pc))))
 
 
 def total_loss(lb: float, lu: float, lf: float, w: "LossWeights") -> float:
@@ -262,7 +250,7 @@ def backward(cfg: ModelConfig, params: ParameterSet, batch: StepBatch, weights: 
     if batch.labeled_inputs is not None:
         _, p_b, cache_b = _forward_cache(cfg, params, batch.labeled_inputs)
         y = np.asarray(batch.labels, dtype=float)
-        out.supervised = bce_supervised(p_b, y)
+        out.supervised = bce(p_b, y)
         _backprop(cfg, params, cache_b, _bce_dz(p_b, y, None, p_b.size), grads)
 
     p_strong = cache_s = None
@@ -277,7 +265,7 @@ def backward(cfg: ModelConfig, params: ParameterSet, batch: StepBatch, weights: 
             raise ConfigurationError("pseudo targets supplied without strong inputs")
         t = np.asarray(batch.pseudo_targets, dtype=float)
         a = np.asarray(batch.pseudo_weights, dtype=float)
-        out.unsupervised = bce_weighted_unsupervised(p_strong, t, a)
+        out.unsupervised = bce(p_strong, t, a)
         if weights.lambda_u != 0.0:
             d_z = weights.lambda_u * _bce_dz(p_strong, t, a, p_strong.size)
             _backprop(cfg, params, cache_s, d_z, grads)

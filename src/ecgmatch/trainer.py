@@ -73,6 +73,7 @@ class TrainConfig:
     pretrain_patience: int = 10
     pretrain_augment: bool = True
     augment_cfg: augment.AugmentConfig = field(default_factory=augment.AugmentConfig)
+    metrics: metrics.MetricsConfig = field(default_factory=metrics.MetricsConfig)
 
     def __post_init__(self):
         if self.batch_labeled < 1 or self.batch_unlabeled < 1:
@@ -128,22 +129,12 @@ class TrainState:
     student: nn.ParameterSet
     teacher: nn.ParameterSet
     velocity: nn.ParameterSet
-    banks: pseudo.MemoryBanks | None
+    banks: pseudo.MemoryBanks | None  # bank row i is unlabeled row i
     label_correlation: np.ndarray | None
+    labeled: Subset  # the pools that train_step's row indices address
+    unlabeled: Subset
     step: int = 0
     last_acceptance: np.ndarray | None = None  # per-class accepted fraction, threshold rule only
-
-
-@dataclass
-class LabeledBatch:
-    signals: list
-    labels: np.ndarray
-
-
-@dataclass
-class UnlabeledBatch:
-    signals: list
-    indices: np.ndarray  # positions in the unlabeled pool / memory banks
 
 
 def _augment_encode(signals, stream: RandomStream, cfg: TrainConfig, strong: bool):
@@ -172,16 +163,12 @@ def _model_config_for(cfg: TrainConfig, labeled: Subset) -> nn.ModelConfig:
 
 
 def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: Subset,
-                   pool_len: int = 32, threshold: float = 0.5, beta: float = 2.0) -> metrics.MetricsReport:
-    """Score a subset with clean (un-augmented) inputs, encoded once per subset and pool_len."""
-    if subset.encoded is None or subset.encoded[0] != pool_len:
-        subset.encoded = (pool_len, encode_subset(subset.signals, pool_len))
+                   cfg: TrainConfig) -> metrics.MetricsReport:
+    """Score a subset under cfg.metrics with clean inputs, encoded once per subset and pool_len."""
+    if subset.encoded is None or subset.encoded[0] != cfg.pool_len:
+        subset.encoded = (cfg.pool_len, encode_subset(subset.signals, cfg.pool_len))
     _, probs = nn.forward(model_cfg, params, subset.encoded[1])
-    return metrics.compute_all(probs, subset.labels, threshold=threshold, beta=beta)
-
-
-def _iterations(n_labeled: int, batch: int) -> int:
-    return max(1, n_labeled // batch)
+    return metrics.compute_all(probs, subset.labels, cfg.metrics.threshold, cfg.metrics.gbeta_beta)
 
 
 def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.ParameterSet:
@@ -201,7 +188,7 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
     step = 0
     for epoch in range(cfg.pretrain_max_epochs):
         order = stream.substream(_NS_PRETRAIN, epoch).generator().permutation(n)
-        for it in range(_iterations(n, batch_size)):
+        for it in range(n // batch_size):
             idx = order[it * batch_size : (it + 1) * batch_size]
             signals = [labeled.signals[i] for i in idx]
             if cfg.pretrain_augment:
@@ -214,7 +201,7 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
             lr = nn.lr_at(step, cfg.optimizer)
             params, velocity = nn.sgd_step(params, grads, velocity, lr, cfg.optimizer.momentum)
             step += 1
-        report = evaluate_model(model_cfg, params, val, cfg.pool_len)
+        report = evaluate_model(model_cfg, params, val, cfg)
         stop = stopper.update(report.value(cfg.eval_metric))
         if stopper.improved_last:
             best = params.copy()
@@ -245,36 +232,39 @@ def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
         velocity=teacher.zeros_like(),
         banks=banks,
         label_correlation=label_corr,
+        labeled=labeled,
+        unlabeled=unlabeled,
     )
 
 
-def train_step(state: TrainState, labeled_batch: LabeledBatch,
-               unlabeled_batch: UnlabeledBatch | None, cfg: TrainConfig) -> nn.LossBreakdown:
-    """One optimization step; mutates `state` (student, teacher, banks, counters).
+def train_step(state: TrainState, labeled_rows, unlabeled_rows, cfg: TrainConfig) -> nn.LossBreakdown:
+    """One optimization step on rows of `state.labeled` and `state.unlabeled` (None: no unlabeled
+    batch); mutates `state` (student, teacher, banks, counters).
 
     The fixed_threshold baseline replaces the agreement weights with 1 where
     max(pseudo, 1-pseudo) >= cfg.fixed_threshold_tau, else 0.
     """
     weights = cfg.effective_weights()
     stream = RandomStream(cfg.seed).substream(_NS_STEP, state.step)
-    lab_inputs = _augment_encode(labeled_batch.signals, stream.substream(_ROLE_LABELED), cfg, strong=False)
-    batch = nn.StepBatch(labeled_inputs=lab_inputs, labels=labeled_batch.labels,
+    lab_signals = [state.labeled.signals[i] for i in labeled_rows]
+    lab_inputs = _augment_encode(lab_signals, stream.substream(_ROLE_LABELED), cfg, strong=False)
+    batch = nn.StepBatch(labeled_inputs=lab_inputs, labels=state.labeled.labels[labeled_rows],
                          similarity=cfg.similarity)
 
-    use_unlabeled = unlabeled_batch is not None and (weights.lambda_u > 0.0 or weights.lambda_f > 0.0)
+    use_unlabeled = unlabeled_rows is not None and (weights.lambda_u > 0.0 or weights.lambda_f > 0.0)
     if use_unlabeled:
-        weak_inputs = _augment_encode(unlabeled_batch.signals, stream.substream(_ROLE_WEAK), cfg, strong=False)
-        strong_inputs = _augment_encode(unlabeled_batch.signals, stream.substream(_ROLE_STRONG), cfg, strong=True)
+        signals = [state.unlabeled.signals[i] for i in unlabeled_rows]
+        weak_inputs = _augment_encode(signals, stream.substream(_ROLE_WEAK), cfg, strong=False)
+        strong_inputs = _augment_encode(signals, stream.substream(_ROLE_STRONG), cfg, strong=True)
         batch.strong_inputs = strong_inputs
         if weights.lambda_f > 0.0:
             batch.weak_inputs = weak_inputs
             batch.correlation_target = state.label_correlation
         if weights.lambda_u > 0.0:
-            pseudo.bank_update(state.banks, unlabeled_batch.indices, state.model_cfg,
-                               state.teacher, weak_inputs)
+            pseudo.bank_update(state.banks, unlabeled_rows, state.model_cfg, state.teacher, weak_inputs)
             query_features, _ = nn.forward(state.model_cfg, state.student, weak_inputs)
             targets, alpha = pseudo.generate_pseudo_labels(state.banks, query_features, cfg.knn,
-                                                           self_indices=unlabeled_batch.indices)
+                                                           self_indices=unlabeled_rows)
             if cfg.baseline == "fixed_threshold":
                 alpha = (np.maximum(targets, 1.0 - targets) >= cfg.fixed_threshold_tau).astype(float)
                 state.last_acceptance = alpha.mean(axis=0)
@@ -305,38 +295,29 @@ def _unlabeled_batches(n_unlabeled: int, iters: int, batch: int, epoch: int,
 
 def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
     """Semi-supervised training loop; returns (best student, state, history rows)."""
-    labeled, unlabeled, val = splits.labeled, splits.unlabeled, splits.val
-    state = init_train_state(labeled, unlabeled, cfg, teacher)
+    state = init_train_state(splits.labeled, splits.unlabeled, cfg, teacher)
     weights = cfg.effective_weights()
     use_unlabeled = weights.lambda_u > 0.0 or weights.lambda_f > 0.0
 
     stopper = EarlyStopper(cfg.patience, metrics.HIGHER_IS_BETTER[cfg.eval_metric])
-    report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len)
+    report = evaluate_model(state.model_cfg, state.student, splits.val, cfg)
     stopper.update(report.value(cfg.eval_metric))
     best = state.student.copy()
     history = [{"step": 0, "epoch": 0, "lb": "", "lu": "", "lf": "", "lr": "",
                 "val_metric": report.value(cfg.eval_metric)}]
 
     stream = RandomStream(cfg.seed)
-    n_lab = len(labeled)
+    n_lab, n_unlab = len(splits.labeled), len(splits.unlabeled)
     batch_size = min(cfg.batch_labeled, n_lab)
-    iters = _iterations(n_lab, batch_size)
+    iters = n_lab // batch_size
     for epoch in range(1, cfg.max_epochs + 1):
         order = stream.substream(_NS_LABELED_ORDER, epoch).generator().permutation(n_lab)
-        ub_indices = (
-            _unlabeled_batches(len(unlabeled), iters, min(cfg.batch_unlabeled, max(len(unlabeled), 1)),
-                               epoch, stream)
+        unlabeled_rows = (
+            _unlabeled_batches(n_unlab, iters, min(cfg.batch_unlabeled, max(n_unlab, 1)), epoch, stream)
             if use_unlabeled else [None] * iters
         )
-        last = None
         for it in range(iters):
-            idx = order[it * batch_size : (it + 1) * batch_size]
-            lab_batch = LabeledBatch([labeled.signals[i] for i in idx], labeled.labels[idx])
-            un_batch = None
-            if use_unlabeled:
-                u_idx = np.asarray(ub_indices[it], dtype=int)
-                un_batch = UnlabeledBatch([unlabeled.signals[i] for i in u_idx], u_idx)
-            last = train_step(state, lab_batch, un_batch, cfg)
+            last = train_step(state, order[it * batch_size : (it + 1) * batch_size], unlabeled_rows[it], cfg)
             row = {"step": state.step, "epoch": epoch,
                    "lb": last.supervised, "lu": last.unsupervised,
                    "lf": last.alignment, "lr": nn.lr_at(state.step - 1, cfg.optimizer),
@@ -344,7 +325,7 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
             if state.last_acceptance is not None:
                 row["acceptance"] = state.last_acceptance.tolist()
             history.append(row)
-        report = evaluate_model(state.model_cfg, state.student, val, cfg.pool_len)
+        report = evaluate_model(state.model_cfg, state.student, splits.val, cfg)
         history[-1]["val_metric"] = report.value(cfg.eval_metric)
         stop = stopper.update(report.value(cfg.eval_metric))
         if stopper.improved_last:
@@ -369,8 +350,7 @@ class ExperimentResult:
     std: dict
 
 
-def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds,
-                   metric_threshold: float = 0.5, gbeta_beta: float = 2.0) -> ExperimentResult:
+def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds) -> ExperimentResult:
     """Full pipeline per seed: split, pre-train, SSL train, evaluate on test.
 
     Each seed reseeds both the split and the training run, so the whole
@@ -386,8 +366,7 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds,
             final, history = teacher, []
         else:
             final, _, history = ssl_train(splits, cfg_s, teacher)
-        report = evaluate_model(_model_config_for(cfg_s, splits.labeled), final, splits.test, cfg_s.pool_len,
-                                threshold=metric_threshold, beta=gbeta_beta)
+        report = evaluate_model(_model_config_for(cfg_s, splits.labeled), final, splits.test, cfg_s)
         per_seed.append(SeedResult(int(seed), report, history, final))
 
     mean, std = {}, {}

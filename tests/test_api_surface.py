@@ -79,6 +79,7 @@ def test_every_public_name_has_a_caller_outside_tests():
 EVERY_TRAIN_KNOB = {
     "similarity": "pearson",
     "augment": {"noise_sigma": 0.2},
+    "metrics": {"threshold": 0.3},
     "train": {
         "batch_labeled": 3, "batch_unlabeled": 5, "lambda_u": 0.1, "lambda_f": 0.2,
         "knn": {"k": 3}, "optimizer": {"lr0": 0.1}, "max_epochs": 2, "patience": 3,

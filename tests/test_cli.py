@@ -1,3 +1,4 @@
+import copyreg
 import csv
 import json
 
@@ -285,6 +286,23 @@ def test_compare_malformed_report_row_exits_2_naming_the_line(tmp_path, capsys, 
     assert "r1.csv:6:" in capsys.readouterr().err
 
 
+def test_compare_on_undecodable_reports_exits_2_naming_the_path(tmp_path, capsys):
+    _write_reports(tmp_path / "r0.csv", "m0", {"d1": 0.5, "d2": 0.5})
+    bad = tmp_path / "r1.csv"
+    _write_reports(bad, "m\xb5", {"d1": 0.4, "d2": 0.4})
+    bad.write_bytes(bad.read_text(encoding="utf-8").encode("latin-1"))  # µ is no UTF-8 byte
+    assert main(["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m0"]) == 2
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_compare_keeps_a_line_break_inside_a_quoted_model_name(tmp_path):
+    for j, name in enumerate(["m0", "m\n1"]):
+        _write_reports(tmp_path / f"r{j}.csv", name, {"d1": 0.5 - 0.1 * j, "d2": 0.5 - 0.1 * j})
+    assert main(["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m0",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert {row[1] for row in read_csv(tmp_path / "cmp" / "comparison.csv")[1:]} == {"m0", "m\n1"}
+
+
 def test_annotate_known_lines(tmp_path, capsys):
     terms = tmp_path / "terms.txt"
     terms.write_text(
@@ -455,6 +473,24 @@ def test_gridsearch_worker_processes_write_the_same_files_as_one_process(tmp_pat
     one, two = _tree_bytes(tmp_path / "grid1"), _tree_bytes(tmp_path / "grid2")
     assert len(one) == 2 + 2 * (2 + 2 + 2)  # grid CSVs; per cell reports, summary, 2 logs, 2 checkpoints
     assert one == two
+
+
+def test_gridsearch_workers_receive_the_datasets_once_each(tmp_path, monkeypatch):
+    pickled = []
+
+    def reduce_dataset(ds):
+        pickled.append(ds.dataset_id)
+        return data.Dataset, (ds.signals, ds.labels, ds.dataset_id, ds.class_names)
+
+    monkeypatch.setitem(copyreg.dispatch_table, data.Dataset, reduce_dataset)
+    config = _grid_config(tmp_path, "grid")
+    doc = json.loads(config.read_text())
+    doc["seeds"] = [0]
+    doc["grid"] = {"axis": "cartesian", "values": [0.0, 0.8]}
+    config.write_text(json.dumps(doc))
+    assert main(["gridsearch", "--config", str(config), "--threads", "2"]) == 0
+    assert len(read_csv(tmp_path / "grid" / "gridsearch.csv")) == 1 + 4
+    assert len(pickled) <= 2  # at most once per worker, not once per cell
 
 
 def test_gridsearch_missing_data_path_exits_2_in_load_data(tmp_path, capsys):

@@ -101,3 +101,26 @@ def test_the_increasing_schedule_knob_is_gone():
     doc = {"data": {"synth": {}}, "train": {"optimizer": {"increasing_schedule": False}}}
     with pytest.raises(ConfigurationError, match=r"unknown keys in train.optimizer: \['increasing_schedule'\]"):
         parse_experiment_config(doc)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (("split",), "test_frac", 0.1),  # the test split is what train_frac and val_frac leave
+    (("data", "synth"), "num_classes", 5),  # the length of target_marginals
+])
+def test_derived_keys_are_unknown(section, key, value):
+    doc = readme_example()
+    where = doc
+    for name in section:
+        where = where[name]
+    where[key] = value
+    with pytest.raises(ConfigurationError, match=rf"unknown keys in {'.'.join(section)}: \['{key}'\]"):
+        parse_experiment_config(doc)
+
+
+def test_the_metrics_section_configures_training():
+    doc = {"data": {"synth": {}}, "metrics": {"threshold": 0.3, "gbeta_beta": 1.5}}
+    cfg = parse_experiment_config(doc)
+    assert (cfg.train.metrics.threshold, cfg.train.metrics.gbeta_beta) == (0.3, 1.5)
+    assert not hasattr(cfg, "metrics")
+    with pytest.raises(ConfigurationError, match=r"unknown keys in train: \['metrics'\]"):
+        parse_experiment_config({"data": {"synth": {}}, "train": {"metrics": {}}})

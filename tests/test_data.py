@@ -436,9 +436,24 @@ def test_split_dispatch_guards():
 
 def test_split_spec_validation():
     with pytest.raises(ConfigurationError):
-        SplitSpec(train_frac=0.5, val_frac=0.1, test_frac=0.1)
+        SplitSpec(train_frac=0.9, val_frac=0.2)
     with pytest.raises(ConfigurationError):
         SplitSpec(labeled_frac=0.0)
+
+
+@pytest.mark.parametrize("train,val", [(0.9, 0.2), (0.0, 0.5), (-0.1, 0.5), (0.8, -0.1), (1.0, 0.1),
+                                       (float("nan"), 0.1), (0.8, float("nan"))])
+def test_split_spec_needs_positive_train_nonnegative_val_and_a_sum_of_at_most_one(train, val):
+    with pytest.raises(ConfigurationError, match="train_frac > 0, val_frac >= 0"):
+        SplitSpec(train_frac=train, val_frac=val)
+
+
+@pytest.mark.parametrize("train,val", [(0.8, 0.1), (0.7, 0.3), (1.0, 0.0), (0.5, 0.0)])
+def test_split_spec_test_share_is_the_rest(train, val):
+    ds = tiny_dataset(n=100)
+    result = split_within(ds, SplitSpec(train_frac=train, val_frac=val, labeled_frac=1.0))
+    assert len(result.val) == round(val * 100)
+    assert len(result.test) == 100 - round(train * 100) - round(val * 100)
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -460,6 +475,16 @@ def test_synth_identity_correlation_gives_independent_indicators():
     pearson = (yc.T @ yc) / np.outer(denom, denom)
     off = pearson[~np.eye(5, dtype=bool)]
     assert np.all(np.abs(off) < 0.05)
+
+
+def test_synth_class_count_is_the_number_of_target_marginals():
+    cfg = SynthConfig(n_samples=40, seed=1, target_marginals=(0.3, 0.4, 0.5))
+    ds = synth_generate(cfg)
+    assert cfg.num_classes == ds.num_classes == 3
+    assert ds.class_names == ("class_0", "class_1", "class_2")
+    assert synth_generate(SynthConfig(n_samples=40, seed=1)).class_names == data.SUPERCLASSES
+    with pytest.raises(ConfigurationError, match="at least two target_marginals"):
+        SynthConfig(target_marginals=(0.3,))
 
 
 def test_synth_zero_noise_single_class_equals_prototype():

@@ -52,23 +52,23 @@ def test_forward_shape_mismatch_raises():
 
 def test_bce_perfect_prediction_is_tiny():
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert nn.bce_supervised(y, y) <= 1e-6
+    assert nn.bce(y, y) <= 1e-6
 
 
 def test_bce_half_probs_is_ln2():
     p = np.full((3, 4), 0.5)
     y = np.zeros((3, 4))
-    assert nn.bce_supervised(p, y) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert nn.bce(p, y) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_bce_hand_value():
-    val = nn.bce_supervised(np.array([[0.9, 0.2]]), np.array([[1.0, 0.0]]))
+    val = nn.bce(np.array([[0.9, 0.2]]), np.array([[1.0, 0.0]]))
     assert val == pytest.approx((-np.log(0.9) - np.log(0.8)) / 2.0, abs=1e-12)
 
 
 def test_bce_nan_raises():
     with pytest.raises(NumericError):
-        nn.bce_supervised(np.array([[np.nan]]), np.array([[1.0]]))
+        nn.bce(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 def test_bce_nonnegative_random():
@@ -76,25 +76,25 @@ def test_bce_nonnegative_random():
     for _ in range(50):
         p = g.random((3, 4))
         y = (g.random((3, 4)) > 0.5).astype(float)
-        assert nn.bce_supervised(p, y) >= 0.0
+        assert nn.bce(p, y) >= 0.0
 
 
 def test_weighted_bce_zero_alpha_is_zero():
     g = np.random.default_rng(5)
     p, t = g.random((4, 3)), g.random((4, 3))
-    assert nn.bce_weighted_unsupervised(p, t, np.zeros((4, 3))) == 0.0
+    assert nn.bce(p, t, np.zeros((4, 3))) == 0.0
 
 
 def test_weighted_bce_unit_alpha_equals_plain_bce():
     g = np.random.default_rng(6)
     p, t = g.random((4, 3)), g.random((4, 3))
-    assert nn.bce_weighted_unsupervised(p, t, np.ones((4, 3))) == pytest.approx(
-        nn.bce_supervised(p, t), abs=1e-12
+    assert nn.bce(p, t, np.ones((4, 3))) == pytest.approx(
+        nn.bce(p, t), abs=1e-12
     )
 
 
 def test_weighted_bce_hand_value():
-    val = nn.bce_weighted_unsupervised(
+    val = nn.bce(
         np.array([[0.8, 0.3]]), np.array([[1.0, 0.0]]), np.array([[1.0, 0.5]])
     )
     expected = (1.0 * -np.log(0.8) + 0.5 * -np.log(0.7)) / 2.0
@@ -103,15 +103,15 @@ def test_weighted_bce_hand_value():
 
 def test_weighted_bce_alpha_out_of_range():
     with pytest.raises(ContractViolation):
-        nn.bce_weighted_unsupervised(np.array([[0.5]]), np.array([[0.5]]), np.array([[1.5]]))
+        nn.bce(np.array([[0.5]]), np.array([[0.5]]), np.array([[1.5]]))
 
 
 def test_weighted_bce_monotone_in_alpha():
     g = np.random.default_rng(7)
     p, t = g.random((2, 3)), g.random((2, 3))
     a = g.random((2, 3)) * 0.5
-    lo = nn.bce_weighted_unsupervised(p, t, a)
-    hi = nn.bce_weighted_unsupervised(p, t, a + 0.4)
+    lo = nn.bce(p, t, a)
+    hi = nn.bce(p, t, a + 0.4)
     assert hi >= lo
 
 

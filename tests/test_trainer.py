@@ -8,9 +8,7 @@ from ecgmatch.rng import RandomStream
 from ecgmatch.trainer import (
     Ablations,
     EarlyStopper,
-    LabeledBatch,
     TrainConfig,
-    UnlabeledBatch,
     _NS_STEP,
     _ROLE_LABELED,
     _augment_encode,
@@ -57,6 +55,8 @@ def clone_state(state):
         velocity=state.velocity.copy(),
         banks=banks,
         label_correlation=None if state.label_correlation is None else state.label_correlation.copy(),
+        labeled=state.labeled,
+        unlabeled=state.unlabeled,
         step=state.step,
     )
 
@@ -114,10 +114,10 @@ def test_pretrain_reduces_training_loss_on_average():
 
         inputs = encode_subset(splits.labeled.signals, cfg.pool_len)
         _, p0 = nn.forward(model_cfg, init, inputs)
-        loss0 = nn.bce_supervised(p0, splits.labeled.labels)
+        loss0 = nn.bce(p0, splits.labeled.labels)
         trained = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
         _, p1 = nn.forward(model_cfg, trained, inputs)
-        deltas.append(nn.bce_supervised(p1, splits.labeled.labels) - loss0)
+        deltas.append(nn.bce(p1, splits.labeled.labels) - loss0)
     assert np.mean(deltas) < 0.0
 
 
@@ -129,7 +129,7 @@ def test_pretrain_reaches_high_map_on_separable_fixture():
                     optimizer=nn.OptimizerConfig(max_steps=500, ema_momentum=0.99))
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
     model_cfg = trainer._model_config_for(cfg, splits.labeled)
-    report = trainer.evaluate_model(model_cfg, teacher, splits.val, cfg.pool_len)
+    report = trainer.evaluate_model(model_cfg, teacher, splits.val, cfg)
     assert report.map > 0.95
 
 
@@ -155,10 +155,8 @@ def test_pretrain_rejects_all_negative_labels():
 def make_state_and_batches(cfg, splits):
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
     state = trainer.init_train_state(splits.labeled, splits.unlabeled, cfg, teacher)
-    lab = LabeledBatch(splits.labeled.signals[: cfg.batch_labeled],
-                       splits.labeled.labels[: cfg.batch_labeled])
-    n_u = min(cfg.batch_unlabeled, len(splits.unlabeled))
-    un = UnlabeledBatch(splits.unlabeled.signals[:n_u], np.arange(n_u))
+    lab = np.arange(min(cfg.batch_labeled, len(splits.labeled)))
+    un = np.arange(min(cfg.batch_unlabeled, len(splits.unlabeled)))
     return state, lab, un
 
 
@@ -173,8 +171,8 @@ def test_step_with_zero_weights_equals_pure_supervised_step():
     breakdown = trainer.train_step(state, lab, un, cfg)
 
     stream = RandomStream(cfg.seed).substream(_NS_STEP, step).substream(_ROLE_LABELED)
-    inputs = _augment_encode(lab.signals, stream, cfg, strong=False)
-    batch = nn.StepBatch(labeled_inputs=inputs, labels=lab.labels)
+    inputs = _augment_encode([splits.labeled.signals[i] for i in lab], stream, cfg, strong=False)
+    batch = nn.StepBatch(labeled_inputs=inputs, labels=splits.labeled.labels[lab])
     manual_bd, grads = nn.backward(state.model_cfg, manual_student, batch, nn.LossWeights(0.0, 0.0))
     lr = nn.lr_at(step, cfg.optimizer)
     manual_student, _ = nn.sgd_step(manual_student, grads, manual_velocity, lr,
@@ -325,14 +323,14 @@ def test_evaluate_model_encodes_each_subset_once(monkeypatch):
 
     monkeypatch.setattr(trainer, "encode_subset", counting)
     for _ in range(3):
-        report = trainer.evaluate_model(model_cfg, teacher, test, cfg.pool_len)
+        report = trainer.evaluate_model(model_cfg, teacher, test, cfg)
         assert report.to_csv_row() == want
         assert calls == [(len(test), cfg.pool_len)]
     assert test.encoded[0] == cfg.pool_len and test.encoded[1].tobytes() == fresh.tobytes()
     # a different pool length encodes again
     cfg4 = quick_cfg(pool_len=4)
     model4 = trainer._model_config_for(cfg4, splits.labeled)
-    trainer.evaluate_model(model4, nn.init_params(model4, RandomStream(0)), test, cfg4.pool_len)
+    trainer.evaluate_model(model4, nn.init_params(model4, RandomStream(0)), test, cfg4)
     assert calls[1:] == [(len(test), 4)] and test.encoded[0] == 4
 
 
@@ -342,8 +340,7 @@ def test_bank_rows_update_only_for_batch_indices():
     state, lab, _ = make_state_and_batches(cfg, splits)
     before = state.banks.features.copy()
     idx = np.array([1, 3, 5])
-    un = UnlabeledBatch([splits.unlabeled.signals[i] for i in idx], idx)
-    trainer.train_step(state, lab, un, cfg)
+    trainer.train_step(state, lab, idx, cfg)
     untouched = np.setdiff1d(np.arange(state.banks.size), idx)
     np.testing.assert_array_equal(state.banks.features[untouched], before[untouched])
 
@@ -378,6 +375,29 @@ def test_loss_breakdown_identity():
 # --- full loop ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("eval_metric", ["hamming_loss", "macro_gbeta"])
+def test_every_evaluation_scores_with_the_configured_threshold_and_beta(monkeypatch, eval_metric):
+    splits = quick_splits()
+    cfg = quick_cfg(eval_metric=eval_metric, metrics=metrics.MetricsConfig(threshold=0.3, gbeta_beta=1.5),
+                    max_epochs=2, pretrain_max_epochs=3)
+    real = metrics.compute_all
+    seen = []
+
+    def spy(scores, labels, threshold=0.5, beta=2.0):
+        seen.append((threshold, beta))
+        return real(scores, labels, threshold=threshold, beta=beta)
+
+    monkeypatch.setattr(metrics, "compute_all", spy)
+    teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
+    pretrain_calls = len(seen)
+    _, state, history = trainer.ssl_train(splits, cfg, teacher)
+    assert pretrain_calls == 3 and len(seen) == 3 + 1 + 2  # pretraining epochs, then SSL's start and epochs
+    assert set(seen) == {(0.3, 1.5)}
+    _, probs = nn.forward(state.model_cfg, state.student, encode_subset(splits.val.signals, cfg.pool_len))
+    want = real(probs, splits.val.labels, threshold=0.3, beta=1.5).value(eval_metric)
+    assert history[-1]["val_metric"] == want
+
+
 def test_iterations_per_epoch_match_floor_of_pool_over_batch():
     splits = quick_splits(n=400, labeled_frac=0.4)  # 128 labeled
     cfg = quick_cfg(batch_labeled=64, max_epochs=2, pretrain_max_epochs=1)
@@ -394,7 +414,7 @@ def test_ssl_train_keeps_best_checkpoint_not_last():
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
     best, state, history = trainer.ssl_train(splits, cfg, teacher)
     model_cfg = state.model_cfg
-    best_score = trainer.evaluate_model(model_cfg, best, splits.val, cfg.pool_len).map
+    best_score = trainer.evaluate_model(model_cfg, best, splits.val, cfg).map
     vals = [row["val_metric"] for row in history if row["val_metric"] != ""]
     assert best_score == pytest.approx(max(vals))
 
