@@ -13,14 +13,14 @@ pipeline draws a queue of 1..4 distinct transforms and applies them in queue
 order. Each signal's randomness flows through one generator, so results are
 bit-reproducible given (input, seed, config).
 
-`augment_batch` gives sample i the generator of substream(i). It makes
-every draw of a sample first, row by row in queue order (the transform id
-or queue, then per transform the dropout window and channel, the
-permutation, the noise matrix), then applies each queue position to the
-stacked rows of one signal shape as one block operation per transform id.
-Every reduction runs along the time axis of one row, so a row comes out bit
-for bit as if it were augmented alone. The per-sample functions are
-one-row views of the same code.
+`augment_batch` takes an (n, channels, length) array and gives row i the
+generator of substream(ids[i]). It makes every draw of a row first, row by
+row in queue order (the transform id or queue, then per transform the
+dropout window and channel, the permutation, the noise matrix), then
+applies each queue position to the rows that have one as one block
+operation per transform id. Every reduction runs along the time axis of one
+row, so a row comes out bit for bit as if it were augmented alone. The
+per-sample functions are one-row views of the same code.
 """
 
 from __future__ import annotations
@@ -73,11 +73,12 @@ class AugmentConfig:
             )
 
 
-def _check_shape(x: SignalMatrix) -> SignalMatrix:
-    """The float (channels, length) matrix; finiteness is checked per block."""
+def _check_shape(x, ndim: int = 2) -> np.ndarray:
+    """x as a float array of `ndim` axes, the last two a non-empty (channels, length); finiteness is checked
+    per block."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError(f"signal must be a (channels, length) matrix, got shape {x.shape}")
+    if x.ndim != ndim or x.shape[-2] < 1 or x.shape[-1] < 1:
+        raise ValueError(f"signals need {ndim} axes, the last two (channels, length), got shape {x.shape}")
     return x
 
 
@@ -159,14 +160,14 @@ _BLOCK_TRANSFORMS = {SIGNAL_DROPOUT: _dropout_block, TEMPORAL_FLIP: _flip_block,
                      CHANNEL_REORGANIZATION: _reorganize_block, RANDOM_NOISE: _noise_block}
 
 
-def _augment_rows(signals, plans, cfg: AugmentConfig) -> np.ndarray:
-    """Apply each row's plan to a list of same-shape signals; returns (rows, channels, length).
+def _augment_rows(signals: np.ndarray, plans, cfg: AugmentConfig) -> np.ndarray:
+    """Apply each row's plan to a copy of the (rows, channels, length) block `signals`.
 
     Queue position q is applied to every row that has one, one block
     operation per transform id. A row whose noise turns non-finite raises
     ValueError before its next transform, as a transform's input check would.
     """
-    x = np.stack(signals)
+    x = signals.copy()
     _check_finite(x)
     buckets: dict = {}  # (queue position, transform id) -> (rows, parameters)
     for r, plan in enumerate(plans):
@@ -188,7 +189,7 @@ def apply_queue(x: SignalMatrix, queue, rng, cfg: AugmentConfig = AugmentConfig(
     """Apply transforms by id in queue order, threading one generator through."""
     g = as_generator(rng)
     x = _check_shape(x)
-    return _augment_rows([x], [_draw_plan(g, [int(t) for t in queue], x.shape, cfg)], cfg)[0]
+    return _augment_rows(x[None], [_draw_plan(g, [int(t) for t in queue], x.shape, cfg)], cfg)[0]
 
 
 def signal_dropout(x: SignalMatrix, rng, cfg: AugmentConfig = AugmentConfig()) -> SignalMatrix:
@@ -198,7 +199,7 @@ def signal_dropout(x: SignalMatrix, rng, cfg: AugmentConfig = AugmentConfig()) -
 
 def temporal_flip(x: SignalMatrix) -> SignalMatrix:
     """Reverse every channel along the time axis."""
-    return _augment_rows([_check_shape(x)], [[(TEMPORAL_FLIP, None)]], AugmentConfig())[0]
+    return _augment_rows(_check_shape(x)[None], [[(TEMPORAL_FLIP, None)]], AugmentConfig())[0]
 
 
 def channel_reorganization(x: SignalMatrix, rng) -> SignalMatrix:
@@ -237,23 +238,16 @@ def strong_augment(x: SignalMatrix, rng, cfg: AugmentConfig = AugmentConfig()) -
 
 
 def augment_batch(signals, stream: RandomStream, cfg: AugmentConfig, strong: bool = False,
-                  first: int = 0) -> list:
-    """Augment a list of signals; sample i draws from substream(first + i).
+                  ids=None) -> np.ndarray:
+    """Augment an (n, channels, length) array; row i draws from substream(ids[i]), by default substream(i).
 
-    The output is independent of how the list is cut into calls (pass the
-    offset of a slice as `first`) and of any parallel execution order.
-    Signals are grouped by shape and each group is transformed as a block.
+    The output is independent of how the rows are cut into calls (pass each
+    row's id in the whole batch as `ids`) and of any parallel execution order.
     """
-    signals = [_check_shape(x) for x in signals]
+    x = _check_shape(signals, ndim=3)
+    ids = np.arange(len(x)) if ids is None else np.asarray(ids)
+    if ids.shape != (len(x),):
+        raise ValueError(f"need one id per row: {len(x)} rows, ids of shape {ids.shape}")
     draw_queue = _strong_queue if strong else _weak_queue
-    plans = [_draw_plan(g, draw_queue(g, cfg), x.shape, cfg)
-             for x, g in zip(signals, stream.children(len(signals), first))]
-    groups: dict = {}
-    for i, x in enumerate(signals):
-        groups.setdefault(x.shape, []).append(i)
-    out = [None] * len(signals)
-    for rows in groups.values():
-        block = _augment_rows([signals[i] for i in rows], [plans[i] for i in rows], cfg)
-        for i, row in zip(rows, block):
-            out[i] = row
-    return out
+    plans = [_draw_plan(g, draw_queue(g, cfg), x.shape[1:], cfg) for g in stream.children(ids)]
+    return _augment_rows(x, plans, cfg)

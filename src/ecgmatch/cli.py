@@ -2,9 +2,9 @@
 
 Verbs: run, gridsearch, eval, compare, annotate, synth. Exit codes: 0 on
 success, 1 on runtime failure, 2 on configuration or parse problems; run,
-gridsearch and synth name the failing stage. Flag defaults can be
-overridden with environment variables prefixed ECGMATCH_ (ECGMATCH_OUT,
-ECGMATCH_SEED, ECGMATCH_THREADS).
+gridsearch and synth name the failing stage. The environment variables
+ECGMATCH_OUT, ECGMATCH_SEED and ECGMATCH_THREADS stand in for --out, --seed
+and --threads when the flag is not given; a given flag wins.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ def _guarded(body, args) -> int:
         return 2 if config else 1
 
 
-def _env(name: str, default):
-    return os.environ.get(f"ECGMATCH_{name}", default)
-
-
 def _dataset_label(cfg: ExperimentConfig, datasets) -> str:
     if cfg.split.protocol == "within":
         return datasets[0].dataset_id
@@ -98,23 +94,24 @@ def _write_run_outputs(out_dir: Path, cfg: ExperimentConfig, result, dataset_lab
             save_params(ckpt_dir / f"student_seed{sr.seed}.bin", sr.final_params)
 
 
-def _int_env(name: str, default):
-    """ECGMATCH_<NAME> if set, else the flag value `default`, as an integer (None stays None)."""
-    value = _env(name, default)
+def _flag_or_env(args, name: str, integer: bool = False):
+    """The flag --<name> if given, else ECGMATCH_<NAME> if set, else None; as an integer under `integer`."""
+    value = getattr(args, name)
+    value = os.environ.get(f"ECGMATCH_{name.upper()}") if value is None else value
     try:
-        return None if value is None else int(value)
+        return int(value) if integer and value is not None else value
     except ValueError:
-        raise ConfigurationError(f"{name.lower()} override must be an integer, got {value!r}") from None
+        raise ConfigurationError(f"{name} override must be an integer, got {value!r}") from None
 
 
 def _load(args, stage):
     """The config at --config with the flag and ECGMATCH_ overrides applied, and its datasets."""
     stage("load-config")
     cfg = load_experiment_config(args.config)
-    out = _env("OUT", args.out)
-    seed = _int_env("SEED", args.seed)
+    out = _flag_or_env(args, "out")
+    seed = _flag_or_env(args, "seed", integer=True)
     if "threads" in args:  # gridsearch's worker count
-        args.threads = _int_env("THREADS", args.threads or 1)
+        args.threads = _flag_or_env(args, "threads", integer=True) or 1
     if out is not None:
         cfg = replace(cfg, output_dir=str(out))
     if seed is not None:
@@ -167,8 +164,8 @@ def _grid_cells(cfg: ExperimentConfig):
 
 
 def _gridsearch(args, stage) -> int:
-    """One `_train` per grid cell, all on the config and datasets loaded once; each worker
-    process of `--threads N` receives the datasets once, through the pool initializer."""
+    """One `_train` per grid cell, all on the config and datasets loaded once; each of the
+    min(--threads, cells) worker processes receives the datasets once, through the pool initializer."""
     cfg, datasets = _load(args, stage)
     cells = _grid_cells(cfg)
     out_dir = Path(cfg.output_dir)
@@ -176,8 +173,9 @@ def _gridsearch(args, stage) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cell_cfgs = [replace(cfg, train=replace(cfg.train, weights=LossWeights(lu, lf))) for lu, lf in cells]
     cell_dirs = [out_dir / f"cell_lu{lu:g}_lf{lf:g}" for lu, lf in cells]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads, initializer=_set_worker_datasets,
+    workers = min(args.threads, len(cells))  # a fork pool starts every worker at the first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_datasets,
                                  initargs=(datasets,)) as pool:
             results = list(pool.map(_train_cell, cell_cfgs, cell_dirs))
     else:
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(body=_gridsearch)
     p_grid.add_argument("--config", required=True)
     common(p_grid)
-    p_grid.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
+    p_grid.add_argument("--threads", type=int, default=None, help="worker processes for grid cells (default 1)")
 
     p_eval = sub.add_parser("eval", help="metrics for external score/label matrices")
     p_eval.set_defaults(body=_eval)

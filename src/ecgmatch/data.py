@@ -1,7 +1,8 @@
 """Datasets, file formats, annotation mapping, split protocols and synthesis.
 
-A dataset is a list of (channels, length) signal matrices plus an n x C
-binary label matrix. Three split protocols cover single-dataset,
+A dataset is an (n, channels, length) signal array plus an n x C binary
+label matrix. A subset indexes the rows of one or more datasets and walks
+them in same-shape blocks. Three split protocols cover single-dataset,
 multi-center pooled, and held-out-dataset evaluation. The synthetic
 generator draws correlated multi-label annotations from a Gaussian copula
 and renders signals as label-weighted sums of per-class prototype waveforms
@@ -34,12 +35,18 @@ NORMAL_CLASS = "Normal Signals"
 
 @dataclass
 class Dataset:
-    signals: list  # of (channels, length) float arrays
+    signals: np.ndarray  # (n, channels, length) float
     labels: np.ndarray  # (n, C) binary
     dataset_id: str = "dataset"
     class_names: tuple = SUPERCLASSES
 
     def __post_init__(self):
+        try:
+            self.signals = np.asarray(self.signals, dtype=float)
+        except ValueError as exc:  # a ragged list of matrices
+            raise ConfigurationError(f"signals must be one (n, channels, length) array: {exc}") from None
+        if self.signals.ndim != 3:
+            raise ConfigurationError(f"signals must be one (n, channels, length) array, got {self.signals.shape}")
         self.labels = np.asarray(self.labels, dtype=float)
         if self.labels.ndim != 2 or len(self.signals) != self.labels.shape[0]:
             raise ConfigurationError("signal count and label rows must match")
@@ -56,23 +63,51 @@ class Dataset:
         return self.labels.shape[1]
 
 
+# Rows per block of `Subset.blocks`: at 3x256 signals a block's augment and encode
+# temporaries stay near 1.5 MB, so a whole unlabeled pool is never stacked at once.
+_ENCODE_BLOCK = 256
+
+
 @dataclass
 class Subset:
-    """A slice of one or more datasets; keeps per-sample provenance ids."""
+    """Rows of one or more datasets as indices: row r is sample `rows[r]` of `datasets[sources[r]]`.
+    Labels and provenance are gathered once; signals are never copied, only read through `blocks`."""
 
-    signals: list
-    labels: np.ndarray
-    provenance: list  # dataset_id per sample
-    class_names: tuple = SUPERCLASSES
+    datasets: list
+    sources: np.ndarray  # (n,) int, dataset index per row
+    rows: np.ndarray  # (n,) int, sample index within that dataset
+    labels: np.ndarray = field(init=False)
+    provenance: list = field(init=False)  # dataset_id per row
     # (pool_len, model inputs) of the clean signals, filled on first
     # evaluation so that every later one scores the same matrix
     encoded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=float)
+        shapes = sorted({(ds.signals.shape[1], ds.num_classes) for ds in self.datasets})
+        if len(shapes) != 1:
+            raise ConfigurationError(f"pooled datasets need one channel and class count, found {shapes} "
+                                     "(channels, classes)")
+        self.sources, self.rows = np.asarray(self.sources, dtype=int), np.asarray(self.rows, dtype=int)
+        offset = np.cumsum([0] + [len(ds) for ds in self.datasets])[self.sources]
+        self.labels = np.concatenate([ds.labels for ds in self.datasets])[offset + self.rows]
+        self.provenance = [self.datasets[d].dataset_id for d in self.sources.tolist()]
 
     def __len__(self):
-        return len(self.signals)
+        return len(self.rows)
+
+    @property
+    def channels(self) -> int:
+        return self.datasets[0].signals.shape[1]
+
+    def blocks(self, picks):
+        """(positions, signals) blocks covering subset rows `picks`: `signals[j]` is row `picks[positions[j]]`.
+        A block stacks at most _ENCODE_BLOCK rows of one source dataset, so its signals share one shape."""
+        picks = np.asarray(picks, dtype=int)
+        for d, ds in enumerate(self.datasets):
+            positions = np.flatnonzero(self.sources[picks] == d)
+            for start in range(0, len(positions), _ENCODE_BLOCK):
+                block = positions[start : start + _ENCODE_BLOCK]
+                yield block, ds.signals[self.rows[picks[block]]]
 
 
 @dataclass(frozen=True)
@@ -106,9 +141,7 @@ _RAW_HEADER = struct.Struct("<qqqq")
 
 
 def save_dataset(path, ds: Dataset, format: str = "csv") -> None:
-    n = len(ds)
-    channels = ds.signals[0].shape[0] if n else 0
-    length = ds.signals[0].shape[1] if n else 0
+    n, channels, length = ds.signals.shape
     c = ds.num_classes
     if format == "csv":
         with open(path, "w") as fh:
@@ -121,8 +154,7 @@ def save_dataset(path, ds: Dataset, format: str = "csv") -> None:
         with open(path, "wb") as fh:
             fh.write(_RAW_HEADER.pack(n, channels, length, c))
             fh.write(ds.labels.astype("<f4").tobytes())
-            for sig in ds.signals:
-                fh.write(np.ascontiguousarray(sig, dtype="<f4").tobytes())
+            fh.write(ds.signals.astype("<f4").tobytes())
     else:
         raise ConfigurationError(f"unknown format {format!r}")
 
@@ -232,7 +264,7 @@ def _load_csv(path) -> Dataset:
     if errors:
         lineno, message = min(errors)
         raise ParseError(f"{path}:{lineno}: {message}")
-    return Dataset(list(signals.reshape(n, channels, length)), labels, str(path), _default_names(c))
+    return Dataset(signals.reshape(n, channels, length), labels, str(path), _default_names(c))
 
 
 def _load_raw(path) -> Dataset:
@@ -257,7 +289,7 @@ def _load_raw(path) -> Dataset:
         if len(block) != n * sample_bytes:
             raise ParseError(f"{path}: truncated signal block for sample {len(block) // sample_bytes}")
     signals = np.frombuffer(block, dtype="<f4").reshape(n, channels, length).astype(float)
-    return Dataset(list(signals), labels, str(path), _default_names(c))
+    return Dataset(signals, labels, str(path), _default_names(c))
 
 
 def _default_names(c: int) -> tuple:
@@ -331,15 +363,10 @@ class SplitResult:
     test: Subset
 
 
-def _subset(datasets, picks) -> Subset:
-    """picks: list of (dataset index, sample index)."""
-    signals = [datasets[d].signals[i] for d, i in picks]
-    labels = (
-        np.vstack([datasets[d].labels[i] for d, i in picks])
-        if picks else np.zeros((0, datasets[0].num_classes))
-    )
-    prov = [datasets[d].dataset_id for d, i in picks]
-    return Subset(signals, labels, prov, datasets[0].class_names)
+def _picks(datasets, which) -> np.ndarray:
+    """(2, n) int array: the dataset index and sample index of every sample of datasets[d], d in `which`."""
+    return np.concatenate([np.zeros((2, 0), dtype=int)] + [
+        np.stack([np.full(len(datasets[d]), d), np.arange(len(datasets[d]))]) for d in which], axis=1)
 
 
 def _count(frac: float, n: int) -> int:
@@ -347,37 +374,35 @@ def _count(frac: float, n: int) -> int:
 
 
 def _partition_train(datasets, train, val, test, labeled_frac) -> SplitResult:
-    """Cut labeled/unlabeled inside train; warn when a class has no labeled positive."""
-    n_lab = max(1, _count(labeled_frac, len(train)))
-    labeled = _subset(datasets, train[:n_lab])
+    """Cut labeled/unlabeled inside train (each a (2, n) pick array); warn when a class has no labeled positive."""
+    n_lab = max(1, _count(labeled_frac, train.shape[1]))
+    labeled = Subset(datasets, *train[:, :n_lab])
     empty = np.where(labeled.labels.sum(axis=0) == 0)[0]
     if empty.size:
         names = [datasets[0].class_names[c] for c in empty]
         warnings.warn(f"labeled split has no positives for classes {names}")
-    return SplitResult(labeled, *(_subset(datasets, p) for p in (train[n_lab:], val, test)))
+    return SplitResult(labeled, *(Subset(datasets, *p) for p in (train[:, n_lab:], val, test)))
 
 
 def _shuffle_and_cut(datasets, picks, spec: SplitSpec, substream: int) -> SplitResult:
     """Shuffle picks with the split seed's substream, cut train/val/test, then labeled/unlabeled."""
-    order = RandomStream(spec.seed).substream(substream).generator().permutation(len(picks))
-    picks = [picks[int(i)] for i in order]
-    n_train = _count(spec.train_frac, len(picks))
-    n_val = _count(spec.val_frac, len(picks))
-    train, val, test = picks[:n_train], picks[n_train : n_train + n_val], picks[n_train + n_val :]
+    n = picks.shape[1]
+    picks = picks[:, RandomStream(spec.seed).substream(substream).generator().permutation(n)]
+    n_train, n_val = _count(spec.train_frac, n), _count(spec.val_frac, n)
+    train, val, test = picks[:, :n_train], picks[:, n_train : n_train + n_val], picks[:, n_train + n_val :]
     return _partition_train(datasets, train, val, test, spec.labeled_frac)
 
 
 def split_within(ds: Dataset, spec: SplitSpec) -> SplitResult:
     """Single-dataset split: train/val/test, then labeled/unlabeled inside train."""
-    return _shuffle_and_cut([ds], [(0, i) for i in range(len(ds))], spec, substream=0)
+    return _shuffle_and_cut([ds], _picks([ds], [0]), spec, substream=0)
 
 
 def split_mix(datasets, spec: SplitSpec) -> SplitResult:
     """Pool every dataset, then split as in the single-dataset protocol."""
     if len(datasets) < 2:
         raise ConfigurationError("mix protocol needs at least two datasets")
-    picks = [(d, i) for d, ds in enumerate(datasets) for i in range(len(ds))]
-    return _shuffle_and_cut(datasets, picks, spec, substream=1)
+    return _shuffle_and_cut(datasets, _picks(datasets, range(len(datasets))), spec, substream=1)
 
 
 def split_cross(datasets, spec: SplitSpec) -> SplitResult:
@@ -390,22 +415,25 @@ def split_cross(datasets, spec: SplitSpec) -> SplitResult:
             f"held-out id {spec.held_out_dataset!r} not among {ids}"
         )
     held = ids.index(spec.held_out_dataset)
-    test_picks = [(held, i) for i in range(len(datasets[held]))]
-    pool = [(d, i) for d, ds in enumerate(datasets) if d != held for i in range(len(ds))]
-    order = RandomStream(spec.seed).substream(2).generator().permutation(len(pool))
-    pool = [pool[int(i)] for i in order]
-    n_train = _count(0.9, len(pool))
-    return _partition_train(datasets, pool[:n_train], pool[n_train:], test_picks, spec.labeled_frac)
+    pool = _picks(datasets, [d for d in range(len(datasets)) if d != held])
+    pool = pool[:, RandomStream(spec.seed).substream(2).generator().permutation(pool.shape[1])]
+    n_train = _count(0.9, pool.shape[1])
+    return _partition_train(datasets, pool[:, :n_train], pool[:, n_train:], _picks(datasets, [held]),
+                            spec.labeled_frac)
 
 
 def split(datasets, spec: SplitSpec) -> SplitResult:
-    if spec.protocol == "within":
-        if len(datasets) != 1:
-            raise ConfigurationError("within protocol takes exactly one dataset")
-        return split_within(datasets[0], spec)
-    if spec.protocol == "mix":
-        return split_mix(datasets, spec)
-    return split_cross(datasets, spec)
+    """The split of `spec.protocol`; training needs every set but the unlabeled one, so a labeled,
+    val or test set that the fractions (or rounding on few samples) leave empty is a ConfigurationError."""
+    if spec.protocol == "within" and len(datasets) != 1:
+        raise ConfigurationError("within protocol takes exactly one dataset")
+    result = (split_within(datasets[0], spec) if spec.protocol == "within"
+              else (split_mix if spec.protocol == "mix" else split_cross)(datasets, spec))
+    for name in ("labeled", "val", "test"):
+        if not len(getattr(result, name)):
+            raise ConfigurationError(f"the {spec.protocol} split leaves the {name} set empty; "
+                                     "change the split fractions or add samples")
+    return result
 
 
 # --- synthetic generation -----------------------------------------------------
@@ -484,55 +512,35 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     labels = (z > thresholds[None, :]).astype(float)
 
     protos = default_prototypes(cfg)
-    signals = []
-    for label, g in zip(labels, stream.substream(1).children(cfg.n_samples)):
-        base = np.tensordot(label, protos, axes=1)
-        signals.append(base + cfg.noise_level * g.standard_normal(base.shape))
+    signals = np.empty((cfg.n_samples, *protos.shape[1:]))
+    for i, g in enumerate(stream.substream(1).children(np.arange(cfg.n_samples))):
+        base = np.tensordot(labels[i], protos, axes=1)
+        signals[i] = base + cfg.noise_level * g.standard_normal(base.shape)
     return Dataset(signals, labels, cfg.dataset_id, _default_names(c))
 
 
 # --- preprocessing ------------------------------------------------------------
 
-# Rows per z-score/pool block: at 3x256 signals a block's temporaries stay
-# near 1.5 MB, so encoding a whole unlabeled pool never stacks it at once.
-_ENCODE_BLOCK = 256
-
 
 def encode_subset(signals, pool_len: int = 32) -> np.ndarray:
-    """Stack preprocessed signals into an (n, channels*pool_len) model input matrix.
+    """Encode an (n, channels, length) signal array as an (n, channels*pool_len) model input matrix.
 
     Each channel is z-scored (constant channels become zeros) and averaged
     into pool_len bins with edges linspace(0, length, pool_len+1); a bin
     narrower than one sample takes the sample at its left edge. The output
     width is independent of the input length, so recordings of different
-    durations map to a fixed model input size.
-
-    Signals are grouped by shape, and each group is encoded in stacked
-    blocks of _ENCODE_BLOCK rows whose results go back to the rows' original
-    positions. Every reduction runs along the time axis of one row, so the
-    output equals per-signal encoding bit for bit.
+    durations map to a fixed model input size. Every reduction runs along
+    the time axis of one row, so the output equals per-signal encoding bit
+    for bit.
     """
-    signals = [np.asarray(x, dtype=float) for x in signals]
-    groups: dict = {}
-    for i, x in enumerate(signals):
-        if x.ndim != 2:
-            raise ConfigurationError(f"signal {i} must be a (channels, length) matrix, got shape {x.shape}")
-        groups.setdefault(x.shape, []).append(i)
-    widths = {channels * pool_len for channels, _ in groups}
-    if len(widths) != 1:
-        raise ConfigurationError(f"need signals with one channel count, found shapes {sorted(groups)}")
-    out = np.empty((len(signals), widths.pop()))
-    for (channels, length), rows in groups.items():
-        edges = np.linspace(0, length, pool_len + 1).astype(int)
-        for start in range(0, len(rows), _ENCODE_BLOCK):
-            idx = rows[start : start + _ENCODE_BLOCK]
-            x = np.stack([signals[i] for i in idx])
-            mean = x.mean(axis=2, keepdims=True)
-            std = x.std(axis=2, keepdims=True)
-            z = np.where(std > 0.0, (x - mean) / np.where(std > 0.0, std, 1.0), 0.0)
-            pooled = np.empty((len(idx), channels, pool_len))
-            for b in range(pool_len):
-                lo, hi = edges[b], max(edges[b + 1], edges[b] + 1)
-                pooled[:, :, b] = z[:, :, lo:hi].mean(axis=2)
-            out[idx] = pooled.reshape(len(idx), -1)
-    return out
+    x = np.asarray(signals, dtype=float)
+    n, channels, length = x.shape
+    edges = np.linspace(0, length, pool_len + 1).astype(int)
+    mean = x.mean(axis=2, keepdims=True)
+    std = x.std(axis=2, keepdims=True)
+    z = np.where(std > 0.0, (x - mean) / np.where(std > 0.0, std, 1.0), 0.0)
+    pooled = np.empty((n, channels, pool_len))
+    for b in range(pool_len):
+        lo, hi = edges[b], max(edges[b + 1], edges[b] + 1)
+        pooled[:, :, b] = z[:, :, lo:hi].mean(axis=2)
+    return pooled.reshape(n, channels * pool_len)

@@ -7,10 +7,10 @@ sample sees are a pure function of (seed, path), never of scheduling.
 
 A stream's generator is a Philox whose key is
 `np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)`.
-`RandomStream.children(n, first)` serves the per-sample case: it derives
-the keys of substreams first..first+n-1 in one vectorised pass of NumPy's
-published SeedSequence hash (the children differ only in their last entropy
-word) and resets one reused Philox to each key in turn, instead of building
+`RandomStream.children(ids)` serves the per-sample case: it derives the
+keys of substream(i) for every i of an id array in one vectorised pass of
+NumPy's published SeedSequence hash (the children differ only in their last
+entropy word) and resets one reused Philox to each key in turn, instead of building
 a SeedSequence and a Philox per sample. Every call checks its first and last
 key against SeedSequence itself and raises ContractViolation if they differ,
 so a change in NumPy's hashing can never silently change the draws.
@@ -52,20 +52,21 @@ class RandomStream:
     def substream(self, *ids: int) -> "RandomStream":
         return RandomStream(self.seed, self.path + tuple(int(i) for i in ids))
 
-    def children(self, n: int, first: int = 0):
-        """Iterator over a generator at the start of substream(first + i), for i < n.
+    def children(self, ids):
+        """Iterator over a generator at the start of substream(i), for each i in the integer array `ids`.
 
         One Generator object is reset for every child, so each one must be
         used up before the iterator advances. Raises the ValueError
-        `generator()` raises for a negative seed or path word, and
-        ContractViolation if the derived keys disagree with SeedSequence.
+        `generator()` raises for a negative seed, path word, or first or last
+        id, and ContractViolation for another id outside [0, 2**32) or if the
+        derived keys disagree with SeedSequence.
         """
-        first_key = _reference_key(self.seed, self.path + (int(first),))
-        if first + n > 1 << 32:
-            raise ContractViolation(f"child indices must lie in [0, 2**32), got {first}..{first + n - 1}")
-        keys = _child_keys(self.seed, self.path, first, n)
-        if n and not (np.array_equal(keys[0], first_key) and np.array_equal(
-                keys[-1], _reference_key(self.seed, self.path + (int(first) + n - 1,)))):
+        ids = np.asarray(ids, dtype=np.int64)
+        ends = [_reference_key(self.seed, self.path + (int(i),)) for i in ids[[0, -1]]] if ids.size else []
+        if ids.size and (ids.min() < 0 or ids.max() >= 1 << 32):
+            raise ContractViolation(f"child ids must lie in [0, 2**32), got {ids.min()}..{ids.max()}")
+        keys = _child_keys(self.seed, self.path, ids)
+        if ids.size and not (np.array_equal(keys[0], ends[0]) and np.array_equal(keys[-1], ends[1])):
             raise ContractViolation("vectorised substream keys differ from np.random.SeedSequence")
         return _reset_to_each(keys)
 
@@ -98,8 +99,8 @@ def _words(value) -> list:
     return [w for v in value for w in _words(v)]
 
 
-def _child_keys(seed: int, path: tuple, first: int, n: int) -> np.ndarray:
-    """Philox keys of substreams first..first+n-1 of (seed, path), shape (n, 2) uint64.
+def _child_keys(seed: int, path: tuple, ids) -> np.ndarray:
+    """Philox keys of substreams `ids` (each in [0, 2**32)) of (seed, path), shape (len(ids), 2) uint64.
 
     SeedSequence mixes the entropy words (seed words zero-padded to the pool
     size, then the spawn key) into a pool of four words; the shared prefix
@@ -131,7 +132,7 @@ def _child_keys(seed: int, path: tuple, first: int, n: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(w))
 
-    last = np.arange(first, first + n, dtype=np.uint32)
+    last = np.asarray(ids).astype(np.uint32)
     shift = np.uint32(_XSHIFT)
     words = []
     for dst in range(_POOL_SIZE):

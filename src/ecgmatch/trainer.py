@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import augment, correlation, metrics, nn, pseudo
-from .data import _ENCODE_BLOCK, SplitResult, SplitSpec, Subset, encode_subset, split
+from .data import SplitResult, SplitSpec, Subset, encode_subset, split
 from .errors import ConfigurationError
 from .rng import RandomStream
 
@@ -137,23 +137,24 @@ class TrainState:
     last_acceptance: np.ndarray | None = None  # per-class accepted fraction, threshold rule only
 
 
-def _augment_encode(signals, stream: RandomStream, cfg: TrainConfig, strong: bool):
-    """Augment and encode in blocks of _ENCODE_BLOCK rows; row i draws from substream(i).
+def _inputs(subset: Subset, picks, cfg: TrainConfig, stream: RandomStream | None = None, strong=False):
+    """Model inputs of subset rows `picks`, augmented first when a stream is given.
 
-    The augmented signals of one block are dropped once encoded, so a
-    bank-sized pool is never held augmented all at once.
+    The row at position p of `picks` draws from stream.substream(p). Each block of
+    `subset.blocks` is dropped once encoded, so a pool is never held augmented at once.
     """
-    return np.concatenate([
-        encode_subset(augment.augment_batch(signals[start : start + _ENCODE_BLOCK], stream, cfg.augment_cfg,
-                                            strong=strong, first=start), cfg.pool_len)
-        for start in range(0, len(signals), _ENCODE_BLOCK)
-    ])
+    out = np.empty((len(picks), subset.channels * cfg.pool_len))
+    for positions, signals in subset.blocks(picks):
+        if stream is not None:
+            signals = augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong, ids=positions)
+        out[positions] = encode_subset(signals, cfg.pool_len)
+    return out
 
 
 def _model_config_for(cfg: TrainConfig, labeled: Subset) -> nn.ModelConfig:
     """The network for `labeled`: encode_subset's width is channels * pool_len."""
     return nn.ModelConfig(
-        input_dim=np.shape(labeled.signals[0])[0] * cfg.pool_len,
+        input_dim=labeled.channels * cfg.pool_len,
         num_classes=labeled.labels.shape[1],
         hidden_dims=cfg.hidden_dims,
         feature_dim=cfg.feature_dim,
@@ -166,7 +167,7 @@ def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: S
                    cfg: TrainConfig) -> metrics.MetricsReport:
     """Score a subset under cfg.metrics with clean inputs, encoded once per subset and pool_len."""
     if subset.encoded is None or subset.encoded[0] != cfg.pool_len:
-        subset.encoded = (cfg.pool_len, encode_subset(subset.signals, cfg.pool_len))
+        subset.encoded = (cfg.pool_len, _inputs(subset, np.arange(len(subset)), cfg))
     _, probs = nn.forward(model_cfg, params, subset.encoded[1])
     return metrics.compute_all(probs, subset.labels, cfg.metrics.threshold, cfg.metrics.gbeta_beta)
 
@@ -190,12 +191,8 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
         order = stream.substream(_NS_PRETRAIN, epoch).generator().permutation(n)
         for it in range(n // batch_size):
             idx = order[it * batch_size : (it + 1) * batch_size]
-            signals = [labeled.signals[i] for i in idx]
-            if cfg.pretrain_augment:
-                sub = stream.substream(_NS_PRETRAIN, epoch, it, _ROLE_LABELED)
-                inputs = _augment_encode(signals, sub, cfg, strong=False)
-            else:
-                inputs = encode_subset(signals, cfg.pool_len)
+            sub = stream.substream(_NS_PRETRAIN, epoch, it, _ROLE_LABELED) if cfg.pretrain_augment else None
+            inputs = _inputs(labeled, idx, cfg, sub)
             batch = nn.StepBatch(labeled_inputs=inputs, labels=labeled.labels[idx])
             _, grads = nn.backward(model_cfg, params, batch, nn.LossWeights(0.0, 0.0))
             lr = nn.lr_at(step, cfg.optimizer)
@@ -220,7 +217,7 @@ def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
         if len(unlabeled) == 0:
             raise ConfigurationError("unlabeled split is empty; cannot build memory banks")
         stream = RandomStream(cfg.seed).substream(_NS_BANK)
-        inputs = _augment_encode(unlabeled.signals, stream, cfg, strong=False)
+        inputs = _inputs(unlabeled, np.arange(len(unlabeled)), cfg, stream)
         banks = pseudo.bank_init(model_cfg, teacher, inputs)
     label_corr = None
     if weights.lambda_f > 0.0:
@@ -246,16 +243,14 @@ def train_step(state: TrainState, labeled_rows, unlabeled_rows, cfg: TrainConfig
     """
     weights = cfg.effective_weights()
     stream = RandomStream(cfg.seed).substream(_NS_STEP, state.step)
-    lab_signals = [state.labeled.signals[i] for i in labeled_rows]
-    lab_inputs = _augment_encode(lab_signals, stream.substream(_ROLE_LABELED), cfg, strong=False)
+    lab_inputs = _inputs(state.labeled, labeled_rows, cfg, stream.substream(_ROLE_LABELED))
     batch = nn.StepBatch(labeled_inputs=lab_inputs, labels=state.labeled.labels[labeled_rows],
                          similarity=cfg.similarity)
 
     use_unlabeled = unlabeled_rows is not None and (weights.lambda_u > 0.0 or weights.lambda_f > 0.0)
     if use_unlabeled:
-        signals = [state.unlabeled.signals[i] for i in unlabeled_rows]
-        weak_inputs = _augment_encode(signals, stream.substream(_ROLE_WEAK), cfg, strong=False)
-        strong_inputs = _augment_encode(signals, stream.substream(_ROLE_STRONG), cfg, strong=True)
+        weak_inputs = _inputs(state.unlabeled, unlabeled_rows, cfg, stream.substream(_ROLE_WEAK))
+        strong_inputs = _inputs(state.unlabeled, unlabeled_rows, cfg, stream.substream(_ROLE_STRONG), strong=True)
         batch.strong_inputs = strong_inputs
         if weights.lambda_f > 0.0:
             batch.weak_inputs = weak_inputs

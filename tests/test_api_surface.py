@@ -8,6 +8,7 @@ suite or an outside reader calls on purpose are listed in ALLOWED.
 
 Likewise every `TrainConfig` field but `seed`, which `seeds` sets, is set
 from the JSON config, so no training knob is reachable only from Python.
+And no module of the package reads a private name of another one.
 """
 
 import ast
@@ -122,3 +123,26 @@ def test_the_cli_boundary_is_the_one_broad_exception_handler():
     found = [(path.name, function) for path in sorted((ROOT / "src" / "ecgmatch").glob("*.py"))
              for function, _ in _broad_handlers(ast.parse(path.read_text(), filename=str(path)))]
     assert found == [("cli.py", "_guarded")]
+
+
+def _private_reads(tree):
+    """Each `from .x import _name`, and each `name._attr` where `name` was imported from the package."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ecgmatch")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield f"line {node.lineno}: imports {alias.name}"
+                imported.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
+                and node.attr.startswith("_") and not node.attr.startswith("__")):
+            yield f"line {node.lineno}: reads {node.value.id}.{node.attr}"
+
+
+def test_no_module_reads_another_modules_private_name():
+    probe = "from .data import _BLOCK, Subset\nfrom . import nn\nnn._step(Subset._walk, self._own)"
+    assert len(list(_private_reads(ast.parse(probe)))) == 3
+    found = [f"{path.name} {hit}" for path in sorted((ROOT / "src" / "ecgmatch").glob("*.py"))
+             for hit in _private_reads(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == [], f"private names read across modules: {found}"

@@ -18,6 +18,7 @@ from ecgmatch.augment import (
     temporal_flip,
     weak_augment,
 )
+from ecgmatch.data import Dataset, Subset
 from ecgmatch.rng import RandomStream
 
 
@@ -319,16 +320,28 @@ def test_augment_batch_single_channel_warns_and_equals_reference(strong):
 
 @pytest.mark.parametrize("strong", [False, True])
 def test_augment_batch_ragged_list_spanning_two_blocks_equals_reference(strong):
-    xs = _signals(np.random.default_rng(5), 600, [(3, 256), (3, 100), (3, 1), (3, 256)])
+    """Shuffled rows of three signal lengths, augmented block by block of `Subset.blocks`."""
+    g = np.random.default_rng(5)
+    sizes, shapes = (400, 120, 80), ((3, 256), (3, 100), (3, 1))  # the 256-sample rows span two blocks
+    datasets = [Dataset(np.stack(_signals(g, n, [shape])), np.zeros((n, 5))) for n, shape in zip(sizes, shapes)]
+    subset = Subset(datasets, np.repeat([0, 1, 2], sizes), np.concatenate([np.arange(n) for n in sizes]))
+    picks = g.permutation(len(subset))
     stream, cfg = RandomStream(2**64 - 1, (2**33,)), AugmentConfig()
-    _assert_same_bytes(augment_batch(xs, stream, cfg, strong=strong), _ref_batch(xs, stream, cfg, strong))
+    got = [None] * len(picks)
+    for positions, block in subset.blocks(picks):
+        for p, row in zip(positions, augment_batch(block, stream, cfg, strong=strong, ids=positions)):
+            got[p] = row
+    xs = [datasets[d].signals[i] for d, i in zip(subset.sources[picks], subset.rows[picks])]
+    _assert_same_bytes(got, _ref_batch(xs, stream, cfg, strong))
 
 
 def test_augment_batch_offset_draws_the_rows_of_the_full_list():
     xs = _signals(np.random.default_rng(6), 40, [(2, 20)])
     stream, cfg = RandomStream(3), AugmentConfig()
     full = augment_batch(xs, stream, cfg, strong=True)
-    _assert_same_bytes(augment_batch(xs[25:], stream, cfg, strong=True, first=25), full[25:])
+    _assert_same_bytes(augment_batch(xs[25:], stream, cfg, strong=True, ids=np.arange(25, 40)), full[25:])
+    picked = [7, 0, 31]
+    _assert_same_bytes(augment_batch([xs[i] for i in picked], stream, cfg, strong=True, ids=picked), full[picked])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

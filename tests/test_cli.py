@@ -435,6 +435,79 @@ def test_threads_env_not_an_int_exits_2(tmp_path, monkeypatch, capsys):
     assert "threads override must be an integer" in capsys.readouterr().err
 
 
+# flag, its value, the value it loads as, an ECGMATCH_ value, the value that loads as
+FLAG_AND_ENV = {
+    "out": ("flag_dir", "flag_dir", "env_dir", "env_dir"),
+    "seed": ("3", (3,), "9", (9,)),
+    "threads": ("2", 2, "1", 1),
+}
+
+
+@pytest.mark.parametrize("flag", FLAG_AND_ENV)
+def test_an_explicit_flag_beats_its_environment_variable(tmp_path, monkeypatch, flag):
+    config, _ = smoke_config(tmp_path)
+    flag_value, flag_loaded, env_value, env_loaded = FLAG_AND_ENV[flag]
+    monkeypatch.setenv(f"ECGMATCH_{flag.upper()}", env_value)
+
+    def loaded(*extra):
+        args = cli.build_parser().parse_args(["gridsearch", "--config", str(config), *extra])
+        cfg, _ = cli._load(args, lambda name: None)
+        return {"out": cfg.output_dir, "seed": cfg.seeds, "threads": args.threads}[flag]
+
+    assert loaded(f"--{flag}", flag_value) == flag_loaded
+    assert loaded() == env_loaded
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and runs the cells in this process."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("values, workers", [([0.8], []), ([0.0, 0.8], [2]), ([0.0, 0.4, 0.8], [3])])
+def test_gridsearch_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch, values, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(cli, "_worker_datasets", [])  # the stand-in's initializer sets it in this process
+    config = _grid_config(tmp_path, "grid")
+    doc = json.loads(config.read_text())
+    doc["seeds"] = [0]
+    doc["grid"]["values"] = values
+    config.write_text(json.dumps(doc))
+    assert main(["gridsearch", "--config", str(config), "--threads", "8"]) == 0
+    assert _RecordingPool.made == workers
+    assert len(read_csv(tmp_path / "grid" / "gridsearch.csv")) == 1 + len(values)
+
+
+@pytest.mark.parametrize("verb", ["run", "gridsearch"])
+@pytest.mark.parametrize("fracs, empty", [((0.8, 0.0), "val"), ((0.7, 0.3), "test")])
+def test_an_empty_split_exits_2_naming_it_before_training(tmp_path, monkeypatch, capsys, verb, fracs, empty):
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
+    config, doc = smoke_config(tmp_path)
+    doc["split"].update(train_frac=fracs[0], val_frac=fracs[1])
+    doc["grid"] = {"axis": "lambda_u", "values": [0.8], "fixed": 0.8}
+    config.write_text(json.dumps(doc))
+    assert main([verb, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in stage train: the within split leaves the {empty} set empty" in err
+
+
 def test_threads_flag_belongs_to_gridsearch_only(tmp_path):
     assert cli.build_parser().parse_args(["gridsearch", "--config", "c.json", "--threads", "2"]).threads == 2
     with pytest.raises(SystemExit) as exc:

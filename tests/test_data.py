@@ -10,6 +10,7 @@ from ecgmatch.data import (
     SplitSpec,
     SynthConfig,
     SUPERCLASSES,
+    Subset,
     encode_subset,
     load_dataset,
     map_annotations,
@@ -377,12 +378,13 @@ def test_within_split_partitions_and_determinism():
     res = split_within(ds, spec)
     sizes = sum(len(s) for s in (res.labeled, res.unlabeled, res.val, res.test))
     assert sizes == 200
-    # disjoint cover: every signal object appears exactly once
-    seen = [id(x) for s in (res.labeled, res.unlabeled, res.val, res.test) for x in s.signals]
+    # disjoint cover: every sample appears exactly once
+    seen = [(d, i) for s in (res.labeled, res.unlabeled, res.val, res.test)
+            for d, i in zip(s.sources.tolist(), s.rows.tolist())]
     assert len(set(seen)) == 200
     again = split_within(ds, spec)
     np.testing.assert_array_equal(res.labeled.labels, again.labeled.labels)
-    assert [id(x) for x in res.test.signals] == [id(x) for x in again.test.signals]
+    np.testing.assert_array_equal(res.test.rows, again.test.rows)
 
 
 def test_mix_split_reference_ratios_and_provenance():
@@ -450,10 +452,28 @@ def test_split_spec_needs_positive_train_nonnegative_val_and_a_sum_of_at_most_on
 
 @pytest.mark.parametrize("train,val", [(0.8, 0.1), (0.7, 0.3), (1.0, 0.0), (0.5, 0.0)])
 def test_split_spec_test_share_is_the_rest(train, val):
+    # the protocol helpers cut what the fractions say; `split` rejects the empty sets
     ds = tiny_dataset(n=100)
     result = split_within(ds, SplitSpec(train_frac=train, val_frac=val, labeled_frac=1.0))
     assert len(result.val) == round(val * 100)
     assert len(result.test) == 100 - round(train * 100) - round(val * 100)
+
+
+@pytest.mark.filterwarnings("ignore:labeled split has no positives")
+@pytest.mark.parametrize("protocol, sizes, kw, empty", [
+    ("within", (120,), dict(val_frac=0.0), "val"),
+    ("within", (120,), dict(train_frac=0.9, val_frac=0.1), "test"),
+    ("within", (120,), dict(val_frac=0.004), "val"),  # 0.48 rows round to none
+    ("within", (4,), dict(train_frac=0.1, val_frac=0.4), "labeled"),  # no train rows to label
+    ("mix", (2, 1), dict(train_frac=0.5, val_frac=0.2), "test"),  # 1.5 rows round to 2, 0.6 to 1
+    ("cross", (4, 50), dict(held_out_dataset="d1"), "val"),  # 0.9 of a pool of 4 rounds to all four
+    ("cross", (50, 0), dict(held_out_dataset="d1"), "test"),
+])
+def test_split_rejects_an_empty_labeled_val_or_test_set_naming_it(protocol, sizes, kw, empty):
+    no_rows = Dataset(np.zeros((0, 2, 8)), np.zeros((0, 5)), "d1")
+    datasets = [tiny_dataset(n=n, dataset_id=f"d{i}") if n else no_rows for i, n in enumerate(sizes)]
+    with pytest.raises(ConfigurationError, match=f"the {protocol} split leaves the {empty} set empty"):
+        split(datasets, SplitSpec(protocol=protocol, labeled_frac=0.5, **kw))
 
 
 # --- synthesis ---------------------------------------------------------------
@@ -598,18 +618,30 @@ def test_encode_subset_equals_per_signal_reference(channels, length, pool_len):
 
 
 def test_encode_subset_ragged_list_longer_than_one_block_keeps_row_order():
+    """Shuffled rows of three lengths, encoded block by block of `Subset.blocks` and put back in order."""
     g = np.random.default_rng(21)
-    lengths = g.choice([256, 300, 17], p=[0.7, 0.2, 0.1], size=2 * data._ENCODE_BLOCK)
-    assert np.sum(lengths == 256) > data._ENCODE_BLOCK  # one shape group spans two blocks
-    signals = [g.normal(size=(3, int(n))) for n in lengths]
-    want = np.vstack([_preprocess_reference(x, 32) for x in signals])
-    got = encode_subset(signals, 32)
-    assert got.shape == (len(signals), 96)
+    sizes, lengths = (360, 100, 52), (256, 300, 17)  # the 256-sample rows span two blocks
+    datasets = [Dataset(g.normal(size=(n, 3, length)), np.zeros((n, 5))) for n, length in zip(sizes, lengths)]
+    subset = Subset(datasets, np.repeat([0, 1, 2], sizes), np.concatenate([np.arange(n) for n in sizes]))
+    picks = g.permutation(len(subset))
+    got = np.full((len(picks), 96), np.nan)
+    blocks = list(subset.blocks(picks))
+    assert max(len(p) for p, _ in blocks) == data._ENCODE_BLOCK and len(blocks) == 4
+    for positions, signals in blocks:
+        got[positions] = encode_subset(signals, 32)
+    want = np.vstack([_preprocess_reference(datasets[d].signals[i], 32)
+                      for d, i in zip(subset.sources[picks], subset.rows[picks])])
     assert np.array_equal(got, want)
 
 
-def test_encode_subset_rejects_mixed_channel_counts_and_empty_lists():
-    with pytest.raises(ConfigurationError):
-        encode_subset([np.zeros((2, 8)), np.zeros((3, 8))], pool_len=4)
-    with pytest.raises(ConfigurationError):
-        encode_subset([], pool_len=4)
+def test_subset_rejects_pooled_channel_counts_and_ragged_datasets():
+    two, three = tiny_dataset(channels=2, dataset_id="two"), tiny_dataset(channels=3, dataset_id="three")
+    with pytest.raises(ConfigurationError, match="one channel and class count"):
+        Subset([two, three], [0, 1], [0, 0])
+    with pytest.raises(ConfigurationError, match="one channel and class count"):
+        split_mix([two, three], SplitSpec(protocol="mix"))
+    with pytest.raises(ConfigurationError, match=r"\(n, channels, length\) array"):
+        Dataset([np.zeros((2, 8)), np.zeros((2, 9))], np.zeros((2, 5)))
+    with pytest.raises(ConfigurationError, match=r"\(n, channels, length\) array"):
+        Dataset(np.zeros((2, 8)), np.zeros((2, 5)))
+    assert encode_subset(np.zeros((0, 2, 8)), pool_len=4).shape == (0, 8)

@@ -24,7 +24,7 @@ def test_child_keys_match_seed_sequence_on_random_cases():
     checked = 0
     for _ in range(200):
         seed, path, first, n = _random_case(g)
-        keys = rng._child_keys(seed, path, first, n)
+        keys = rng._child_keys(seed, path, np.arange(first, first + n))
         assert keys.shape == (n, 2) and keys.dtype == np.uint64
         for i in range(n):
             assert np.array_equal(keys[i], _reference_key(seed, path + (first + i,))), (seed, path, first + i)
@@ -40,9 +40,9 @@ def test_child_keys_match_seed_sequence_on_random_cases():
 ])
 def test_children_draw_what_each_substream_generator_draws(seed, path):
     stream = RandomStream(seed, path)
-    n, first = 9, 5
-    for i, g in enumerate(stream.children(n, first)):
-        want = stream.substream(first + i).generator()
+    ids = [5, 6, 13, 9, 0, 2**32 - 1, 7, 5]  # in any order, repeats allowed
+    for i, g in zip(ids, stream.children(ids)):
+        want = stream.substream(i).generator()
         assert g.integers(0, 4) == want.integers(0, 4)
         assert np.array_equal(g.permutation(5), want.permutation(5))
         assert np.array_equal(g.standard_normal((2, 7)), want.standard_normal((2, 7)))
@@ -50,8 +50,8 @@ def test_children_draw_what_each_substream_generator_draws(seed, path):
 
 def test_children_of_zero_and_one():
     stream = RandomStream(3, (1, 2))
-    assert list(stream.children(0)) == []
-    (g,) = list(stream.children(1))
+    assert list(stream.children([])) == []
+    (g,) = list(stream.children([0]))
     assert np.array_equal(g.random(4), stream.substream(0).generator().random(4))
 
 
@@ -60,15 +60,17 @@ def test_children_reject_negative_seed_and_path_words_like_generator():
         with pytest.raises(ValueError) as want:
             stream.generator()
         with pytest.raises(ValueError) as got:
-            stream.children(3)
+            stream.children(range(3))
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 def test_children_reject_indices_beyond_one_word():
     with pytest.raises(ContractViolation):
-        RandomStream(0).children(2, 2**32 - 1)
+        RandomStream(0).children([2**32 - 1, 2**32])
+    with pytest.raises(ContractViolation):
+        RandomStream(0).children([0, 2**32, 1])
     with pytest.raises(ValueError):
-        RandomStream(0).children(2, -1)
+        RandomStream(0).children([-1, 0])
 
 
 @pytest.mark.parametrize("row", [0, -1])
@@ -82,4 +84,4 @@ def test_children_guard_fires_on_a_corrupted_key(monkeypatch, row):
 
     monkeypatch.setattr(rng, "_child_keys", corrupted)
     with pytest.raises(ContractViolation):
-        RandomStream(11, (4,)).children(6)
+        RandomStream(11, (4,)).children(np.arange(6))

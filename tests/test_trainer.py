@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ecgmatch import augment, metrics, nn, pseudo, trainer
-from ecgmatch.data import SplitSpec, SynthConfig, Subset, encode_subset, split_within, synth_generate
+from ecgmatch.data import Dataset, SplitSpec, SynthConfig, Subset, encode_subset, split_within, synth_generate
 from ecgmatch.errors import ConfigurationError
 from ecgmatch.rng import RandomStream
 from ecgmatch.trainer import (
@@ -11,7 +13,7 @@ from ecgmatch.trainer import (
     TrainConfig,
     _NS_STEP,
     _ROLE_LABELED,
-    _augment_encode,
+    _inputs,
 )
 
 
@@ -110,9 +112,7 @@ def test_pretrain_reduces_training_loss_on_average():
         model_cfg = trainer._model_config_for(cfg, splits.labeled)
         init = nn.init_params(model_cfg, RandomStream(seed).substream(0))
 
-        from ecgmatch.data import encode_subset
-
-        inputs = encode_subset(splits.labeled.signals, cfg.pool_len)
+        inputs = _inputs(splits.labeled, np.arange(len(splits.labeled)), cfg)
         _, p0 = nn.forward(model_cfg, init, inputs)
         loss0 = nn.bce(p0, splits.labeled.labels)
         trained = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
@@ -143,8 +143,8 @@ def test_pretrain_deterministic():
 
 def test_pretrain_rejects_all_negative_labels():
     splits = quick_splits()
-    empty = Subset(splits.labeled.signals, np.zeros_like(splits.labeled.labels),
-                   splits.labeled.provenance)
+    ds = splits.labeled.datasets[0]
+    empty = Subset([Dataset(ds.signals, np.zeros_like(ds.labels))], splits.labeled.sources, splits.labeled.rows)
     with pytest.raises(ConfigurationError):
         trainer.pretrain_teacher(empty, splits.val, quick_cfg())
 
@@ -171,7 +171,7 @@ def test_step_with_zero_weights_equals_pure_supervised_step():
     breakdown = trainer.train_step(state, lab, un, cfg)
 
     stream = RandomStream(cfg.seed).substream(_NS_STEP, step).substream(_ROLE_LABELED)
-    inputs = _augment_encode([splits.labeled.signals[i] for i in lab], stream, cfg, strong=False)
+    inputs = _inputs(splits.labeled, lab, cfg, stream)
     batch = nn.StepBatch(labeled_inputs=inputs, labels=splits.labeled.labels[lab])
     manual_bd, grads = nn.backward(state.model_cfg, manual_student, batch, nn.LossWeights(0.0, 0.0))
     lr = nn.lr_at(step, cfg.optimizer)
@@ -289,12 +289,20 @@ def test_threshold_step_logs_per_class_acceptance():
 
 @pytest.mark.parametrize("strong", [False, True])
 def test_fused_augment_encode_equals_augment_then_encode(strong):
+    """`_inputs` over a pool of three signal lengths equals augmenting and encoding each row alone."""
     g = np.random.default_rng(12)
-    signals = [g.normal(size=(3, length)) for length in [256, 64, 256, 9] * 150]  # 600 rows, 3 blocks
+    sizes, lengths = (300, 150, 150), (256, 64, 9)  # the 256-sample rows span two blocks
+    datasets = [Dataset(g.normal(size=(n, 3, length)), np.zeros((n, 5))) for n, length in zip(sizes, lengths)]
+    pool = Subset(datasets, np.repeat([0, 1, 2], sizes), np.concatenate([np.arange(n) for n in sizes]))
+    picks = g.integers(0, len(pool), size=500)  # with repeats, as unlabeled batches may draw
     cfg = quick_cfg()
     stream = RandomStream(5, (_NS_STEP, 2))
-    want = encode_subset(augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong), cfg.pool_len)
-    got = _augment_encode(signals, stream, cfg, strong=strong)
+    one_row = augment.strong_augment if strong else augment.weak_augment
+    want = np.vstack([
+        encode_subset(one_row(datasets[pool.sources[i]].signals[pool.rows[i]], stream.substream(p),
+                              cfg.augment_cfg)[None], cfg.pool_len)
+        for p, i in enumerate(picks)])
+    got = _inputs(pool, picks, cfg, stream, strong=strong)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -303,7 +311,8 @@ def test_model_width_is_channels_times_pool_len():
     for pool_len in (4, 8):
         cfg = quick_cfg(pool_len=pool_len)
         model_cfg = trainer._model_config_for(cfg, splits.labeled)
-        assert model_cfg.input_dim == encode_subset(splits.labeled.signals[:1], pool_len).shape[1] == 2 * pool_len
+        first = splits.labeled.datasets[0].signals[:1]
+        assert model_cfg.input_dim == encode_subset(first, pool_len).shape[1] == 2 * pool_len
 
 
 def test_evaluate_model_encodes_each_subset_once(monkeypatch):
@@ -311,8 +320,8 @@ def test_evaluate_model_encodes_each_subset_once(monkeypatch):
     cfg = quick_cfg(pretrain_max_epochs=2)
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
     model_cfg = trainer._model_config_for(cfg, splits.labeled)
-    test = Subset(list(splits.test.signals), splits.test.labels, list(splits.test.provenance))
-    fresh = encode_subset(test.signals, cfg.pool_len)
+    test = Subset(splits.test.datasets, splits.test.sources, splits.test.rows)
+    fresh = encode_subset(test.datasets[0].signals[test.rows], cfg.pool_len)
     want = metrics.compute_all(nn.forward(model_cfg, teacher, fresh)[1], test.labels).to_csv_row()
 
     calls = []
@@ -393,7 +402,8 @@ def test_every_evaluation_scores_with_the_configured_threshold_and_beta(monkeypa
     _, state, history = trainer.ssl_train(splits, cfg, teacher)
     assert pretrain_calls == 3 and len(seen) == 3 + 1 + 2  # pretraining epochs, then SSL's start and epochs
     assert set(seen) == {(0.3, 1.5)}
-    _, probs = nn.forward(state.model_cfg, state.student, encode_subset(splits.val.signals, cfg.pool_len))
+    val_inputs = encode_subset(splits.val.datasets[0].signals[splits.val.rows], cfg.pool_len)
+    _, probs = nn.forward(state.model_cfg, state.student, val_inputs)
     want = real(probs, splits.val.labels, threshold=0.3, beta=1.5).value(eval_metric)
     assert history[-1]["val_metric"] == want
 
@@ -443,3 +453,18 @@ def test_run_experiment_is_deterministic():
     for ra, rb in zip(a.per_seed, b.per_seed):
         for name in metrics.METRIC_NAMES:
             assert ra.report.value(name) == rb.report.value(name)
+
+
+def test_mixed_length_pooled_run_is_pinned():
+    """mix and cross over 2x64 and 2x48 recordings; batches of 300 rows span blocks and sources."""
+    datasets = [synth_generate(SynthConfig(n_samples=n, channels=2, signal_length=length, seed=seed,
+                                           dataset_id=name))
+                for name, n, length, seed in (("a", 200, 64, 1), ("b", 160, 48, 2), ("c", 120, 64, 3))]
+    cfg = TrainConfig(max_epochs=2, pretrain_max_epochs=2, batch_labeled=16, batch_unlabeled=300, pool_len=8,
+                      hidden_dims=(16,), feature_dim=8, head_hidden=8, knn=pseudo.KnnConfig(k=5))
+    rows = []
+    for spec in (SplitSpec(protocol="mix", labeled_frac=0.1),
+                 SplitSpec(protocol="cross", held_out_dataset="b", labeled_frac=0.1)):
+        result = trainer.run_experiment(datasets, spec, cfg, [0])
+        rows += [",".join(sr.report.to_csv_row()) for sr in result.per_seed]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == "941ed6e0860bac83"
