@@ -90,8 +90,7 @@ def _write_run_outputs(out_dir: Path, cfg: ExperimentConfig, result, dataset_lab
             out_dir / f"train_log_seed{sr.seed}.csv", LOG_HEADER,
             [[row[k] for k in LOG_HEADER] for row in sr.history],
         )
-        if sr.final_params is not None:
-            save_params(ckpt_dir / f"student_seed{sr.seed}.bin", sr.final_params)
+        save_params(ckpt_dir / f"student_seed{sr.seed}.bin", sr.final_params)
 
 
 def _flag_or_env(args, name: str, integer: bool = False):
@@ -170,9 +169,13 @@ def _gridsearch(args, stage) -> int:
     cells = _grid_cells(cfg)
     out_dir = Path(cfg.output_dir)
     stage("train")
+    cell_dirs = [out_dir / f"cell_lu{lu:g}_lf{lf:g}" for lu, lf in cells]
+    shared = next((d for d in cell_dirs if cell_dirs.count(d) > 1), None)
+    if shared is not None:
+        raise ConfigurationError(f"two grid cells would write to {shared}; "
+                                 "grid values must differ in their first 6 significant digits")
     out_dir.mkdir(parents=True, exist_ok=True)
     cell_cfgs = [replace(cfg, train=replace(cfg.train, weights=LossWeights(lu, lf))) for lu, lf in cells]
-    cell_dirs = [out_dir / f"cell_lu{lu:g}_lf{lf:g}" for lu, lf in cells]
     workers = min(args.threads, len(cells))  # a fork pool starts every worker at the first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_datasets,

@@ -52,6 +52,8 @@ class GridConfig:
     def __post_init__(self):
         if self.axis not in ("lambda_u", "lambda_f", "cartesian"):
             raise ConfigurationError(f"grid axis must be lambda_u, lambda_f or cartesian, got {self.axis!r}")
+        if not self.values:
+            raise ConfigurationError("grid values must be a nonempty list")
 
 
 @dataclass
@@ -67,6 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigurationError("seeds must be a nonempty list of integers")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
 
 
 def _convert(default, value, where: str, name: str):

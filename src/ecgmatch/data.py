@@ -47,6 +47,9 @@ class Dataset:
             raise ConfigurationError(f"signals must be one (n, channels, length) array: {exc}") from None
         if self.signals.ndim != 3:
             raise ConfigurationError(f"signals must be one (n, channels, length) array, got {self.signals.shape}")
+        if len(self.signals) and 0 in self.signals.shape[1:]:
+            raise ConfigurationError(f"{self.dataset_id}: signals need at least one channel and sample, "
+                                     f"got shape {self.signals.shape}")
         self.labels = np.asarray(self.labels, dtype=float)
         if self.labels.ndim != 2 or len(self.signals) != self.labels.shape[0]:
             raise ConfigurationError("signal count and label rows must match")
@@ -457,6 +460,8 @@ class SynthConfig:
             raise ConfigurationError("target marginals must lie in (0, 1)")
         if self.noise_level < 0.0:
             raise ConfigurationError("noise_level must be nonnegative")
+        if self.channels < 1 or self.signal_length < 1:
+            raise ConfigurationError("need channels >= 1 and signal_length >= 1")
 
     @property
     def num_classes(self) -> int:

@@ -64,7 +64,6 @@ class MetricsReport:
     macro_auc: float
     macro_gbeta: float
     skipped: dict = field(default_factory=dict)
-    per_class: dict = field(default_factory=dict)
 
     def value(self, name: str) -> float:
         return float(getattr(self, name))
@@ -203,18 +202,14 @@ def macro_auc(sm: ScoreMatrix) -> float:
     return _macro_mean(per_class)
 
 
-def _gbeta_per_class(sm: ScoreMatrix, beta: float, threshold: float) -> np.ndarray:
+def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> float:
+    """Macro mean of TP / (TP + FN + beta*FP) after thresholding (0 on empty denominators)."""
     pred, truth = sm.scores > threshold, sm.labels == 1.0
     tp = (pred & truth).sum(axis=0).astype(float)
     fp = (pred & ~truth).sum(axis=0).astype(float)
     fn = (~pred & truth).sum(axis=0).astype(float)
     denom = tp + fn + beta * fp
-    return np.divide(tp, denom, out=np.zeros_like(tp), where=denom > 0)
-
-
-def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> float:
-    """Macro mean of TP / (TP + FN + beta*FP) after thresholding (0 on empty denominators)."""
-    return float(np.mean(_gbeta_per_class(sm, beta, threshold)))
+    return float(np.mean(np.divide(tp, denom, out=np.zeros_like(tp), where=denom > 0)))
 
 
 def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> MetricsReport:
@@ -230,18 +225,12 @@ def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> Me
     cov_per_row, cov_skip = _coverage(pos, row_all)
     map_per_class, map_skip = _map(pos.T, col_all, col_pos)
     auc_per_class, auc_skip = _macro_auc(pos.T, neg.T, col_neg)
-    gbeta_values = _gbeta_per_class(sm, beta, threshold)
     return MetricsReport(
         ranking_loss=_mean_in_order(rl_per_row),
         hamming_loss=hamming_loss(sm, threshold),
         coverage=_mean_in_order(cov_per_row),
         map=_macro_mean(map_per_class),
         macro_auc=_macro_mean(auc_per_class),
-        macro_gbeta=float(np.mean(gbeta_values)),
+        macro_gbeta=macro_gbeta(sm, beta, threshold),
         skipped=dict(zip(_SKIP_KEYS, (rl_skip, cov_skip, map_skip, auc_skip))),
-        per_class={
-            "map": map_per_class,
-            "macro_auc": auc_per_class,
-            "macro_gbeta": dict(enumerate(gbeta_values.tolist())),
-        },
     )

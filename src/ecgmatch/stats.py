@@ -102,7 +102,6 @@ def bonferroni_dunn_cd(k: int, n: int, alpha: float = 0.05) -> float:
 @dataclass
 class DunnVerdict:
     model_index: int
-    mean_rank: float
     rank_difference: float
     significant: bool
 
@@ -117,5 +116,5 @@ def dunn_compare(rt: RankTable, control_index: int, cd: float) -> list[DunnVerdi
         if j == control_index:
             continue
         diff = abs(rt.mean_ranks[j] - control)
-        verdicts.append(DunnVerdict(j, float(rt.mean_ranks[j]), float(diff), bool(diff >= cd)))
+        verdicts.append(DunnVerdict(j, float(diff), bool(diff >= cd)))
     return verdicts

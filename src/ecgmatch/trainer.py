@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigurationError(f"unknown early-stop metric {self.eval_metric!r}")
         if self.similarity not in correlation.SIMILARITY_KINDS:
             raise ConfigurationError(f"unknown similarity kind {self.similarity!r}")
+        if self.patience < 1 or self.pretrain_patience < 1:
+            raise ConfigurationError("patience and pretrain_patience must be positive")
 
     def effective_weights(self) -> nn.LossWeights:
         """(lambda_u, lambda_f) after ablations; supervised_only trains on the labeled loss alone."""
@@ -92,35 +94,6 @@ class TrainConfig:
         lu = 0.0 if self.ablations.no_pseudo else self.weights.lambda_u
         lf = 0.0 if self.ablations.no_align else self.weights.lambda_f
         return nn.LossWeights(lu, lf)
-
-
-class EarlyStopper:
-    """Stops after `patience` consecutive epochs without improvement."""
-
-    def __init__(self, patience: int, higher_is_better: bool = True):
-        if patience < 1:
-            raise ConfigurationError("patience must be positive")
-        self.patience = patience
-        self.higher_is_better = higher_is_better
-        self.best: float | None = None
-        self.stale = 0
-        self.improved_last = False
-
-    def update(self, score: float) -> bool:
-        """Registers a new validation score; returns True when training should stop.
-
-        A NaN best (the metric was undefined) is beaten by any non-NaN score.
-        """
-        improved = self.best is None or (np.isnan(self.best) and not np.isnan(score)) or (
-            score > self.best if self.higher_is_better else score < self.best
-        )
-        self.improved_last = improved
-        if improved:
-            self.best = score
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
 
 
 @dataclass
@@ -134,7 +107,6 @@ class TrainState:
     labeled: Subset  # the pools that train_step's row indices address
     unlabeled: Subset
     step: int = 0
-    last_acceptance: np.ndarray | None = None  # per-class accepted fraction, threshold rule only
 
 
 def _inputs(subset: Subset, picks, cfg: TrainConfig, stream: RandomStream | None = None, strong=False):
@@ -172,6 +144,43 @@ def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: S
     return metrics.compute_all(probs, subset.labels, cfg.metrics.threshold, cfg.metrics.gbeta_beta)
 
 
+def _batches(n: int, batch: int, stream: RandomStream, iters: int | None = None) -> list:
+    """One epoch's row batches of a pool of `n`: `iters` (default n // batch) slices of one
+    permutation drawn from `stream`, or `iters` draws with replacement when the pool is too small."""
+    g = stream.generator()
+    iters = n // batch if iters is None else iters
+    if n >= batch * iters:
+        order = g.permutation(n)
+        return [order[i * batch : (i + 1) * batch] for i in range(iters)]
+    return [g.integers(0, n, size=batch) for _ in range(iters)]
+
+
+def _fit(model_cfg: nn.ModelConfig, params: nn.ParameterSet, val: Subset, cfg: TrainConfig,
+         epochs, patience: int, run_epoch, history=None) -> nn.ParameterSet:
+    """The best of the params that `run_epoch(epoch)` returns for each of `epochs`, by
+    cfg.eval_metric on `val`; `params` when `epochs` is empty.
+
+    Stops after `patience` epochs in a row without improvement. The first score, a better
+    score, or any non-NaN score after a NaN best (the metric was undefined) is an
+    improvement. Each score is also written as "val_metric" on the last row of `history`.
+    """
+    higher = metrics.HIGHER_IS_BETTER[cfg.eval_metric]
+    best, best_score, stale = params.copy(), None, 0
+    for epoch in epochs:
+        params = run_epoch(epoch)
+        score = evaluate_model(model_cfg, params, val, cfg).value(cfg.eval_metric)
+        if history is not None:
+            history[-1]["val_metric"] = score
+        if best_score is None or (np.isnan(best_score) and not np.isnan(score)) or (
+                score > best_score if higher else score < best_score):
+            best, best_score, stale = params.copy(), score, 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    return best
+
+
 def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.ParameterSet:
     """Supervised training of the teacher with early stopping on the validation metric."""
     if len(labeled) == 0:
@@ -182,29 +191,20 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
     stream = RandomStream(cfg.seed)
     params = nn.init_params(model_cfg, stream.substream(_NS_INIT))
     velocity = params.zeros_like()
-    stopper = EarlyStopper(cfg.pretrain_patience, metrics.HIGHER_IS_BETTER[cfg.eval_metric])
-    best = params.copy()
-    n = len(labeled)
-    batch_size = min(cfg.batch_labeled, n)
-    step = 0
-    for epoch in range(cfg.pretrain_max_epochs):
-        order = stream.substream(_NS_PRETRAIN, epoch).generator().permutation(n)
-        for it in range(n // batch_size):
-            idx = order[it * batch_size : (it + 1) * batch_size]
+    batch_size = min(cfg.batch_labeled, len(labeled))
+
+    def run_epoch(epoch):
+        nonlocal params, velocity
+        batches = _batches(len(labeled), batch_size, stream.substream(_NS_PRETRAIN, epoch))
+        for it, idx in enumerate(batches):
             sub = stream.substream(_NS_PRETRAIN, epoch, it, _ROLE_LABELED) if cfg.pretrain_augment else None
-            inputs = _inputs(labeled, idx, cfg, sub)
-            batch = nn.StepBatch(labeled_inputs=inputs, labels=labeled.labels[idx])
+            batch = nn.StepBatch(labeled_inputs=_inputs(labeled, idx, cfg, sub), labels=labeled.labels[idx])
             _, grads = nn.backward(model_cfg, params, batch, nn.LossWeights(0.0, 0.0))
-            lr = nn.lr_at(step, cfg.optimizer)
+            lr = nn.lr_at(epoch * len(batches) + it, cfg.optimizer)
             params, velocity = nn.sgd_step(params, grads, velocity, lr, cfg.optimizer.momentum)
-            step += 1
-        report = evaluate_model(model_cfg, params, val, cfg)
-        stop = stopper.update(report.value(cfg.eval_metric))
-        if stopper.improved_last:
-            best = params.copy()
-        if stop:
-            break
-    return best
+        return params
+
+    return _fit(model_cfg, params, val, cfg, range(cfg.pretrain_max_epochs), cfg.pretrain_patience, run_epoch)
 
 
 def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
@@ -214,8 +214,6 @@ def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
     weights = cfg.effective_weights()
     banks = None
     if weights.lambda_u > 0.0:
-        if len(unlabeled) == 0:
-            raise ConfigurationError("unlabeled split is empty; cannot build memory banks")
         stream = RandomStream(cfg.seed).substream(_NS_BANK)
         inputs = _inputs(unlabeled, np.arange(len(unlabeled)), cfg, stream)
         banks = pseudo.bank_init(model_cfg, teacher, inputs)
@@ -235,8 +233,8 @@ def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
 
 
 def train_step(state: TrainState, labeled_rows, unlabeled_rows, cfg: TrainConfig) -> nn.LossBreakdown:
-    """One optimization step on rows of `state.labeled` and `state.unlabeled` (None: no unlabeled
-    batch); mutates `state` (student, teacher, banks, counters).
+    """One optimization step on rows of `state.labeled` and `state.unlabeled`; mutates `state`
+    (student, teacher, banks, counters). The unlabeled rows are used only when a loss weight needs them.
 
     The fixed_threshold baseline replaces the agreement weights with 1 where
     max(pseudo, 1-pseudo) >= cfg.fixed_threshold_tau, else 0.
@@ -247,8 +245,7 @@ def train_step(state: TrainState, labeled_rows, unlabeled_rows, cfg: TrainConfig
     batch = nn.StepBatch(labeled_inputs=lab_inputs, labels=state.labeled.labels[labeled_rows],
                          similarity=cfg.similarity)
 
-    use_unlabeled = unlabeled_rows is not None and (weights.lambda_u > 0.0 or weights.lambda_f > 0.0)
-    if use_unlabeled:
+    if weights.lambda_u > 0.0 or weights.lambda_f > 0.0:
         weak_inputs = _inputs(state.unlabeled, unlabeled_rows, cfg, stream.substream(_ROLE_WEAK))
         strong_inputs = _inputs(state.unlabeled, unlabeled_rows, cfg, stream.substream(_ROLE_STRONG), strong=True)
         batch.strong_inputs = strong_inputs
@@ -262,7 +259,6 @@ def train_step(state: TrainState, labeled_rows, unlabeled_rows, cfg: TrainConfig
                                                            self_indices=unlabeled_rows)
             if cfg.baseline == "fixed_threshold":
                 alpha = (np.maximum(targets, 1.0 - targets) >= cfg.fixed_threshold_tau).astype(float)
-                state.last_acceptance = alpha.mean(axis=0)
             elif cfg.ablations.no_nam:
                 alpha = np.ones_like(targets)
             batch.pseudo_targets = targets
@@ -278,55 +274,33 @@ def train_step(state: TrainState, labeled_rows, unlabeled_rows, cfg: TrainConfig
     return breakdown
 
 
-def _unlabeled_batches(n_unlabeled: int, iters: int, batch: int, epoch: int,
-                       stream: RandomStream):
-    """Index batches for one epoch; with replacement when the pool is too small."""
-    if n_unlabeled >= batch * iters:
-        order = stream.substream(_NS_UNLABELED_ORDER, epoch).generator().permutation(n_unlabeled)
-        return [order[i * batch : (i + 1) * batch] for i in range(iters)]
-    g = stream.substream(_NS_UNLABELED_ORDER, epoch).generator()
-    return [g.integers(0, n_unlabeled, size=batch) for _ in range(iters)]
-
-
 def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
-    """Semi-supervised training loop; returns (best student, state, history rows)."""
+    """Semi-supervised training loop; returns (best student, state, history rows).
+
+    Epoch 0 scores the teacher's copy before any step; epochs 1..max_epochs train.
+    """
     state = init_train_state(splits.labeled, splits.unlabeled, cfg, teacher)
-    weights = cfg.effective_weights()
-    use_unlabeled = weights.lambda_u > 0.0 or weights.lambda_f > 0.0
-
-    stopper = EarlyStopper(cfg.patience, metrics.HIGHER_IS_BETTER[cfg.eval_metric])
-    report = evaluate_model(state.model_cfg, state.student, splits.val, cfg)
-    stopper.update(report.value(cfg.eval_metric))
-    best = state.student.copy()
-    history = [{"step": 0, "epoch": 0, "lb": "", "lu": "", "lf": "", "lr": "",
-                "val_metric": report.value(cfg.eval_metric)}]
-
     stream = RandomStream(cfg.seed)
     n_lab, n_unlab = len(splits.labeled), len(splits.unlabeled)
     batch_size = min(cfg.batch_labeled, n_lab)
-    iters = n_lab // batch_size
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = stream.substream(_NS_LABELED_ORDER, epoch).generator().permutation(n_lab)
-        unlabeled_rows = (
-            _unlabeled_batches(n_unlab, iters, min(cfg.batch_unlabeled, max(n_unlab, 1)), epoch, stream)
-            if use_unlabeled else [None] * iters
-        )
-        for it in range(iters):
-            last = train_step(state, order[it * batch_size : (it + 1) * batch_size], unlabeled_rows[it], cfg)
-            row = {"step": state.step, "epoch": epoch,
-                   "lb": last.supervised, "lu": last.unsupervised,
-                   "lf": last.alignment, "lr": nn.lr_at(state.step - 1, cfg.optimizer),
-                   "val_metric": ""}
-            if state.last_acceptance is not None:
-                row["acceptance"] = state.last_acceptance.tolist()
-            history.append(row)
-        report = evaluate_model(state.model_cfg, state.student, splits.val, cfg)
-        history[-1]["val_metric"] = report.value(cfg.eval_metric)
-        stop = stopper.update(report.value(cfg.eval_metric))
-        if stopper.improved_last:
-            best = state.student.copy()
-        if stop:
-            break
+    history = [{"step": 0, "epoch": 0, "lb": "", "lu": "", "lf": "", "lr": "", "val_metric": ""}]
+
+    def run_epoch(epoch):
+        if epoch == 0:
+            return state.student
+        labeled_rows = _batches(n_lab, batch_size, stream.substream(_NS_LABELED_ORDER, epoch))
+        unlabeled_rows = _batches(n_unlab, min(cfg.batch_unlabeled, n_unlab),
+                                  stream.substream(_NS_UNLABELED_ORDER, epoch), len(labeled_rows))
+        for lab, unlab in zip(labeled_rows, unlabeled_rows):
+            last = train_step(state, lab, unlab, cfg)
+            history.append({"step": state.step, "epoch": epoch,
+                            "lb": last.supervised, "lu": last.unsupervised,
+                            "lf": last.alignment, "lr": nn.lr_at(state.step - 1, cfg.optimizer),
+                            "val_metric": ""})
+        return state.student
+
+    best = _fit(state.model_cfg, state.student, splits.val, cfg, range(cfg.max_epochs + 1), cfg.patience,
+                run_epoch, history)
     return best, state, history
 
 
@@ -335,7 +309,7 @@ class SeedResult:
     seed: int
     report: metrics.MetricsReport
     history: list
-    final_params: nn.ParameterSet | None = None
+    final_params: nn.ParameterSet
 
 
 @dataclass
@@ -356,6 +330,11 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds) -> 
         spec_s = replace(split_spec, seed=int(seed))
         cfg_s = replace(cfg, seed=int(seed))
         splits = split(datasets, spec_s)
+        needed = [name for name in ("lambda_u", "lambda_f") if getattr(cfg_s.effective_weights(), name) > 0.0]
+        if needed and not len(splits.unlabeled):
+            raise ConfigurationError(f"the {split_spec.protocol} split leaves the unlabeled set empty, but the "
+                                     f"unlabeled loss terms need it ({', '.join(needed)} > 0); lower "
+                                     "split.labeled_frac or set those weights to 0")
         teacher = pretrain_teacher(splits.labeled, splits.val, cfg_s)
         if cfg_s.baseline == "supervised_only":
             final, history = teacher, []

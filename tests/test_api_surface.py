@@ -6,6 +6,10 @@ top-level function or class, or a public method, that no reference names is
 API that only tests call, and it fails this test. Names that only the test
 suite or an outside reader calls on purpose are listed in ALLOWED.
 
+Every field of a dataclass of the package is read somewhere outside the
+tests too, so no state is written and never used; FIELDS_READ_ELSEWHERE
+lists the few that are read by name or only by a test on purpose.
+
 Likewise every `TrainConfig` field but `seed`, which `seeds` sets, is set
 from the JSON config, so no training knob is reachable only from Python.
 And no module of the package reads a private name of another one.
@@ -74,6 +78,42 @@ def test_every_public_name_has_a_caller_outside_tests():
               if name.rsplit(".", 1)[-1] not in referenced and name not in ALLOWED]
     assert unused == [], f"public names with no caller outside the tests: {unused}"
 
+
+FIELDS_READ_ELSEWHERE = {
+    "Subset.provenance": "the acceptance suite reads it to check where split rows came from",
+    "LossBreakdown.total": "the acceptance suite checks the loss identity through it",
+    "MetricsReport.hamming_loss": "MetricsReport.value reads it through getattr",
+    "MetricsReport.macro_gbeta": "MetricsReport.value reads it through getattr",
+}
+
+
+def _is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list)):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield f"{node.name}.{sub.target.id}"
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    """A field that no code reads is state written for nothing; tests alone do not count as readers."""
+    fields_, read = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent.name == "ecgmatch":
+            fields_ += [(path.name, name) for name in _dataclass_fields(tree)]
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert len(fields_) > 50  # the scan found the package's dataclasses
+    assert set(FIELDS_READ_ELSEWHERE) <= {name for _, name in fields_}, "an allowlisted field is gone; drop it"
+    unread = [f"{module}:{name}" for module, name in fields_
+              if name.split(".")[1] not in read and name not in FIELDS_READ_ELSEWHERE]
+    assert unread == [], f"dataclass fields that nothing outside the tests reads: {unread}"
 
 
 # a non-default value for every TrainConfig field but `seed`, at its JSON key

@@ -1,11 +1,12 @@
 import copyreg
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ecgmatch import cli, data
+from ecgmatch import cli, data, trainer
 from ecgmatch.cli import REPORT_HEADER, main
 
 
@@ -82,6 +83,77 @@ def test_run_outputs_are_byte_identical_for_same_config(tmp_path):
     a = (tmp_path / "a" / "reports.csv").read_bytes()
     b = (tmp_path / "b" / "reports.csv").read_bytes()
     assert a == b
+
+
+# both phases stop early for both seeds: pretraining after 12 and 6 of 60 epochs, SSL after 2 and 7 of 8
+PINNED_RUN = {
+    "data": {"synth": {"n_samples": 240, "channels": 2, "signal_length": 64, "noise_level": 0.6}},
+    "seeds": [0, 1], "split": {"labeled_frac": 0.2},
+    "train": {"batch_labeled": 16, "batch_unlabeled": 32, "knn": {"k": 5}, "max_epochs": 8, "patience": 2,
+              "pretrain_max_epochs": 60, "pretrain_patience": 2, "hidden_dims": [16], "feature_dim": 8,
+              "head_hidden": 8, "pool_len": 8, "optimizer": {"lr0": 0.1}},
+}
+PINNED_FILES = ("reports.csv", "summary.csv", "train_log_seed0.csv", "train_log_seed1.csv",
+                "checkpoints/student_seed0.bin", "checkpoints/student_seed1.bin")
+
+
+def test_run_output_bytes_and_early_stops_are_pinned(tmp_path, monkeypatch):
+    evaluations, pretrain_epochs = [], []
+    real_evaluate, real_pretrain = trainer.evaluate_model, trainer.pretrain_teacher
+
+    def counting_pretrain(*args):
+        start = len(evaluations)
+        teacher = real_pretrain(*args)
+        pretrain_epochs.append(len(evaluations) - start)  # one validation per epoch
+        return teacher
+
+    monkeypatch.setattr(trainer, "evaluate_model", lambda *args: evaluations.append(1) or real_evaluate(*args))
+    monkeypatch.setattr(trainer, "pretrain_teacher", counting_pretrain)
+    config = tmp_path / "pinned.json"
+    config.write_text(json.dumps({**PINNED_RUN, "output_dir": str(tmp_path / "run")}))
+    assert main(["run", "--config", str(config)]) == 0
+    assert pretrain_epochs == [12, 6]
+    assert [read_csv(tmp_path / "run" / f"train_log_seed{seed}.csv")[-1][1] for seed in (0, 1)] == ["2", "7"]
+    blob = b"".join((tmp_path / "run" / name).read_bytes() for name in PINNED_FILES)
+    assert hashlib.sha256(blob).hexdigest()[:16] == "76b5ca6183aa623a"
+
+
+@pytest.mark.parametrize("train, needed", [({"lambda_u": 0.0}, "lambda_f"),
+                                           ({"ablations": {"no_pseudo": True}}, "lambda_f"),
+                                           ({"lambda_f": 0.0}, "lambda_u"),
+                                           ({}, "lambda_u, lambda_f")])
+def test_an_empty_unlabeled_set_that_a_weight_needs_exits_2_before_training(tmp_path, monkeypatch, capsys,
+                                                                           train, needed):
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
+    config, doc = smoke_config(tmp_path)
+    doc["split"]["labeled_frac"] = 1.0
+    doc["train"].update(train)
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert ("configuration error in stage train: the within split leaves the unlabeled set empty, "
+            f"but the unlabeled loss terms need it ({needed} > 0)") in err
+
+
+@pytest.mark.parametrize("key", ["channels", "signal_length"])
+def test_synth_with_zero_channels_or_length_exits_2_in_load_config(tmp_path, capsys, key):
+    config, doc = smoke_config(tmp_path)
+    doc["data"]["synth"][key] = 0
+    config.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(config), "--out-file", str(tmp_path / "ds.csv")]) == 2
+    assert "configuration error in stage load-config: need channels >= 1" in capsys.readouterr().err
+
+
+def test_csv_dataset_with_zero_channels_exits_2_in_load_data(tmp_path, capsys):
+    dataset = tmp_path / "ds.csv"
+    dataset.write_text("2,0,4,5\n1,0,0,0,0\n0,1,0,0,0\n")
+    config, _ = smoke_config(tmp_path, data={"paths": [str(dataset)]})
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in stage load-data: {dataset}: signals need at least one channel" in err
 
 
 def test_eval_known_fixture(tmp_path, capsys):
@@ -394,6 +466,12 @@ CONFIG_VALUE_ERRORS = {
     "lr0_beyond_double": (("train", "optimizer", "lr0"), 10**400),
     "train_seed": (("train", "seed"), 5),
     "split_seed": (("split", "seed"), 5),
+    "patience_zero": (("train", "patience"), 0),
+    "pretrain_patience_zero": (("train", "pretrain_patience"), 0),
+    "seeds_repeated": (("seeds",), [0, 0]),
+    "grid_values_empty": (("grid", "values"), []),
+    "synth_channels_zero": (("data", "synth", "channels"), 0),
+    "synth_signal_length_zero": (("data", "synth", "signal_length"), 0),
 }
 
 
@@ -564,6 +642,21 @@ def test_gridsearch_workers_receive_the_datasets_once_each(tmp_path, monkeypatch
     assert main(["gridsearch", "--config", str(config), "--threads", "2"]) == 0
     assert len(read_csv(tmp_path / "grid" / "gridsearch.csv")) == 1 + 4
     assert len(pickled) <= 2  # at most once per worker, not once per cell
+
+
+@pytest.mark.parametrize("axis", ["lambda_f", "cartesian"])
+def test_grid_cells_sharing_a_directory_exit_2_before_any_cell_trains(tmp_path, monkeypatch, capsys, axis):
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
+    config, doc = smoke_config(tmp_path, out_name="grid")
+    doc["grid"] = {"axis": axis, "values": [0.1, 0.10000001], "fixed": 0.8}
+    config.write_text(json.dumps(doc))
+    assert main(["gridsearch", "--config", str(config), "--threads", "2"]) == 2
+    shared = tmp_path / "grid" / ("cell_lu0.8_lf0.1" if axis == "lambda_f" else "cell_lu0.1_lf0.1")
+    assert f"configuration error in stage train: two grid cells would write to {shared}" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
 
 
 def test_gridsearch_missing_data_path_exits_2_in_load_data(tmp_path, capsys):

@@ -169,6 +169,9 @@ def _scan_csv(path):
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric signal cell") from None
         signals.append(sig)
+    if n and not channels * length:
+        raise ConfigurationError(f"{path}: signals need at least one channel and sample, "
+                                 f"got shape {(n, channels, length)}")
     return np.array(labels).reshape(n, c), signals
 
 
@@ -645,3 +648,10 @@ def test_subset_rejects_pooled_channel_counts_and_ragged_datasets():
     with pytest.raises(ConfigurationError, match=r"\(n, channels, length\) array"):
         Dataset(np.zeros((2, 8)), np.zeros((2, 5)))
     assert encode_subset(np.zeros((0, 2, 8)), pool_len=4).shape == (0, 8)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 8), (2, 3, 0), (1, 0, 0)])
+def test_dataset_rejects_samples_with_no_channel_or_no_length(shape):
+    with pytest.raises(ConfigurationError, match="at least one channel and sample"):
+        Dataset(np.zeros(shape), np.zeros((shape[0], 5)))
+    assert len(Dataset(np.zeros((0,) + shape[1:]), np.zeros((0, 5)))) == 0  # an empty dataset still loads

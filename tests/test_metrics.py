@@ -204,9 +204,11 @@ def test_class_permutation_keeps_row_metrics_and_permutes_macro_vectors():
     b = m.ScoreMatrix(scores[:, perm], labels[:, perm])
     for name in ("ranking_loss", "hamming_loss", "coverage"):
         assert IMPLS[name](a) == pytest.approx(IMPLS[name](b), abs=1e-12)
-    ra, rb = m.compute_all(scores, labels), m.compute_all(scores[:, perm], labels[:, perm])
-    for c in range(5):
-        assert ra.per_class["macro_gbeta"][perm[c]] == pytest.approx(rb.per_class["macro_gbeta"][c])
+    per_class_a = np.array([m.macro_gbeta(m.ScoreMatrix(scores[:, [c]], labels[:, [c]])) for c in range(5)])
+    per_class_b = [m.macro_gbeta(m.ScoreMatrix(b.scores[:, [c]], b.labels[:, [c]])) for c in range(5)]
+    assert per_class_b == pytest.approx(per_class_a[perm])
+    for s, y in ((scores, labels), (b.scores, b.labels)):
+        assert m.compute_all(s, y).macro_gbeta == pytest.approx(per_class_a.mean())
 
 
 def test_ranking_loss_complements_pairwise_auc_per_sample():

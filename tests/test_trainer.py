@@ -9,7 +9,6 @@ from ecgmatch.errors import ConfigurationError
 from ecgmatch.rng import RandomStream
 from ecgmatch.trainer import (
     Ablations,
-    EarlyStopper,
     TrainConfig,
     _NS_STEP,
     _ROLE_LABELED,
@@ -73,32 +72,56 @@ def params_equal(a, b):
 # --- early stopping -------------------------------------------------------
 
 
-def test_early_stop_never_fires_on_strict_improvement():
-    stopper = EarlyStopper(patience=3, higher_is_better=True)
-    assert not any(stopper.update(v) for v in np.linspace(0.1, 0.9, 30))
+class Scored:
+    """Stands in for the params of one epoch and for their validation report."""
+
+    def __init__(self, epoch, score):
+        self.epoch, self.score = epoch, score
+
+    def copy(self):
+        return self
+
+    def value(self, name):
+        return self.score
 
 
-def test_early_stop_flat_sequence_stops_at_patience():
-    stopper = EarlyStopper(patience=3, higher_is_better=True)
-    decisions = [stopper.update(0.5) for _ in range(4)]
-    assert decisions == [False, False, False, True]
+def fit_scripted(monkeypatch, scores, patience, eval_metric="map"):
+    """(epochs run, epoch kept) when `_fit` reads the scripted validation `scores`."""
+    monkeypatch.setattr(trainer, "evaluate_model", lambda model_cfg, params, subset, cfg: params)
+    run = []
+
+    def run_epoch(epoch):
+        run.append(epoch)
+        return Scored(epoch, scores[epoch])
+
+    best = trainer._fit(None, Scored(None, None), None, quick_cfg(eval_metric=eval_metric),
+                        range(len(scores)), patience, run_epoch)
+    return len(run), best.epoch
 
 
-def test_early_stop_lower_is_better_orientation():
-    stopper = EarlyStopper(patience=2, higher_is_better=False)
-    assert not stopper.update(1.0)
-    assert not stopper.update(0.5)  # improvement
-    assert not stopper.update(0.6)
-    assert stopper.update(0.7)
+def test_early_stop_never_fires_on_strict_improvement(monkeypatch):
+    assert fit_scripted(monkeypatch, np.linspace(0.1, 0.9, 30), patience=3) == (30, 29)
 
 
-def test_early_stop_recovers_from_nan_first_score():
-    stopper = EarlyStopper(patience=2, higher_is_better=True)
-    decisions = [stopper.update(v) for v in (float("nan"), 0.5, 0.9, 0.95)]
-    assert decisions == [False, False, False, False]
-    assert stopper.best == 0.95 and stopper.improved_last
-    assert not stopper.update(float("nan"))  # a NaN never beats a finite best
-    assert stopper.best == 0.95 and stopper.stale == 1
+def test_early_stop_flat_sequence_stops_at_patience(monkeypatch):
+    assert fit_scripted(monkeypatch, [0.5] * 10, patience=3) == (4, 0)
+
+
+def test_early_stop_lower_is_better_orientation(monkeypatch):
+    scores = [1.0, 0.5, 0.6, 0.7, 0.1]  # 0.5 improves, then two worse scores stop the run
+    assert fit_scripted(monkeypatch, scores, patience=2, eval_metric="hamming_loss") == (4, 1)
+
+
+def test_early_stop_recovers_from_nan_first_score(monkeypatch):
+    nan = float("nan")
+    # any number beats a NaN best; a NaN never beats a finite best, nor another NaN
+    assert fit_scripted(monkeypatch, [nan, 0.5, 0.9, 0.95, nan, 0.1, 1.0], patience=2) == (6, 3)
+    assert fit_scripted(monkeypatch, [nan, nan, nan, 0.5], patience=2) == (3, 0)
+
+
+def test_fit_with_no_epochs_keeps_the_initial_params():
+    start = Scored(None, None)
+    assert trainer._fit(None, start, None, quick_cfg(), range(0), 1, None) is start
 
 
 # --- pre-training -----------------------------------------------------------
@@ -277,16 +300,6 @@ def test_threshold_step_alpha_is_binary(monkeypatch):
     np.testing.assert_array_equal(alpha, (conf >= 0.6).astype(float))
 
 
-def test_threshold_step_logs_per_class_acceptance():
-    splits = quick_splits()
-    cfg = quick_cfg(baseline="fixed_threshold", fixed_threshold_tau=0.6, pretrain_max_epochs=2)
-    state, lab, un = make_state_and_batches(cfg, splits)
-    trainer.train_step(state, lab, un, cfg)
-    assert state.last_acceptance is not None
-    assert state.last_acceptance.shape == (5,)
-    assert np.all((state.last_acceptance >= 0.0) & (state.last_acceptance <= 1.0))
-
-
 @pytest.mark.parametrize("strong", [False, True])
 def test_fused_augment_encode_equals_augment_then_encode(strong):
     """`_inputs` over a pool of three signal lengths equals augmenting and encoding each row alone."""
@@ -441,6 +454,18 @@ def test_run_experiment_three_seeds_and_supervised_baseline():
     sup = trainer.run_experiment([ds], spec, quick_cfg(baseline="supervised_only",
                                                        pretrain_max_epochs=3), seeds=[0])
     assert sup.per_seed[0].history == []  # no unsupervised machinery ran
+
+
+def test_an_empty_unlabeled_set_trains_when_no_loss_term_uses_it():
+    ds = synth_generate(SynthConfig(n_samples=120, seed=6, noise_level=0.2, channels=2, signal_length=64))
+    spec = SplitSpec(protocol="within", labeled_frac=1.0, seed=0)
+    cfg = quick_cfg(max_epochs=2, pretrain_max_epochs=2, ablations=Ablations(no_pseudo=True, no_align=True))
+    result = trainer.run_experiment([ds], spec, cfg, seeds=[0])
+    assert result.per_seed[0].history[-1]["epoch"] == 2
+    assert trainer.run_experiment([ds], spec, quick_cfg(baseline="supervised_only", pretrain_max_epochs=2),
+                                  seeds=[0]).per_seed[0].history == []
+    with pytest.raises(ConfigurationError, match="unlabeled set empty"):
+        trainer.run_experiment([ds], spec, quick_cfg(ablations=Ablations(no_pseudo=True)), seeds=[0])
 
 
 def test_run_experiment_is_deterministic():
