@@ -16,9 +16,9 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigurationError, ParseError
 from .rng import RandomStream
@@ -510,17 +510,21 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
             f"{np.array_str(suggestion, precision=4)}"
         ) from None
 
-    thresholds = -ndtri(np.asarray(cfg.target_marginals))  # the upper-tail normal quantile
+    # the upper-tail normal quantile
+    thresholds = np.array([-NormalDist().inv_cdf(p) for p in cfg.target_marginals])
     stream = RandomStream(cfg.seed)
     g_labels = stream.substream(0).generator()
     z = g_labels.standard_normal((cfg.n_samples, c)) @ chol.T
     labels = (z > thresholds[None, :]).astype(float)
 
     protos = default_prototypes(cfg)
-    signals = np.empty((cfg.n_samples, *protos.shape[1:]))
-    for i, g in enumerate(stream.substream(1).children(np.arange(cfg.n_samples))):
-        base = np.tensordot(labels[i], protos, axes=1)
-        signals[i] = base + cfg.noise_level * g.standard_normal(base.shape)
+    n = cfg.n_samples
+    signals = np.empty((n, *protos.shape[1:]))
+    # one (1, c) @ (c, channels*length) product per row: the gemv that
+    # tensordot(labels[i], protos, 1) runs, so the sums keep their order
+    np.matmul(labels[:, None, :], protos.reshape(c, -1), out=signals.reshape(n, 1, -1))
+    for i, g in enumerate(stream.substream(1).children(np.arange(n))):
+        signals[i] += cfg.noise_level * g.standard_normal(signals.shape[1:])
     return Dataset(signals, labels, cfg.dataset_id, _default_names(c))
 
 

@@ -19,12 +19,12 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import correlation
 from .errors import ConfigurationError, ContractViolation, NumericError
@@ -139,7 +139,11 @@ def _forward_cache(cfg: ModelConfig, params: ParameterSet, batch: np.ndarray):
             a = z
         else:
             a = _act(cfg, z)
-    probs = np.clip(expit(preacts[-1]), _OPEN_UNIT, 1.0 - _OPEN_UNIT)
+    # libm's exp, as scipy.special.expit calls it, so probabilities keep its
+    # bits (np.exp rounds differently); beyond +-40 the clip below decides.
+    neg = -np.clip(preacts[-1], -40.0, 40.0)
+    e = np.fromiter(map(math.exp, neg.ravel().tolist()), dtype=float, count=neg.size).reshape(neg.shape)
+    probs = np.clip(1.0 / (1.0 + e), _OPEN_UNIT, 1.0 - _OPEN_UNIT)
     return features, probs, (inputs, preacts)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtri
 
 from .errors import ConfigurationError, ContractViolation
 from .metrics import rank_counts
@@ -86,6 +85,8 @@ def friedman_statistic(rt: RankTable):
 
 def f_critical_value(k: int, n: int, alpha: float = 0.05) -> float:
     """F-distribution quantile at (k-1, (k-1)(N-1)) degrees of freedom."""
+    from scipy.special import fdtri  # only `compare` needs scipy; keep it off the import path
+
     return float(fdtri(k - 1, (k - 1) * (n - 1), 1.0 - alpha))
 
 

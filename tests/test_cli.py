@@ -2,6 +2,10 @@ import copyreg
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +323,22 @@ def test_compare_reference_cd_and_verdicts(tmp_path, capsys):
     assert by_model["model_1"][4] == "false"
     assert float(by_model["model_0"][8]) == 3.2590  # reference critical value surfaced
     assert (tmp_path / "cmp" / "cd_plot.csv").exists()
+
+
+def test_compare_in_a_fresh_interpreter_equals_the_in_process_run(tmp_path, capsys):
+    # a fresh interpreter has no scipy loaded, so f_critical_value's own import runs
+    g = np.random.default_rng(7)
+    for j in range(4):
+        _write_reports(tmp_path / f"r{j}.csv", f"m{j}", {f"d{i}": float(g.random()) for i in range(5)})
+    argv = ["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m0", "--out"]
+    assert main(argv + [str(tmp_path / "here")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "ecgmatch", *argv, str(tmp_path / "fresh")],
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == capsys.readouterr().out
+    for name in ("comparison.csv", "cd_plot.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 def test_compare_identical_models_nothing_significant(tmp_path, capsys):

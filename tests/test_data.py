@@ -1,7 +1,9 @@
 import hashlib
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from ecgmatch import cli, data
 from ecgmatch.data import (
@@ -22,6 +24,7 @@ from ecgmatch.data import (
     synth_generate,
 )
 from ecgmatch.errors import ConfigurationError, ParseError
+from ecgmatch.rng import RandomStream
 
 
 def tiny_dataset(n=10, channels=2, length=8, c=5, seed=0, dataset_id="tiny"):
@@ -539,6 +542,33 @@ def test_synth_dataset_bytes_are_pinned(kw, digest):
     for x in ds.signals:
         h.update(np.ascontiguousarray(x).tobytes())
     assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("c, channels, length", [(5, 3, 256), (7, 2, 100), (24, 12, 500), (2, 1, 1)])
+def test_synth_base_signals_equal_the_per_row_tensordot(c, channels, length):
+    # one plain GEMM over all rows sums in another order at C=7 and C=24
+    cfg = SynthConfig(n_samples=200, target_marginals=tuple(np.linspace(0.2, 0.5, c)), channels=channels,
+                      signal_length=length, noise_level=0.0, seed=c)
+    ds = synth_generate(cfg)
+    protos = data.default_prototypes(cfg)
+    reference = np.stack([np.tensordot(y, protos, axes=1) for y in ds.labels])
+    assert ds.signals.tobytes() == reference.tobytes()
+
+
+def test_synth_thresholds_draw_the_labels_of_the_ndtri_thresholds():
+    # statistics.NormalDist and scipy's ndtri differ by at most 2 ulp at the
+    # marginals in use; no z draw falls between the two thresholds
+    for marginals in (SynthConfig().target_marginals, (0.3, 0.4, 0.5)):
+        ours = np.array([-NormalDist().inv_cdf(p) for p in marginals])
+        scipy_thresholds = -ndtri(np.array(marginals))
+        gap = np.abs(ours.view(np.int64) - scipy_thresholds.view(np.int64))
+        assert gap.max() <= 2
+    n, c = 8000, 5
+    for seed in range(12):
+        ds = synth_generate(SynthConfig(n_samples=n, channels=1, signal_length=1, seed=seed))
+        z = RandomStream(seed).substream(0).generator().standard_normal((n, c)) @ np.linalg.cholesky(np.eye(c)).T
+        expected = (z > -ndtri(np.array(SynthConfig().target_marginals))).astype(float)
+        assert ds.labels.tobytes() == expected.tobytes()
 
 
 def test_synth_correlated_classes_cooccur_more():

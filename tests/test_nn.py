@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from ecgmatch import correlation, nn
 from ecgmatch.errors import ConfigurationError, ContractViolation, NumericError
@@ -41,6 +42,54 @@ def test_forward_matches_independent_recomputation(activation):
     f2, p2 = forward_oracle(cfg, params, x)
     np.testing.assert_allclose(features, f2, atol=1e-12)
     np.testing.assert_allclose(probs, p2, atol=1e-12)
+
+
+def _expit_reference(preacts):
+    return np.clip(expit(preacts), 1e-12, 1.0 - 1e-12)
+
+
+def test_forward_probabilities_equal_scipy_expit_bit_for_bit():
+    # An exact pass-through network: features = x, the head's [I, -I] relu pair
+    # and [I; -I] output give back x, so the output preactivations are the
+    # drawn values. Three more classes have zero weights and a +inf, -inf or
+    # NaN bias. -0.0 is fed in too; the matmul sums return it as +0.0.
+    k = 8
+    cfg = nn.ModelConfig(input_dim=k, num_classes=k + 3, feature_dim=k, head_hidden=2 * k)
+    eye = np.eye(k)
+    out_w = np.zeros((2 * k, k + 3))
+    out_w[:, :k] = np.vstack([eye, -eye])
+    params = nn.ParameterSet([
+        (eye, np.zeros(k)),
+        (np.hstack([eye, -eye]), np.zeros(2 * k)),
+        (out_w, np.r_[np.zeros(k), np.inf, -np.inf, np.nan]),
+    ])
+    specials = np.array([700.0, -700.0, 40.0, -40.0, np.nextafter(40.0, 41.0), np.nextafter(-40.0, -41.0),
+                         1e300, -1e300, 36.7368005696771, -36.7368005696771, 0.0, -0.0, 5e-324])
+    g = np.random.default_rng(3)
+    cells = 0
+    for _ in range(10):
+        x = np.clip(g.standard_normal((25_000, k)) * 10.0 ** g.integers(-3, 3, (25_000, k)), -700.0, 700.0)
+        x.ravel()[:: 97] = g.choice(specials, size=x.ravel()[:: 97].size)
+        _, probs = nn.forward(cfg, params, x)
+        _, _, (_, preacts) = nn._forward_cache(cfg, params, x)
+        z = preacts[-1]
+        np.testing.assert_array_equal(z[:, :k], x)
+        np.testing.assert_array_equal(probs, _expit_reference(z))  # NaN where z is NaN
+        assert np.isnan(probs[:, -1]).all() and (probs[:, k:k + 2] == [1.0 - 1e-12, 1e-12]).all()
+        cells += z.size
+    assert cells >= 2_000_000
+
+
+def test_forward_with_huge_weights_saturates_without_overflow():
+    cfg = small_cfg(activation="relu")
+    params = nn.init_params(cfg, np.random.default_rng(4))
+    w, b = params.layers[-1]
+    params.layers[-1] = (w * 1e6, b)
+    x = np.random.default_rng(5).normal(size=(64, 6))
+    _, probs = nn.forward(cfg, params, x)
+    _, _, (_, preacts) = nn._forward_cache(cfg, params, x)
+    assert np.abs(preacts[-1]).max() > 710.0  # math.exp would overflow here unclipped
+    np.testing.assert_array_equal(probs, _expit_reference(preacts[-1]))
 
 
 def test_forward_shape_mismatch_raises():

@@ -124,10 +124,12 @@ def test_f_critical_value_matches_scipy():
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():
-    code = "import sys, ecgmatch.cli; print('scipy.stats' in sys.modules)"
+    # no scipy module at all: only `compare` imports it, inside f_critical_value
     env = dict(os.environ, PYTHONPATH=str(Path(ecgmatch.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    for module in ("ecgmatch", "ecgmatch.cli"):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]", module
 
 
 def test_reference_critical_value_is_stored_verbatim():
