@@ -268,6 +268,7 @@ def _compare(args, stage) -> int:
         raise ConfigurationError(f"missing (model, dataset) cells: {missing}")
     k, n = len(models), len(datasets)
     cd = stats.bonferroni_dunn_cd(k, n, alpha)
+    fcrit = stats.f_critical_value(k, n, alpha)
     control_idx = models.index(control_name)
     rows, plot_rows = [], []
     for metric_name in METRIC_NAMES:
@@ -278,7 +279,6 @@ def _compare(args, stage) -> int:
         table = stats.PerformanceTable(values, metrics.HIGHER_IS_BETTER[metric_name])
         ranks = stats.rank_models(table)
         chi2, ff = stats.friedman_statistic(ranks)
-        fcrit = stats.f_critical_value(k, n, alpha)
         verdicts = {v.model_index: v for v in stats.dunn_compare(ranks, control_idx, cd)}
         for j, model in enumerate(models):
             verdict = verdicts.get(j)

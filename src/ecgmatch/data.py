@@ -401,10 +401,20 @@ def split_within(ds: Dataset, spec: SplitSpec) -> SplitResult:
     return _shuffle_and_cut([ds], _picks([ds], [0]), spec, substream=0)
 
 
+def _distinct_ids(datasets) -> list:
+    """The dataset ids; a repeated one would put the same samples in two sets, so it is a ConfigurationError."""
+    ids = [ds.dataset_id for ds in datasets]
+    repeated = [i for i in ids if ids.count(i) > 1]
+    if repeated:
+        raise ConfigurationError(f"dataset ids must be distinct, {repeated[0]!r} is repeated")
+    return ids
+
+
 def split_mix(datasets, spec: SplitSpec) -> SplitResult:
     """Pool every dataset, then split as in the single-dataset protocol."""
     if len(datasets) < 2:
         raise ConfigurationError("mix protocol needs at least two datasets")
+    _distinct_ids(datasets)
     return _shuffle_and_cut(datasets, _picks(datasets, range(len(datasets))), spec, substream=1)
 
 
@@ -412,7 +422,7 @@ def split_cross(datasets, spec: SplitSpec) -> SplitResult:
     """Hold one dataset out as the entire test set; pool the rest for train/val."""
     if spec.held_out_dataset is None:
         raise ConfigurationError("cross protocol needs held_out_dataset")
-    ids = [ds.dataset_id for ds in datasets]
+    ids = _distinct_ids(datasets)
     if spec.held_out_dataset not in ids:
         raise ConfigurationError(
             f"held-out id {spec.held_out_dataset!r} not among {ids}"

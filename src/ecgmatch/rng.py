@@ -7,13 +7,12 @@ sample sees are a pure function of (seed, path), never of scheduling.
 
 A stream's generator is a Philox whose key is
 `np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)`.
-`RandomStream.children(ids)` serves the per-sample case: it derives the
-keys of substream(i) for every i of an id array in one vectorised pass of
-NumPy's published SeedSequence hash (the children differ only in their last
-entropy word) and resets one reused Philox to each key in turn, instead of building
-a SeedSequence and a Philox per sample. Every call checks its first and last
-key against SeedSequence itself and raises ContractViolation if they differ,
-so a change in NumPy's hashing can never silently change the draws.
+`RandomStream.children(ids)` serves the per-sample case. A child's entropy is
+its parent's plus its id, so it mixes all ids at once into NumPy's pool for
+(seed, path), hashes out the keys and resets one reused Philox to each, instead
+of a SeedSequence and a Philox per sample. Every call checks its first and
+last key against SeedSequence and raises ContractViolation if they differ, so
+a change in NumPy's hashing can never silently change the draws.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ import numpy as np
 from .errors import ContractViolation
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
+_XSHIFT = np.uint32(16)
 
 
 @dataclass(frozen=True)
@@ -85,73 +82,36 @@ def _reset_to_each(keys: np.ndarray):
         yield gen
 
 
-def _words(value) -> list:
-    """SeedSequence's coercion of an int, or a sequence of ints, to 32-bit words."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    return [w for v in value for w in _words(v)]
+def _word_count(value: int) -> int:
+    """How many 32-bit words SeedSequence coerces a non-negative int to."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _hash_steps(words, init: int, mult: int, skip: int) -> np.ndarray:
+    """SeedSequence's hash of four words, shape (4, ...).
+
+    Word j is XORed with `init * mult**(skip + j)`, multiplied by the next
+    power (mod 2**32), and XOR-shifted.
+    """
+    consts = np.array([[init * pow(mult, skip + j, 1 << 32) % (1 << 32)] for j in range(5)], dtype=np.uint32)
+    words = (words ^ consts[:4]) * consts[1:]
+    return words ^ (words >> _XSHIFT)
 
 
 def _child_keys(seed: int, path: tuple, ids) -> np.ndarray:
     """Philox keys of substreams `ids` (each in [0, 2**32)) of (seed, path), shape (len(ids), 2) uint64.
 
-    SeedSequence mixes the entropy words (seed words zero-padded to the pool
-    size, then the spawn key) into a pool of four words; the shared prefix
-    is mixed once with Python ints, and only the last word, the child index,
-    is mixed as a uint32 array. Then the pool is hashed into four output
-    words, read as two little-endian uint64.
+    SeedSequence mixes its entropy words (the seed zero-padded to four, then
+    the path) into a four-word pool one word at a time, so the pool of (seed,
+    path) is each child's before its id. Only the id is mixed here, with the
+    hash constants after 16 pool-setup steps and 4 per word past the fourth.
     """
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + _words(path)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = (value ^ hash_const) & _MASK32
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
-
-    last = np.asarray(ids).astype(np.uint32)
-    shift = np.uint32(_XSHIFT)
-    words = []
-    for dst in range(_POOL_SIZE):
-        value = last ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> shift
-        mixed = np.uint32((_MIX_MULT_L * pool[dst]) & _MASK32) - np.uint32(_MIX_MULT_R) * value
-        mixed ^= mixed >> shift
-        words.append(mixed)
-
-    hash_const = _INIT_B
-    for dst in range(_POOL_SIZE):
-        words[dst] ^= np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        words[dst] *= np.uint32(hash_const)
-        words[dst] ^= words[dst] >> shift
-    words = [w.astype(np.uint64) for w in words]
-    return np.stack([words[0] | words[1] << np.uint64(32), words[2] | words[3] << np.uint64(32)], axis=1)
+    pool = np.random.SeedSequence(seed, spawn_key=path).pool[:, None]
+    skip = 16 + 4 * (max(0, _word_count(seed) - 4) + sum(map(_word_count, path)))
+    value = _hash_steps(np.asarray(ids).astype(np.uint32), _INIT_A, _MULT_A, skip)
+    words = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * value
+    words = _hash_steps(words ^ (words >> _XSHIFT), _INIT_B, _MULT_B, 0)
+    return np.ascontiguousarray(words.T).view("<u8")
 
 
 def as_generator(rng) -> np.random.Generator:

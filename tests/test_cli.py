@@ -79,6 +79,56 @@ def test_run_raw_dataset_with_zero_byte_samples_exits_2(tmp_path, capsys):
     assert "zero-byte signal block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, message", [
+    (bytes(31), "truncated header (offset 0)"),
+    (data._RAW_HEADER.pack(2, -1, 4, 5), "negative header field"),
+    (data._RAW_HEADER.pack(1, 1, 2, 2) + np.array([0.5, 1.0, 0.0, 0.0], "<f4").tobytes(), "non-binary label value"),
+], ids=["shorter than the header", "negative field", "non-binary label"])
+def test_run_on_a_malformed_raw_dataset_exits_2_in_load_data(tmp_path, capsys, raw, message):
+    dataset = tmp_path / "ds.bin"
+    dataset.write_bytes(raw)
+    path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)], "format": "raw_f32"})
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"configuration error in stage load-data: {dataset}: {message}" in capsys.readouterr().err
+
+
+def _csv_datasets(tmp_path, names):
+    for seed, name in enumerate(names):
+        ds = data.synth_generate(data.SynthConfig(n_samples=100, channels=2, signal_length=64, seed=seed))
+        data.save_dataset(tmp_path / name, ds)
+    return [str(tmp_path / name) for name in names]
+
+
+@pytest.mark.parametrize("protocol", ["mix", "cross"])
+def test_run_on_data_paths_labels_its_reports_by_the_protocol(tmp_path, protocol):
+    paths = _csv_datasets(tmp_path, ["a.csv", "b.csv"])
+    split = {"protocol": protocol, "labeled_frac": 0.2, "held_out_dataset": paths[1]}
+    if protocol == "mix":
+        del split["held_out_dataset"]
+    config, _ = smoke_config(tmp_path, data={"paths": paths}, split=split)
+    assert main(["run", "--config", str(config)]) == 0
+    label = "mix" if protocol == "mix" else paths[1]
+    assert [row[1] for row in read_csv(tmp_path / "run" / "reports.csv")[1:]] == [label]
+    assert [row[1] for row in read_csv(tmp_path / "run" / "summary.csv")[1:]] == [label, label]
+
+
+@pytest.mark.parametrize("protocol", ["mix", "cross"])
+def test_a_repeated_data_path_exits_2_in_train_before_training(tmp_path, monkeypatch, capsys, protocol):
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
+    paths = _csv_datasets(tmp_path, ["a.csv", "b.csv"])
+    split = {"protocol": protocol, "held_out_dataset": paths[0]}
+    if protocol == "mix":
+        del split["held_out_dataset"]
+    config, _ = smoke_config(tmp_path, data={"paths": paths + paths[:1]}, split=split)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in stage train: dataset ids must be distinct, {paths[0]!r} is repeated" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_outputs_are_byte_identical_for_same_config(tmp_path):
     path_a, _ = smoke_config(tmp_path, out_name="a")
     assert main(["run", "--config", str(path_a)]) == 0

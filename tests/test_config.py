@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from ecgmatch.config import load_experiment_config, parse_experiment_config
+from ecgmatch.data import SynthConfig, synth_generate
 from ecgmatch.errors import ConfigurationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -124,3 +125,14 @@ def test_the_metrics_section_configures_training():
     assert not hasattr(cfg, "metrics")
     with pytest.raises(ConfigurationError, match=r"unknown keys in train: \['metrics'\]"):
         parse_experiment_config({"data": {"synth": {}}, "train": {"metrics": {}}})
+
+
+def test_a_json_target_correlation_parses_to_the_array_of_a_python_synth_config():
+    corr = [[1, 0.25, 0], [0.25, 1, -0.5], [0, -0.5, 1]]
+    synth = {"n_samples": 50, "target_marginals": [0.3, 0.2, 0.4], "target_correlation": corr}
+    got = parse_experiment_config({"data": {"synth": synth}}).data.synth
+    want = SynthConfig(n_samples=50, target_marginals=(0.3, 0.2, 0.4), target_correlation=np.array(corr, dtype=float))
+    assert got.target_correlation.dtype == np.float64
+    np.testing.assert_array_equal(got.target_correlation, want.target_correlation)
+    assert replace(got, target_correlation=None) == replace(want, target_correlation=None)
+    np.testing.assert_array_equal(synth_generate(got).labels, synth_generate(want).labels)

@@ -435,6 +435,14 @@ def test_cross_split_unknown_id():
         split_cross(datasets, SplitSpec(protocol="cross", held_out_dataset="zz"))
 
 
+@pytest.mark.parametrize("protocol", ["mix", "cross"])
+def test_repeated_dataset_ids_are_rejected_naming_the_id(protocol):
+    datasets = [tiny_dataset(n=40, seed=s, dataset_id=name) for s, name in enumerate("aba")]
+    spec = SplitSpec(protocol=protocol, held_out_dataset="a" if protocol == "cross" else None)
+    with pytest.raises(ConfigurationError, match="dataset ids must be distinct, 'a' is repeated"):
+        split(datasets, spec)
+
+
 def test_split_dispatch_guards():
     with pytest.raises(ConfigurationError):
         split([tiny_dataset(), tiny_dataset()], SplitSpec(protocol="within"))

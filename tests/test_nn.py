@@ -347,6 +347,19 @@ def test_read_matrices_rejects_negative_shape(tmp_path):
         nn.read_matrices(path)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (bytes(7), "truncated checkpoint header"),
+    ((-3).to_bytes(8, "little", signed=True), "negative matrix count -3"),
+    ((1).to_bytes(8, "little") + nn._SHAPE.pack(1, 2) + np.ones(2, "<f8").tobytes(),
+     "expected alternating weight/bias matrices"),
+], ids=["under 8 bytes", "negative count", "odd count"])
+def test_load_params_rejects_a_malformed_checkpoint(tmp_path, raw, message):
+    path = tmp_path / "params.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigurationError, match=message):
+        nn.load_params(path)
+
+
 def test_backward_nonfinite_gradient_reports_layer():
     cfg = small_cfg()
     params = nn.init_params(cfg, np.random.default_rng(17))

@@ -10,18 +10,24 @@ def _reference_key(seed, path):
     return np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
 
 
+def _random_word(g):
+    kind = g.random()
+    if kind < 0.15:
+        return (1 << 64) + int.from_bytes(g.bytes(int(g.integers(1, 6))), "little")
+    return int(g.integers(0, 2**40)) if kind < 0.35 else int(g.integers(0, 50))
+
+
 def _random_case(g):
-    """A seed up to 96 bits, a path of 0-8 words (some >= 2**32) and a child range."""
-    seed = int.from_bytes(g.bytes(int(g.choice([1, 4, 8, 12]))), "little")
-    path = tuple(int(g.integers(0, 2**40)) if g.random() < 0.3 else int(g.integers(0, 50))
-                 for _ in range(int(g.integers(0, 9))))
+    """A seed of up to 192 bits, a path of 0-8 words (some >= 2**32 or >= 2**64) and a child range."""
+    seed = int.from_bytes(g.bytes(int(g.choice([1, 4, 8, 12, 16, 20, 24]))), "little")
+    path = tuple(_random_word(g) for _ in range(int(g.integers(0, 9))))
     first = int(g.choice([0, int(g.integers(0, 1000)), 2**32 - 64]))
     return seed, path, first, int(g.integers(0, 40))
 
 
 def test_child_keys_match_seed_sequence_on_random_cases():
     g = np.random.default_rng(2024)
-    checked = 0
+    checked, seeds_past_four_words, wide_path_words = 0, 0, 0
     for _ in range(200):
         seed, path, first, n = _random_case(g)
         keys = rng._child_keys(seed, path, np.arange(first, first + n))
@@ -29,7 +35,9 @@ def test_child_keys_match_seed_sequence_on_random_cases():
         for i in range(n):
             assert np.array_equal(keys[i], _reference_key(seed, path + (first + i,))), (seed, path, first + i)
         checked += n
-    assert checked > 2000
+        seeds_past_four_words += n > 0 and seed >= 1 << 128
+        wide_path_words += n > 0 and any(w >= 1 << 64 for w in path)
+    assert checked > 2000 and seeds_past_four_words > 20 and wide_path_words > 20
 
 
 @pytest.mark.parametrize("seed, path", [
@@ -37,6 +45,8 @@ def test_child_keys_match_seed_sequence_on_random_cases():
     (2**64 - 1, ()),
     (12345, (2**32, 2**40 + 7, 0, 3)),
     (7, tuple(range(1, 17))),
+    (2**200 + 11, ()),
+    (2**130, (2**100, 5)),
 ])
 def test_children_draw_what_each_substream_generator_draws(seed, path):
     stream = RandomStream(seed, path)
