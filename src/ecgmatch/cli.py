@@ -118,7 +118,20 @@ def _load(args, stage):
     stage("load-data")
     if cfg.data.synth is not None:
         return cfg, [synth_generate(cfg.data.synth)]
-    return cfg, [load_dataset(p, cfg.data.format) for p in cfg.data.paths]
+    datasets = [load_dataset(p, cfg.data.format) for p in cfg.data.paths]
+    _distinct_files(cfg.data.paths)
+    return cfg, datasets
+
+
+def _distinct_files(paths) -> None:
+    """Two spellings of one file load as two dataset ids, which the split's repeated-id check
+    cannot tell apart; they would put the same samples in two sets, so they are a ConfigurationError."""
+    first = {}
+    for path in paths:
+        status = os.stat(path)
+        seen = first.setdefault((status.st_dev, status.st_ino), path)
+        if seen != path:
+            raise ConfigurationError(f"data paths {seen!r} and {path!r} name the same file")
 
 
 def _train(cfg: ExperimentConfig, datasets, out_dir: Path, stage=lambda name: None):

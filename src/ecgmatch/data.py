@@ -545,21 +545,29 @@ def encode_subset(signals, pool_len: int = 32) -> np.ndarray:
     """Encode an (n, channels, length) signal array as an (n, channels*pool_len) model input matrix.
 
     Each channel is z-scored (constant channels become zeros) and averaged
-    into pool_len bins with edges linspace(0, length, pool_len+1); a bin
-    narrower than one sample takes the sample at its left edge. The output
-    width is independent of the input length, so recordings of different
-    durations map to a fixed model input size. Every reduction runs along
-    the time axis of one row, so the output equals per-signal encoding bit
-    for bit.
+    into pool_len >= 1 bins with edges linspace(0, length, pool_len+1); a
+    bin narrower than one sample takes the sample at its left edge. The
+    output width is independent of the input length, so recordings of
+    different durations map to a fixed model input size. The input is read
+    as a C-ordered array (a copy only if it is not one already), so every
+    reduction runs along the contiguous time axis of one row and the output
+    equals per-signal encoding bit for bit, whatever the input's layout.
+    Bins are pooled one width at a time: `np.take` gathers the bins of one
+    width as a contiguous (n, channels, bins, width) array, whose mean sums
+    each bin in the order a slice of it would.
     """
-    x = np.asarray(signals, dtype=float)
+    if pool_len < 1:
+        raise ConfigurationError(f"pool_len must be at least 1, got {pool_len}")
+    x = np.ascontiguousarray(signals, dtype=float)
     n, channels, length = x.shape
     edges = np.linspace(0, length, pool_len + 1).astype(int)
-    mean = x.mean(axis=2, keepdims=True)
-    std = x.std(axis=2, keepdims=True)
-    z = np.where(std > 0.0, (x - mean) / np.where(std > 0.0, std, 1.0), 0.0)
+    lo = edges[:-1]
+    width = np.maximum(edges[1:] - lo, 1)
+    d = x - x.mean(axis=2, keepdims=True)
+    std = np.sqrt(np.multiply(d, d).sum(axis=2, keepdims=True) / length)  # x.std's own steps
+    z = np.divide(d, std, out=np.zeros_like(d), where=std > 0.0)
     pooled = np.empty((n, channels, pool_len))
-    for b in range(pool_len):
-        lo, hi = edges[b], max(edges[b + 1], edges[b] + 1)
-        pooled[:, :, b] = z[:, :, lo:hi].mean(axis=2)
+    for w in np.unique(width):
+        bins = np.flatnonzero(width == w)
+        pooled[:, :, bins] = np.take(z, lo[bins, None] + np.arange(w), axis=2).mean(axis=3)
     return pooled.reshape(n, channels * pool_len)

@@ -86,6 +86,8 @@ class TrainConfig:
             raise ConfigurationError(f"unknown similarity kind {self.similarity!r}")
         if self.patience < 1 or self.pretrain_patience < 1:
             raise ConfigurationError("patience and pretrain_patience must be positive")
+        if self.pool_len < 1:
+            raise ConfigurationError(f"pool_len must be at least 1, got {self.pool_len}")
 
     def effective_weights(self) -> nn.LossWeights:
         """(lambda_u, lambda_f) after ablations; supervised_only trains on the labeled loss alone."""

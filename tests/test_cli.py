@@ -129,6 +129,34 @@ def test_a_repeated_data_path_exits_2_in_train_before_training(tmp_path, monkeyp
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "gridsearch"])
+@pytest.mark.parametrize("protocol", ["mix", "cross"])
+def test_two_spellings_of_one_data_file_exit_2_in_load_data(tmp_path, monkeypatch, capsys, verb, protocol):
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
+    paths = _csv_datasets(tmp_path, ["a.csv", "b.csv"])
+    again = f"{tmp_path}/./a.csv"  # the file of paths[0], under an id of its own
+    split = {"protocol": protocol, "held_out_dataset": paths[0]}
+    if protocol == "mix":
+        del split["held_out_dataset"]
+    config, _ = smoke_config(tmp_path, data={"paths": paths + [again]}, split=split)
+    assert main([verb, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in stage load-data: data paths {paths[0]!r} and {again!r} name the same file" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "gridsearch"])
+def test_a_pool_len_below_1_exits_2_in_load_config_naming_the_key(tmp_path, capsys, verb):
+    config, doc = smoke_config(tmp_path)
+    doc["train"]["pool_len"] = 0
+    config.write_text(json.dumps(doc))
+    assert main([verb, "--config", str(config)]) == 2
+    assert "configuration error in stage load-config: pool_len must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_run_outputs_are_byte_identical_for_same_config(tmp_path):
     path_a, _ = smoke_config(tmp_path, out_name="a")
     assert main(["run", "--config", str(path_a)]) == 0

@@ -647,6 +647,9 @@ def _preprocess_reference(x, pool_len):
     (3, 250, 32),   # it does not
     (1, 10, 32),    # shorter than pool_len
     (12, 1000, 32),
+    (2, 1000, 1),   # one bin longer than numpy's 128-element pairwise-sum block
+    (3, 33, 32),    # bins of two widths
+    (1, 5, 7),      # shorter than pool_len: left edges repeat
 ])
 def test_encode_subset_equals_per_signal_reference(channels, length, pool_len):
     g = np.random.default_rng(length)
@@ -656,6 +659,22 @@ def test_encode_subset_equals_per_signal_reference(channels, length, pool_len):
     want = np.vstack([_preprocess_reference(x, pool_len) for x in signals])
     assert np.array_equal(encode_subset(signals, pool_len), want)
     assert np.array_equal(encode_subset([signals[4]], pool_len)[0], want[4])
+    reversed_view = np.stack(signals)[:, :, ::-1]  # a negative time stride
+    want = np.vstack([_preprocess_reference(x[:, ::-1].copy(), pool_len) for x in signals])
+    assert np.array_equal(encode_subset(reversed_view, pool_len), want)
+
+
+@pytest.mark.parametrize("n,channels,length,pool_len", [(3, 3, 256, 32), (4, 2, 300, 32), (3, 2, 1000, 1)])
+def test_encode_subset_of_a_fortran_ordered_array_equals_per_signal_reference(n, channels, length, pool_len):
+    signals = np.random.default_rng(length).normal(loc=2.0, scale=3.0, size=(n, channels, length))
+    want = np.vstack([_preprocess_reference(x, pool_len) for x in signals])
+    assert np.array_equal(encode_subset(np.asfortranarray(signals), pool_len), want)
+
+
+@pytest.mark.parametrize("pool_len", [0, -1])
+def test_encode_subset_rejects_pool_len_below_1(pool_len):
+    with pytest.raises(ConfigurationError, match=f"pool_len must be at least 1, got {pool_len}"):
+        encode_subset(np.zeros((2, 3, 16)), pool_len)
 
 
 def test_encode_subset_ragged_list_longer_than_one_block_keeps_row_order():

@@ -246,3 +246,28 @@ def test_euclidean_distances_at_default_bank_size_match_oracle():
         want = [np.sqrt(np.sum((banks.features[i] - queries[row]) ** 2)) for i in order]
         np.testing.assert_array_equal(dist[row, order], want)
 
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_nearest_equals_a_stable_argsort_across_blocks(k):
+    """Ties across the k-th place, NaN, +-inf and signed zeros, in a matrix of seven row blocks."""
+    g = np.random.default_rng(17)
+    n, m = 520, 6080
+    assert n // (pseudo._BLOCK_ELEMENTS // m) >= 6
+    dist = 1.0 + g.random((n, m))
+    dist[::3] = np.round(dist[::3], 2)  # ~60 exact ties per value
+    for row in range(1, n, 5):  # six distinct distances, then six equal ones across the k-th place
+        cols = g.choice(m, 12, replace=False)
+        dist[row, cols] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6] + [0.7] * 6
+    dist[g.random((n, m)) < 0.02] = np.nan  # scattered NaN
+    dist[np.arange(n), g.integers(0, m, size=n)] = np.inf  # the excluded own row
+    dist[100] = np.nan  # no finite distance at all
+    dist[200] = np.nan
+    dist[200, [5, 17, 4000]] = [0.3, 0.1, 0.3]  # fewer finite distances than k
+    dist[300, g.choice(m, 4, replace=False)] = -np.inf
+    dist[400, :40:2], dist[400, 1:40:2] = 0.0, -0.0  # signed zeros rank as one tie group
+    dist[401, :5], dist[401, 5:20] = -np.inf, np.inf
+    want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(pseudo._nearest(dist, k), want)
+    if k == 10:
+        assert np.array_equal(want[200, :3], [17, 5, 4000]) and np.isnan(dist[200, want[200, 3:]]).all()
