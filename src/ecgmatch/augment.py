@@ -14,13 +14,14 @@ order. Each signal's randomness flows through one generator, so results are
 bit-reproducible given (input, seed, config).
 
 `augment_batch` takes an (n, channels, length) array and gives row i the
-generator of substream(ids[i]). It makes every draw of a row first, row by
-row in queue order (the transform id or queue, then per transform the
-dropout window and channel, the permutation, the noise matrix), then
-applies each queue position to the rows that have one as one block
-operation per transform id. Every reduction runs along the time axis of one
-row, so a row comes out bit for bit as if it were augmented alone. The
-per-sample functions are one-row views of the same code.
+generator of substream(ids[i]). One pass walks the rows in order: each row
+draws its transform id or queue, then per transform in queue order its
+parameter (dropout window and channel, permutation, noise matrix), which
+joins the group of its (queue position, transform id). The groups are then
+applied in that order, each as one block operation. Every reduction runs
+along the time axis of one row, so a row comes out bit for bit as if it
+were augmented alone; the per-sample functions are one-row views of the
+same pass.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _check_finite(x: np.ndarray) -> None:
         raise ValueError("signal contains non-finite values")
 
 
-# --- draws: one row at a time, in queue order ----------------------------------
+# --- one pass: each row's draws into (position, id) groups, each group a block ---
 
 def _weak_queue(g: np.random.Generator, cfg: AugmentConfig) -> tuple:
     return (TRANSFORM_IDS[int(g.integers(0, 4))],)
@@ -99,85 +100,64 @@ def _strong_queue(g: np.random.Generator, cfg: AugmentConfig) -> tuple:
     return tuple(TRANSFORM_IDS[i] for i in g.permutation(4)[:t].tolist())
 
 
-def _draw_plan(g, queue, shape, cfg: AugmentConfig) -> list:
-    """Every draw one row's queue makes, as [(transform id, parameter)].
+def _augment(signals: np.ndarray, draws, cfg: AugmentConfig) -> np.ndarray:
+    """Apply each row's queue to a copy of the (rows, channels, length) block `signals`.
 
-    Dropout draws the window length w ~ U{1..max(1, floor(frac*L))}, the
-    start ~ U{0..L-w} and, with dropout_all_channels=False, the channel;
-    channel reorganization draws a permutation (nothing on one channel);
-    noise draws a standard normal (channels, length) matrix.
+    `draws` yields each row's (generator, queue) in row order, and the row
+    makes all its draws, in queue order, before the next one is read (the
+    generators of `RandomStream.children` are one reused object). Dropout
+    draws the window length w ~ U{1..max(1, floor(frac*L))}, the start
+    ~ U{0..L-w} and, with dropout_all_channels=False, the channel; channel
+    reorganization draws a permutation (nothing on one channel); noise draws
+    a standard normal (channels, length) matrix. Each draw joins the group
+    of its (queue position, transform id), and the groups are applied in
+    that order, one block operation each. A row whose noise turns
+    non-finite raises ValueError before its next transform, as a
+    transform's input check would.
     """
-    channels, length = shape
-    plan = []
-    for tid in queue:
-        if tid == SIGNAL_DROPOUT:
-            w = int(g.integers(1, max(1, int(cfg.dropout_max_frac * length)) + 1))
-            start = int(g.integers(0, length - w + 1))
-            channel = -1 if cfg.dropout_all_channels else int(g.integers(0, channels))
-            param = (start, start + w, channel)
-        elif tid == TEMPORAL_FLIP:
-            param = None
-        elif tid == CHANNEL_REORGANIZATION:
-            param = g.permutation(channels) if channels > 1 else None
-        elif tid == RANDOM_NOISE:
-            param = g.standard_normal(shape)
-        else:
-            raise ValueError(f"unknown transform id {tid}")
-        plan.append((tid, param))
-    return plan
-
-
-# --- transforms: one block of stacked (rows, channels, length) signals ---------
-
-def _dropout_block(x, params, cfg: AugmentConfig):
-    lo, hi, channel = (np.array(v)[:, None, None] for v in zip(*params))
-    t = np.arange(x.shape[2])
-    window = (t >= lo) & (t < hi)
-    if not cfg.dropout_all_channels:
-        window = window & (np.arange(x.shape[1])[:, None] == channel)
-    np.copyto(x, 0.0, where=window)
-    return x
-
-
-def _flip_block(x, params, cfg: AugmentConfig):
-    return x[:, :, ::-1]
-
-
-def _reorganize_block(x, params, cfg: AugmentConfig):
-    if x.shape[1] < 2:
-        warnings.warn("channel_reorganization on a single-channel signal is the identity")
-        return x
-    perms = np.concatenate(params).reshape(x.shape[:2])
-    return x[np.arange(x.shape[0])[:, None], perms]
-
-
-def _noise_block(x, params, cfg: AugmentConfig):
-    scale = cfg.noise_sigma * x.std(axis=2, keepdims=True)
-    return x + scale * np.concatenate(params).reshape(x.shape)
-
-
-_BLOCK_TRANSFORMS = {SIGNAL_DROPOUT: _dropout_block, TEMPORAL_FLIP: _flip_block,
-                     CHANNEL_REORGANIZATION: _reorganize_block, RANDOM_NOISE: _noise_block}
-
-
-def _augment_rows(signals: np.ndarray, plans, cfg: AugmentConfig) -> np.ndarray:
-    """Apply each row's plan to a copy of the (rows, channels, length) block `signals`.
-
-    Queue position q is applied to every row that has one, one block
-    operation per transform id. A row whose noise turns non-finite raises
-    ValueError before its next transform, as a transform's input check would.
-    """
-    x = signals.copy()
-    _check_finite(x)
-    buckets: dict = {}  # (queue position, transform id) -> (rows, parameters)
-    for r, plan in enumerate(plans):
-        for q, (tid, param) in enumerate(plan):
-            rows, params = buckets.setdefault((q, tid), ([], []))
+    channels, length = signals.shape[1:]
+    groups: dict = {}  # (queue position, transform id) -> ([row], [parameter])
+    lengths = []  # each row's queue length
+    for r, (g, queue) in enumerate(draws):
+        for q, tid in enumerate(queue):
+            if tid == SIGNAL_DROPOUT:
+                w = int(g.integers(1, max(1, int(cfg.dropout_max_frac * length)) + 1))
+                start = int(g.integers(0, length - w + 1))
+                param = (start, start + w, -1 if cfg.dropout_all_channels else int(g.integers(0, channels)))
+            elif tid == TEMPORAL_FLIP:
+                param = None
+            elif tid == CHANNEL_REORGANIZATION:
+                param = g.permutation(channels) if channels > 1 else None
+            elif tid == RANDOM_NOISE:
+                param = g.standard_normal((channels, length))
+            else:
+                raise ValueError(f"unknown transform id {tid}")
+            rows, params = groups.setdefault((q, tid), ([], []))
             rows.append(r)
             params.append(param)
-    for (q, tid), (rows, params) in sorted(buckets.items()):
-        x[rows] = _BLOCK_TRANSFORMS[tid](x[rows], params, cfg)
-        going_on = [r for r in rows if q + 1 < len(plans[r])] if tid == RANDOM_NOISE else []
+        lengths.append(len(queue))
+    x = signals.copy()
+    _check_finite(x)
+    for (q, tid), (rows, params) in sorted(groups.items()):
+        block = x[rows]
+        if tid == SIGNAL_DROPOUT:
+            lo, hi, channel = (np.array(v)[:, None, None] for v in zip(*params))
+            t = np.arange(length)
+            window = (t >= lo) & (t < hi)
+            if not cfg.dropout_all_channels:
+                window = window & (np.arange(channels)[:, None] == channel)
+            np.copyto(block, 0.0, where=window)
+        elif tid == TEMPORAL_FLIP:
+            block = block[:, :, ::-1]
+        elif tid == CHANNEL_REORGANIZATION and channels < 2:
+            warnings.warn("channel_reorganization on a single-channel signal is the identity")
+        elif tid == CHANNEL_REORGANIZATION:
+            block = block[np.arange(len(rows))[:, None], np.concatenate(params).reshape(block.shape[:2])]
+        else:
+            scale = cfg.noise_sigma * block.std(axis=2, keepdims=True)
+            block = block + scale * np.concatenate(params).reshape(block.shape)
+        x[rows] = block
+        going_on = [r for r in rows if q + 1 < lengths[r]] if tid == RANDOM_NOISE else []
         if going_on:
             _check_finite(x[going_on])
     return x
@@ -189,7 +169,7 @@ def apply_queue(x: SignalMatrix, queue, rng, cfg: AugmentConfig = AugmentConfig(
     """Apply transforms by id in queue order, threading one generator through."""
     g = as_generator(rng)
     x = _check_shape(x)
-    return _augment_rows(x[None], [_draw_plan(g, [int(t) for t in queue], x.shape, cfg)], cfg)[0]
+    return _augment(x[None], [(g, [int(t) for t in queue])], cfg)[0]
 
 
 def signal_dropout(x: SignalMatrix, rng, cfg: AugmentConfig = AugmentConfig()) -> SignalMatrix:
@@ -199,7 +179,7 @@ def signal_dropout(x: SignalMatrix, rng, cfg: AugmentConfig = AugmentConfig()) -
 
 def temporal_flip(x: SignalMatrix) -> SignalMatrix:
     """Reverse every channel along the time axis."""
-    return _augment_rows(_check_shape(x)[None], [[(TEMPORAL_FLIP, None)]], AugmentConfig())[0]
+    return _augment(_check_shape(x)[None], [(None, (TEMPORAL_FLIP,))], AugmentConfig())[0]
 
 
 def channel_reorganization(x: SignalMatrix, rng) -> SignalMatrix:
@@ -249,5 +229,4 @@ def augment_batch(signals, stream: RandomStream, cfg: AugmentConfig, strong: boo
     if ids.shape != (len(x),):
         raise ValueError(f"need one id per row: {len(x)} rows, ids of shape {ids.shape}")
     draw_queue = _strong_queue if strong else _weak_queue
-    plans = [_draw_plan(g, draw_queue(g, cfg), x.shape[1:], cfg) for g in stream.children(ids)]
-    return _augment_rows(x, plans, cfg)
+    return _augment(x, ((g, draw_queue(g, cfg)) for g in stream.children(ids)), cfg)

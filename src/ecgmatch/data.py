@@ -259,6 +259,10 @@ def _load_csv(path) -> Dataset:
         i, found, _ = bad_label
         errors.append((2 + i * stride, f"label row needs {c} cells, found {found}"
                        if found != c else "non-numeric label cell"))
+    non_finite = np.flatnonzero(~np.isfinite(signals).all(axis=1))
+    if non_finite.size:
+        j = non_finite[0]
+        errors.append((3 + j // channels * stride + j % channels, "non-finite signal cell"))
     if bad_signal is not None:
         j, found, _ = bad_signal
         errors.append((3 + j // channels * stride + j % channels,
@@ -291,8 +295,11 @@ def _load_raw(path) -> Dataset:
         block = fh.read(min(n * sample_bytes, size))
         if len(block) != n * sample_bytes:
             raise ParseError(f"{path}: truncated signal block for sample {len(block) // sample_bytes}")
-    signals = np.frombuffer(block, dtype="<f4").reshape(n, channels, length).astype(float)
-    return Dataset(signals, labels, str(path), _default_names(c))
+    signals = np.frombuffer(block, dtype="<f4").reshape(n, channels, length)
+    non_finite = np.flatnonzero(~np.isfinite(signals).all(axis=(1, 2)))
+    if non_finite.size:
+        raise ParseError(f"{path}: non-finite signal value in sample {non_finite[0]}")
+    return Dataset(signals.astype(float), labels, str(path), _default_names(c))
 
 
 def _default_names(c: int) -> tuple:

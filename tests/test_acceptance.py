@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines as
 they complete. The end-to-end directional check trains fifteen small models
-and takes a few minutes; everything else finishes in seconds.
+and takes ~21 s on two shared vCPUs; everything else finishes in seconds.
 """
 
 import time

@@ -12,7 +12,9 @@ lists the few that are read by name or only by a test on purpose.
 
 Likewise every `TrainConfig` field but `seed`, which `seeds` sets, is set
 from the JSON config, so no training knob is reachable only from Python.
-And no module of the package reads a private name of another one.
+No module of the package reads a private name of another one, and every
+module-level private function, class and assigned name is loaded somewhere
+in the package, so no private helper outlives its last caller.
 """
 
 import ast
@@ -186,3 +188,36 @@ def test_no_module_reads_another_modules_private_name():
     found = [f"{path.name} {hit}" for path in sorted((ROOT / "src" / "ecgmatch").glob("*.py"))
              for hit in _private_reads(ast.parse(path.read_text(), filename=str(path)))]
     assert found == [], f"private names read across modules: {found}"
+
+
+def _private_definitions(tree):
+    """Each module-level private function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _loads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_private_name_is_loaded_in_the_package():
+    """A private helper, class or constant that nothing in the package reads is dead; tests alone do not count."""
+    defined, loaded = [], set()
+    for path in sorted((ROOT / "src" / "ecgmatch").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.name, name) for name in _private_definitions(tree)]
+        loaded.update(_loads(tree))
+    assert len(defined) > 50  # the scan found the package's private names
+    unused = [f"{module}:{name}" for module, name in defined if name not in loaded]
+    assert unused == [], f"private names nothing in the package loads: {unused}"

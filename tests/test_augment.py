@@ -363,3 +363,30 @@ def test_noise_overflowing_mid_queue_raises_like_the_per_row_code():
         # noise last: nothing checks its output, here or in the per-row code
         last = apply_queue(x, [TEMPORAL_FLIP, RANDOM_NOISE], RandomStream(1))
     assert not np.all(np.isfinite(last))
+
+
+@pytest.mark.parametrize("tid", [0, 5])
+def test_apply_queue_unknown_id_raises_naming_it(tid):
+    with pytest.raises(ValueError, match=f"unknown transform id {tid}$"):
+        apply_queue(ramp_signal(), [TEMPORAL_FLIP, tid], RandomStream(0))
+
+
+@pytest.mark.parametrize("queue", [
+    [RANDOM_NOISE, RANDOM_NOISE],
+    [SIGNAL_DROPOUT, TEMPORAL_FLIP, SIGNAL_DROPOUT],
+    [CHANNEL_REORGANIZATION, CHANNEL_REORGANIZATION, RANDOM_NOISE],
+])
+def test_apply_queue_repeated_ids_equal_the_sequential_chain(queue):
+    x = _signals(np.random.default_rng(8), 1, [(4, 30)])[0]
+    cfg = AugmentConfig(dropout_all_channels=False)
+    want, g = x, RandomStream(12).generator()
+    for tid in queue:
+        want = _ref_apply(tid, want, g, cfg)
+    _assert_same_bytes([apply_queue(x, queue, RandomStream(12), cfg)], [want])
+
+
+def test_apply_queue_empty_queue_returns_an_equal_copy():
+    x = ramp_signal()
+    out = apply_queue(x, [], RandomStream(0))
+    assert out is not x and not np.shares_memory(out, x)
+    _assert_same_bytes([out], [x])

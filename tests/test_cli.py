@@ -83,13 +83,26 @@ def test_run_raw_dataset_with_zero_byte_samples_exits_2(tmp_path, capsys):
     (bytes(31), "truncated header (offset 0)"),
     (data._RAW_HEADER.pack(2, -1, 4, 5), "negative header field"),
     (data._RAW_HEADER.pack(1, 1, 2, 2) + np.array([0.5, 1.0, 0.0, 0.0], "<f4").tobytes(), "non-binary label value"),
-], ids=["shorter than the header", "negative field", "non-binary label"])
+    (data._RAW_HEADER.pack(3, 1, 2, 1) + np.array([1, 0, 1, 0.5, 1, np.nan, 2, np.inf, 3], "<f4").tobytes(),
+     "non-finite signal value in sample 1"),
+], ids=["shorter than the header", "negative field", "non-binary label", "non-finite signal"])
 def test_run_on_a_malformed_raw_dataset_exits_2_in_load_data(tmp_path, capsys, raw, message):
     dataset = tmp_path / "ds.bin"
     dataset.write_bytes(raw)
     path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)], "format": "raw_f32"})
     assert main(["run", "--config", str(path)]) == 2
     assert f"configuration error in stage load-data: {dataset}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_run_on_a_non_finite_csv_signal_exits_2_in_load_data(tmp_path, capsys, bad):
+    ds = data.synth_generate(data.SynthConfig(n_samples=120, channels=2, signal_length=32, seed=0))
+    ds.signals[0, 0, 0] = float(bad)
+    dataset = tmp_path / "ds.csv"
+    data.save_dataset(dataset, ds)
+    path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)]}, split={"labeled_frac": 0.3})
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"configuration error in stage load-data: {dataset}:3: non-finite signal cell" in capsys.readouterr().err
 
 
 def _csv_datasets(tmp_path, names):

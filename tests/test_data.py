@@ -171,6 +171,8 @@ def _scan_csv(path):
                 sig[ch] = [float(v) for v in cells]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric signal cell") from None
+            if not np.isfinite(sig[ch]).all():
+                raise ParseError(f"{path}:{lineno}: non-finite signal cell")
         signals.append(sig)
     if n and not channels * length:
         raise ConfigurationError(f"{path}: signals need at least one channel and sample, "
@@ -212,6 +214,10 @@ CSV_EDITS = {
     "label row width": (4, "0,1,1"),
     "non-binary label": (7, "1,2"),
     "nan label": (7, "nan,1"),
+    "nan signal": (6, "-0.0,nan,1e300"),
+    "inf signal": (3, "1e-3,2,inf"),
+    "-inf signal": (9, "-inf,8,9"),
+    "overflowing signal": (5, "4,1e400,6"),
     "padded cells": (5, " 4 ,\t5,6 "),
 }
 CSV_TEXTS = {
