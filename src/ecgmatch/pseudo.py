@@ -14,6 +14,12 @@ and 0 when their mean prediction sits at one half.
 One ranking (`_neighbors`, over `_nearest`) and one vote (`_vote`) serve
 the batch path `generate_pseudo_labels`; `knn_query` and
 `neighbor_agreement` are one-query and one-neighbourhood views of them.
+
+`MemoryBanks` keeps the unit-norm copy of its feature rows that the cosine
+distance reads, refreshed in `update` for the rows it writes, so a vote
+normalises only its queries. `_nearest` bounds each row's k-th distance by
+the k-th smallest of 4k column-chunk minima and sorts only the entries not
+above that bound; its result equals a stable argsort of the whole row.
 """
 
 from __future__ import annotations
@@ -40,12 +46,17 @@ class KnnConfig:
 
 
 class MemoryBanks:
-    """Row-aligned feature and prediction stores for the unlabeled pool."""
+    """Row-aligned feature and prediction stores for the unlabeled pool.
+
+    `unit_features` holds each feature row scaled to unit norm (a zero row
+    stays zero); `update` keeps it in step with `features`.
+    """
 
     def __init__(self, n_unlabeled: int, feature_dim: int, num_classes: int):
         if n_unlabeled < 1:
             raise ConfigurationError("memory banks need at least one unlabeled sample")
         self.features = np.zeros((n_unlabeled, feature_dim))
+        self.unit_features = np.zeros((n_unlabeled, feature_dim))
         self.predictions = np.zeros((n_unlabeled, num_classes))
 
     @property
@@ -53,14 +64,23 @@ class MemoryBanks:
         return self.features.shape[0]
 
     def update(self, indices, features, predictions) -> None:
-        """Overwrite the addressed rows of both banks together."""
+        """Overwrite the addressed rows of both banks together, one given row per index."""
         indices = np.asarray(indices, dtype=int)
-        if indices.size == 0:
+        n = len(indices) if indices.ndim == 1 else -1  # no row count matches a non-list index
+        if (np.shape(features) != (n, self.features.shape[1])
+                or np.shape(predictions) != (n, self.predictions.shape[1])):
+            raise ContractViolation(
+                f"bank update needs (n, {self.features.shape[1]}) features and (n, {self.predictions.shape[1]}) "
+                f"predictions for a list of n indices; got indices {indices.shape}, "
+                f"features {np.shape(features)}, predictions {np.shape(predictions)}")
+        if n == 0:
             return
         if indices.min() < 0 or indices.max() >= self.size:
             raise ContractViolation(f"bank index out of range [0, {self.size})")
         self.features[indices] = features
         self.predictions[indices] = predictions
+        # read back the stored rows: float64 after the cast, the last write for a repeated index
+        self.unit_features[indices] = _unit_rows(self.features[indices])
 
 
 def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_inputs: np.ndarray) -> MemoryBanks:
@@ -81,34 +101,34 @@ def bank_update(banks: MemoryBanks, indices, teacher_cfg: nn.ModelConfig,
     if indices.size == 0:
         return banks
     features, predictions = nn.forward(teacher_cfg, teacher, np.asarray(batch, dtype=float))
-    if features.shape[0] != indices.size:
-        raise ContractViolation("index list and batch size differ")
     banks.update(indices, features, predictions)
     return banks
 
 
 # Elements per block of query rows for the euclidean difference tensor and
-# for the ranking's partitioned copy: about 4 MB of float64 per temporary,
+# for the ranking's candidate scan: about 4 MB of float64 per temporary,
 # instead of one more full (n_queries, n_bank[, d]) array.
 _BLOCK_ELEMENTS = 1 << 19
 
 
-def _distances(bank_features: np.ndarray, queries: np.ndarray, distance: str) -> np.ndarray:
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of x scaled to unit norm; a zero row stays zero."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms > 0.0, norms, 1.0)
+
+
+def _distances(banks: MemoryBanks, queries: np.ndarray, distance: str) -> np.ndarray:
     """(n_queries, n_bank) distance matrix."""
     if distance == "euclidean":
-        n_bank, d = bank_features.shape
+        n_bank, d = banks.features.shape
         step = max(1, _BLOCK_ELEMENTS // max(1, n_bank * d))
         out = np.empty((queries.shape[0], n_bank))
         for start in range(0, queries.shape[0], step):
-            diff = queries[start : start + step, None, :] - bank_features[None, :, :]
+            diff = queries[start : start + step, None, :] - banks.features[None, :, :]
             out[start : start + step] = np.sqrt(np.sum(diff * diff, axis=2))
         return out
     # cosine distance: 1 - cos similarity; zero vectors get similarity 0
-    qn = np.linalg.norm(queries, axis=1, keepdims=True)
-    bn = np.linalg.norm(bank_features, axis=1, keepdims=True)
-    q = queries / np.where(qn > 0.0, qn, 1.0)
-    b = bank_features / np.where(bn > 0.0, bn, 1.0)
-    dist = q @ b.T
+    dist = _unit_rows(queries) @ banks.unit_features.T
     return np.subtract(1.0, dist, out=dist)  # in place: one (n_queries, n_bank) array, not two
 
 
@@ -116,20 +136,27 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """Per row, the column indices of the k smallest distances, nearest first.
 
     Equals np.argsort(dist, axis=1, kind="stable")[:, :k]: ties go to the
-    lower bank index and NaN ranks last. Per block of rows, a partition
-    finds each row's k-th distance, and only the entries not above it are
-    sorted by (distance, index). One flat scan of the block finds those
-    entries, in row-major order as a 2-D nonzero would, at a fraction of
-    its cost. `~(block > kth)` rather than `block <= kth` keeps NaN entries:
-    a row with fewer than k finite distances has a NaN k-th distance, and
-    every entry of it stays a candidate.
+    lower bank index and NaN ranks last. Per block of rows, each row is cut
+    into min(m, 4k) column chunks, and the k-th smallest chunk minimum is
+    the row's `bound`. It is an element of the row with at least k
+    elements at or below it, so it is never below the row's k-th distance.
+    Only the entries not above it are sorted by (distance, index). One flat
+    scan of the block finds those entries, in row-major order as a 2-D
+    nonzero would, at a fraction of its cost. `~(block > bound)` rather
+    than `block <= bound` keeps NaN entries: a chunk holding a NaN has a
+    NaN minimum, so a row with fewer than k NaN-free chunks has a NaN
+    bound, and every entry of it stays a candidate.
     """
+    m = dist.shape[1]
+    chunks = min(m, 4 * k)
+    edges = np.arange(chunks) * m // chunks
     out = np.empty((dist.shape[0], k), dtype=np.intp)
-    step = max(1, _BLOCK_ELEMENTS // dist.shape[1])
+    step = max(1, _BLOCK_ELEMENTS // m)
     for start in range(0, dist.shape[0], step):
         block = dist[start : start + step]
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
-        rows, cols = np.divmod(np.flatnonzero(~(block > kth)), block.shape[1])
+        minima = np.minimum.reduceat(block, edges, axis=1)
+        bound = np.partition(minima, k - 1, axis=1)[:, k - 1 : k]
+        rows, cols = np.divmod(np.flatnonzero(~(block > bound)), m)
         order = np.lexsort((cols, block[rows, cols], rows))
         starts = np.searchsorted(rows, np.arange(block.shape[0]))
         out[start : start + step] = cols[order[starts[:, None] + np.arange(k)]]
@@ -141,11 +168,19 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
 
     `exclude` names one bank row per query (its own slot), dropped before ranking.
     """
+    if queries.ndim != 2 or queries.shape[1] != banks.features.shape[1]:
+        raise ContractViolation(f"queries must be (n, {banks.features.shape[1]}) rows, got {queries.shape}")
     if cfg.k + (exclude is not None) > banks.size:
         raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({banks.size})")
-    dist = _distances(banks.features, queries, cfg.distance)
+    dist = _distances(banks, queries, cfg.distance)
     if exclude is not None:
-        dist[np.arange(queries.shape[0]), np.asarray(exclude, dtype=int)] = np.inf
+        exclude = np.asarray(exclude, dtype=int)
+        if exclude.shape != (queries.shape[0],):
+            raise ContractViolation(f"exclusion needs one bank row per query ({queries.shape[0]}), "
+                                    f"got shape {exclude.shape}")
+        if exclude.size and (exclude.min() < 0 or exclude.max() >= banks.size):
+            raise ContractViolation(f"excluded bank row out of range [0, {banks.size})")
+        dist[np.arange(queries.shape[0]), exclude] = np.inf
     return _nearest(dist, cfg.k)
 
 
@@ -181,10 +216,14 @@ def generate_pseudo_labels(banks: MemoryBanks, query_features: np.ndarray, cfg: 
     Returns (pseudo n x C, agreement n x C). Each row's neighbours equal an
     exhaustive stable sort of that row's distances (ties toward lower bank
     indices). With cfg.exclude_self, `self_indices` names each query's own
-    bank row, which is skipped. A lone query through knn_query can rank
-    near-ties differently: its cosine product runs as a BLAS matrix-vector
-    product, whose last bits differ from the batched matrix product's.
+    bank row, which is skipped; leaving it out, or giving other than one
+    row in [0, banks.size) per query, is a ContractViolation. A lone query
+    through knn_query can rank near-ties differently: its cosine product
+    runs as a BLAS matrix-vector product, whose last bits differ from the
+    batched matrix product's.
     """
     queries = np.asarray(query_features, dtype=float)
+    if cfg.exclude_self and self_indices is None:
+        raise ContractViolation("exclude_self needs self_indices, one own bank row per query")
     exclude = self_indices if cfg.exclude_self else None
     return _vote(banks.predictions[_neighbors(banks, queries, cfg, exclude)])

@@ -66,6 +66,67 @@ def test_bank_update_bad_index():
         pseudo.bank_update(banks, [4], cfg, params, np.zeros((1, 6)))
 
 
+def test_bank_update_needs_one_row_per_index():
+    banks = pseudo.MemoryBanks(5, 3, 2)
+    for features, predictions in [(np.ones((1, 3)), np.ones((1, 2))),  # one row, three slots
+                                  (np.ones((3, 3)), np.ones((1, 2))),
+                                  (np.ones((3, 4)), np.ones((3, 2))),
+                                  (np.ones((3, 3)), np.ones((3, 3)))]:
+        with pytest.raises(ContractViolation):
+            banks.update([0, 1, 2], features, predictions)
+    with pytest.raises(ContractViolation):
+        banks.update([[0, 1, 2]], np.ones((3, 3)), np.ones((3, 2)))
+    assert not banks.features.any() and not banks.predictions.any()
+    cfg, params = toy_model()
+    banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)))
+    with pytest.raises(ContractViolation):
+        pseudo.bank_update(banks, [0, 1], cfg, params, np.zeros((3, 6)))
+
+
+def _unit_reference(features):
+    """The cosine distance's normalisation of a whole bank, as done on every call before the cache."""
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    return features / np.where(norms > 0.0, norms, 1.0)
+
+
+def test_unit_features_equal_a_fresh_normalisation_bit_for_bit():
+    cfg, params = toy_model()
+    g = np.random.default_rng(19)
+    banks = pseudo.bank_init(cfg, params, g.normal(size=(9, 6)))
+    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+    pseudo.bank_update(banks, [4, 1], cfg, params, g.normal(size=(2, 6)))
+    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+    last = g.normal(size=(3, 4))
+    banks.update([3, 7, 3], last, g.random((3, 3)))  # a repeated index keeps its last row
+    assert np.array_equal(banks.features[3], last[2])
+    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+    banks.update([0, 5], np.zeros((2, 4)), g.random((2, 3)))
+    assert not banks.unit_features[[0, 5]].any()
+    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+    for rows in (g.integers(-5, 6, size=(2, 4)), g.normal(size=(2, 4)).astype(np.float32)):
+        banks.update([2, 6], rows, g.random((2, 3)))  # stored as float64, normalised as stored
+        assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+
+
+@pytest.mark.parametrize("self_indices", [None, [3], [2, 5, 7], [2, -1], [2, 12], [2, 20]])
+def test_a_bad_exclusion_is_a_contract_violation(self_indices):
+    banks = _random_banks(np.random.default_rng(18), 12, 4, 2)
+    cfg = pseudo.KnnConfig(k=3, distance="cosine", exclude_self=True)
+    with pytest.raises(ContractViolation):
+        pseudo.generate_pseudo_labels(banks, banks.features[[2, 5]], cfg, self_indices=self_indices)
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+def test_query_width_must_match_the_bank(distance):
+    g = np.random.default_rng(21)
+    banks = _random_banks(g, 12, 4, 2)
+    cfg = pseudo.KnnConfig(k=3, distance=distance)
+    with pytest.raises(ContractViolation):
+        pseudo.generate_pseudo_labels(banks, g.normal(size=(2, 5)), cfg)
+    with pytest.raises(ContractViolation):
+        pseudo.knn_query(banks, np.zeros(3), cfg)
+
+
 def _random_banks(g, n, d, c):
     banks = pseudo.MemoryBanks(n, d, c)
     banks.update(np.arange(n), g.normal(size=(n, d)), g.random((n, c)))
@@ -216,7 +277,7 @@ def test_generate_pseudo_labels_matches_oracle_under_forced_ties(distance, exclu
     k = 7
     cfg = pseudo.KnnConfig(k=k, distance=distance, exclude_self=exclude_self)
     targets, alpha = pseudo.generate_pseudo_labels(banks, queries, cfg, self_indices=self_indices)
-    dist = pseudo._distances(banks.features, queries, distance)
+    dist = pseudo._distances(banks, queries, distance)
     for row, (own, q) in enumerate(zip(self_indices, queries)):
         kept = np.flatnonzero(np.arange(banks.size) != own) if exclude_self else np.arange(banks.size)
         hits = knn_oracle(banks.features[kept], banks.predictions[kept], q, k, distance)
@@ -237,7 +298,7 @@ def test_euclidean_distances_at_default_bank_size_match_oracle():
     cfg = pseudo.KnnConfig(k=10, distance="euclidean")
     targets, _ = pseudo.generate_pseudo_labels(banks, queries, cfg)
     assert targets.shape == (n_queries, 5)
-    dist = pseudo._distances(banks.features, queries, "euclidean")
+    dist = pseudo._distances(banks, queries, "euclidean")
     for row in (0, 201, 447):
         hits = knn_oracle(banks.features, banks.predictions, queries[row], 10, "euclidean")
         order = [i for i, _ in hits]
@@ -247,27 +308,54 @@ def test_euclidean_distances_at_default_bank_size_match_oracle():
         np.testing.assert_array_equal(dist[row, order], want)
 
 
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_cosine_vote_at_default_bank_size_equals_a_per_call_normalised_argsort(exclude_self):
+    g = np.random.default_rng(20)
+    n_queries, n_bank, d, k = 448, 6080, 128, 10
+    banks = _random_banks(g, n_bank, d, 5)
+    for _ in range(3):  # refreshes as in training, drawn with replacement so rows repeat
+        rows = g.choice(n_bank, n_queries)
+        banks.update(rows, g.normal(size=(n_queries, d)), g.random((n_queries, 5)))
+    banks.update(np.arange(1, 200, 2), 3.0 * banks.features[:200:2], g.random((100, 5)))  # exact ties
+    self_indices = g.choice(n_bank, n_queries, replace=False)
+    queries = banks.features[self_indices] + np.where(np.arange(n_queries)[:, None] % 2, 0.0, 0.1)
+    dist = 1.0 - _unit_reference(queries) @ _unit_reference(banks.features).T
+    if exclude_self:
+        dist[np.arange(n_queries), self_indices] = np.inf
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    cfg = pseudo.KnnConfig(k=k, distance="cosine", exclude_self=exclude_self)
+    assert np.array_equal(pseudo._neighbors(banks, queries, cfg, self_indices if exclude_self else None), order)
+    targets, alpha = pseudo.generate_pseudo_labels(banks, queries, cfg, self_indices=self_indices)
+    want = banks.predictions[order].mean(axis=1)
+    assert np.array_equal(targets, want) and np.array_equal(alpha, np.abs(2.0 * want - 1.0))
 
-@pytest.mark.parametrize("k", [1, 10])
-def test_nearest_equals_a_stable_argsort_across_blocks(k):
-    """Ties across the k-th place, NaN, +-inf and signed zeros, in a matrix of seven row blocks."""
+
+@pytest.mark.parametrize("k, m", [(1, 6080), (10, 6080), (37, 6080),  # several row blocks
+                                  (10, 6079), (37, 6079), (1, 41), (10, 41),  # width not a multiple of 4k
+                                  (37, 41), (10, 25),  # 4k >= m: one column per chunk
+                                  (10, 10), (37, 37)])  # k == m
+def test_nearest_equals_a_stable_argsort_across_blocks(k, m):
+    """Ties across the k-th place, NaN, +-inf and signed zeros; the wide matrices span seven row blocks."""
     g = np.random.default_rng(17)
-    n, m = 520, 6080
-    assert n // (pseudo._BLOCK_ELEMENTS // m) >= 6
+    n = 520
+    assert m < 1000 or n // (pseudo._BLOCK_ELEMENTS // m) >= 6
     dist = 1.0 + g.random((n, m))
-    dist[::3] = np.round(dist[::3], 2)  # ~60 exact ties per value
+    dist[::3] = np.round(dist[::3], 2)  # exact ties, ~60 per value in a wide row
     for row in range(1, n, 5):  # six distinct distances, then six equal ones across the k-th place
-        cols = g.choice(m, 12, replace=False)
-        dist[row, cols] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6] + [0.7] * 6
-    dist[g.random((n, m)) < 0.02] = np.nan  # scattered NaN
+        cols = g.choice(m, min(m, 12), replace=False)
+        dist[row, cols] = ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6] + [0.7] * 6)[: len(cols)]
+    # scattered NaN in every seventh row only: a NaN in most chunks leaves no finite bound
+    nan_rows = dist[::7]  # a view
+    nan_rows[g.random(nan_rows.shape) < 0.02] = np.nan
     dist[np.arange(n), g.integers(0, m, size=n)] = np.inf  # the excluded own row
     dist[100] = np.nan  # no finite distance at all
     dist[200] = np.nan
-    dist[200, [5, 17, 4000]] = [0.3, 0.1, 0.3]  # fewer finite distances than k
+    dist[200, [1, m // 2, m - 1]] = [0.3, 0.1, 0.3]  # fewer finite distances than k
     dist[300, g.choice(m, 4, replace=False)] = -np.inf
     dist[400, :40:2], dist[400, 1:40:2] = 0.0, -0.0  # signed zeros rank as one tie group
     dist[401, :5], dist[401, 5:20] = -np.inf, np.inf
     want = np.argsort(dist, axis=1, kind="stable")[:, :k]
     assert np.array_equal(pseudo._nearest(dist, k), want)
-    if k == 10:
-        assert np.array_equal(want[200, :3], [17, 5, 4000]) and np.isnan(dist[200, want[200, 3:]]).all()
+    if k >= 3:
+        assert np.array_equal(want[200, :3], [m // 2, 1, m - 1])
+        assert np.isnan(dist[200, want[200, 3:]]).all()

@@ -47,8 +47,7 @@ def clone_state(state):
     if state.banks is not None:
         banks = pseudo.MemoryBanks(state.banks.size, state.banks.features.shape[1],
                                    state.banks.predictions.shape[1])
-        banks.features = state.banks.features.copy()
-        banks.predictions = state.banks.predictions.copy()
+        banks.update(np.arange(banks.size), state.banks.features, state.banks.predictions)
     return trainer.TrainState(
         model_cfg=state.model_cfg,
         student=state.student.copy(),
