@@ -366,17 +366,17 @@ _HDR = struct.Struct("<q")
 _SHAPE = struct.Struct("<qq")
 
 
-def write_matrices(path, mats) -> None:
-    mats = [np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=float))) for m in mats]
+def save_params(path, params: ParameterSet) -> None:
+    mats = [np.asarray(m, dtype="<f8") for w, b in params for m in (w, b.reshape(1, -1))]
     with open(path, "wb") as fh:
         fh.write(_HDR.pack(len(mats)))
         for m in mats:
             fh.write(_SHAPE.pack(*m.shape))
         for m in mats:
-            fh.write(m.astype("<f8").tobytes())
+            fh.write(m.tobytes())  # row-major whatever the memory layout
 
 
-def read_matrices(path) -> list[np.ndarray]:
+def load_params(path) -> ParameterSet:
     with open(path, "rb") as fh:
         raw = fh.read(_HDR.size)
         if len(raw) < _HDR.size:
@@ -384,6 +384,8 @@ def read_matrices(path) -> list[np.ndarray]:
         (count,) = _HDR.unpack(raw)
         if count < 0:
             raise ConfigurationError(f"{path}: negative matrix count {count}")
+        if count % 2 != 0:
+            raise ConfigurationError(f"{path}: expected alternating weight/bias matrices")
         shapes = []
         for i in range(count):
             raw = fh.read(_SHAPE.size)
@@ -401,22 +403,4 @@ def read_matrices(path) -> list[np.ndarray]:
             if len(buf) != 8 * n:
                 raise ConfigurationError(f"{path}: truncated checkpoint payload")
             mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
-    return mats
-
-
-def save_params(path, params: ParameterSet) -> None:
-    mats = []
-    for w, b in params:
-        mats.append(w)
-        mats.append(b.reshape(1, -1))
-    write_matrices(path, mats)
-
-
-def load_params(path) -> ParameterSet:
-    mats = read_matrices(path)
-    if len(mats) % 2 != 0:
-        raise ConfigurationError(f"{path}: expected alternating weight/bias matrices")
-    layers = []
-    for i in range(0, len(mats), 2):
-        layers.append((mats[i], mats[i + 1].reshape(-1)))
-    return ParameterSet(layers)
+    return ParameterSet([(mats[i], mats[i + 1].reshape(-1)) for i in range(0, count, 2)])

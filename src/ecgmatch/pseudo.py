@@ -16,10 +16,12 @@ the batch path `generate_pseudo_labels`; `knn_query` and
 `neighbor_agreement` are one-query and one-neighbourhood views of them.
 
 `MemoryBanks` keeps the unit-norm copy of its feature rows that the cosine
-distance reads, refreshed in `update` for the rows it writes, so a vote
-normalises only its queries. `_nearest` bounds each row's k-th distance by
-the k-th smallest of 4k column-chunk minima and sorts only the entries not
-above that bound; its result equals a stable argsort of the whole row.
+distance reads, refreshed in `update`, and checks every bank row it is
+given. `_neighbors` walks the query rows once, in blocks: a block's
+distances, its excluded cells set to inf, then `_nearest`, which sorts only
+the entries not above a bound from 4k column-chunk minima and equals a
+stable argsort of the whole row. The cosine product stays one matrix
+product over all queries: row-blocked products measured slower.
 """
 
 from __future__ import annotations
@@ -65,49 +67,47 @@ class MemoryBanks:
 
     def update(self, indices, features, predictions) -> None:
         """Overwrite the addressed rows of both banks together, one given row per index."""
-        indices = np.asarray(indices, dtype=int)
-        n = len(indices) if indices.ndim == 1 else -1  # no row count matches a non-list index
+        n = len(features) if np.ndim(features) == 2 else -1  # no row count matches a non-matrix
         if (np.shape(features) != (n, self.features.shape[1])
                 or np.shape(predictions) != (n, self.predictions.shape[1])):
             raise ContractViolation(
                 f"bank update needs (n, {self.features.shape[1]}) features and (n, {self.predictions.shape[1]}) "
-                f"predictions for a list of n indices; got indices {indices.shape}, "
-                f"features {np.shape(features)}, predictions {np.shape(predictions)}")
-        if n == 0:
-            return
-        if indices.min() < 0 or indices.max() >= self.size:
-            raise ContractViolation(f"bank index out of range [0, {self.size})")
-        self.features[indices] = features
-        self.predictions[indices] = predictions
+                f"predictions for a list of n indices; got features {np.shape(features)}, "
+                f"predictions {np.shape(predictions)}")
+        rows = self._rows(indices, n)
+        self.features[rows] = features
+        self.predictions[rows] = predictions
         # read back the stored rows: float64 after the cast, the last write for a repeated index
-        self.unit_features[indices] = _unit_rows(self.features[indices])
+        self.unit_features[rows] = _unit_rows(self.features[rows])
+
+    def _rows(self, indices, n: int) -> np.ndarray:
+        """`indices` as n bank rows: integers in [0, size), else a ContractViolation."""
+        rows = np.asarray(indices)
+        if rows.shape != (n,) or (n and rows.dtype.kind not in "iu"):
+            raise ContractViolation(f"need {n} integer bank rows, got a {rows.dtype} array of shape {rows.shape}")
+        if n and (rows.min() < 0 or rows.max() >= self.size):
+            raise ContractViolation(f"bank row out of range [0, {self.size})")
+        return rows.astype(np.intp, copy=False)
 
 
 def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_inputs: np.ndarray) -> MemoryBanks:
     """One full teacher pass over the (weak-augmented, encoded) unlabeled pool."""
-    x = np.asarray(unlabeled_inputs, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ConfigurationError("bank_init needs a nonempty unlabeled input matrix")
-    features, predictions = nn.forward(teacher_cfg, teacher, x)
-    banks = MemoryBanks(x.shape[0], features.shape[1], predictions.shape[1])
-    banks.update(np.arange(x.shape[0]), features, predictions)
+    features, predictions = nn.forward(teacher_cfg, teacher, unlabeled_inputs)
+    banks = MemoryBanks(len(features), features.shape[1], predictions.shape[1])
+    banks.update(np.arange(len(features)), features, predictions)
     return banks
 
 
 def bank_update(banks: MemoryBanks, indices, teacher_cfg: nn.ModelConfig,
                 teacher: nn.ParameterSet, batch: np.ndarray) -> MemoryBanks:
     """Refresh the addressed rows with the teacher's view of the current mini-batch."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        return banks
-    features, predictions = nn.forward(teacher_cfg, teacher, np.asarray(batch, dtype=float))
-    banks.update(indices, features, predictions)
+    banks.update(indices, *nn.forward(teacher_cfg, teacher, batch))
     return banks
 
 
-# Elements per block of query rows for the euclidean difference tensor and
-# for the ranking's candidate scan: about 4 MB of float64 per temporary,
-# instead of one more full (n_queries, n_bank[, d]) array.
+# Elements per block of query rows, for the euclidean difference tensor or
+# the cosine distances, and for the ranking's candidate scan: about 4 MB of
+# float64 per temporary.
 _BLOCK_ELEMENTS = 1 << 19
 
 
@@ -117,50 +117,29 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
-def _distances(banks: MemoryBanks, queries: np.ndarray, distance: str) -> np.ndarray:
-    """(n_queries, n_bank) distance matrix."""
-    if distance == "euclidean":
-        n_bank, d = banks.features.shape
-        step = max(1, _BLOCK_ELEMENTS // max(1, n_bank * d))
-        out = np.empty((queries.shape[0], n_bank))
-        for start in range(0, queries.shape[0], step):
-            diff = queries[start : start + step, None, :] - banks.features[None, :, :]
-            out[start : start + step] = np.sqrt(np.sum(diff * diff, axis=2))
-        return out
-    # cosine distance: 1 - cos similarity; zero vectors get similarity 0
-    dist = _unit_rows(queries) @ banks.unit_features.T
-    return np.subtract(1.0, dist, out=dist)  # in place: one (n_queries, n_bank) array, not two
-
-
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """Per row, the column indices of the k smallest distances, nearest first.
 
     Equals np.argsort(dist, axis=1, kind="stable")[:, :k]: ties go to the
-    lower bank index and NaN ranks last. Per block of rows, each row is cut
-    into min(m, 4k) column chunks, and the k-th smallest chunk minimum is
-    the row's `bound`. It is an element of the row with at least k
-    elements at or below it, so it is never below the row's k-th distance.
-    Only the entries not above it are sorted by (distance, index). One flat
-    scan of the block finds those entries, in row-major order as a 2-D
-    nonzero would, at a fraction of its cost. `~(block > bound)` rather
-    than `block <= bound` keeps NaN entries: a chunk holding a NaN has a
-    NaN minimum, so a row with fewer than k NaN-free chunks has a NaN
-    bound, and every entry of it stays a candidate.
+    lower bank index and NaN ranks last. Each row is cut into min(m, 4k)
+    column chunks, and the k-th smallest chunk minimum is the row's
+    `bound`. It is an element of the row with at least k elements at or
+    below it, so it is never below the row's k-th distance. Only the
+    entries not above it are sorted by (distance, index). One flat scan
+    finds those entries, in row-major order as a 2-D nonzero would, at a
+    fraction of its cost. `~(dist > bound)` rather than `dist <= bound`
+    keeps NaN entries: a chunk holding a NaN has a NaN minimum, so a row
+    with fewer than k NaN-free chunks has a NaN bound, and every entry of
+    it stays a candidate.
     """
     m = dist.shape[1]
     chunks = min(m, 4 * k)
-    edges = np.arange(chunks) * m // chunks
-    out = np.empty((dist.shape[0], k), dtype=np.intp)
-    step = max(1, _BLOCK_ELEMENTS // m)
-    for start in range(0, dist.shape[0], step):
-        block = dist[start : start + step]
-        minima = np.minimum.reduceat(block, edges, axis=1)
-        bound = np.partition(minima, k - 1, axis=1)[:, k - 1 : k]
-        rows, cols = np.divmod(np.flatnonzero(~(block > bound)), m)
-        order = np.lexsort((cols, block[rows, cols], rows))
-        starts = np.searchsorted(rows, np.arange(block.shape[0]))
-        out[start : start + step] = cols[order[starts[:, None] + np.arange(k)]]
-    return out
+    minima = np.minimum.reduceat(dist, np.arange(chunks) * m // chunks, axis=1)
+    bound = np.partition(minima, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.divmod(np.flatnonzero(~(dist > bound)), m)
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(dist.shape[0]))
+    return cols[order[starts[:, None] + np.arange(k)]]
 
 
 def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=None) -> np.ndarray:
@@ -168,20 +147,28 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
 
     `exclude` names one bank row per query (its own slot), dropped before ranking.
     """
-    if queries.ndim != 2 or queries.shape[1] != banks.features.shape[1]:
-        raise ContractViolation(f"queries must be (n, {banks.features.shape[1]}) rows, got {queries.shape}")
-    if cfg.k + (exclude is not None) > banks.size:
-        raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({banks.size})")
-    dist = _distances(banks, queries, cfg.distance)
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=int)
-        if exclude.shape != (queries.shape[0],):
-            raise ContractViolation(f"exclusion needs one bank row per query ({queries.shape[0]}), "
-                                    f"got shape {exclude.shape}")
-        if exclude.size and (exclude.min() < 0 or exclude.max() >= banks.size):
-            raise ContractViolation(f"excluded bank row out of range [0, {banks.size})")
-        dist[np.arange(queries.shape[0]), exclude] = np.inf
-    return _nearest(dist, cfg.k)
+    n_bank, d = banks.features.shape
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise ContractViolation(f"queries must be (n, {d}) rows, got {queries.shape}")
+    if cfg.k + (exclude is not None) > n_bank:
+        raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({n_bank})")
+    n = queries.shape[0]
+    exclude = None if exclude is None else banks._rows(exclude, n)
+    euclidean = cfg.distance == "euclidean"
+    if not euclidean:  # cosine distance 1 - s; a zero vector has similarity 0
+        sim = _unit_rows(queries) @ banks.unit_features.T
+    step = max(1, _BLOCK_ELEMENTS // max(1, n_bank * d if euclidean else n_bank))
+    out = np.empty((n, cfg.k), dtype=np.intp)
+    for lo in range(0, n, step):
+        if euclidean:
+            diff = queries[lo : lo + step, None, :] - banks.features[None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=2))
+        else:
+            dist = np.subtract(1.0, sim[lo : lo + step], out=sim[lo : lo + step])
+        if exclude is not None:
+            dist[np.arange(len(dist)), exclude[lo : lo + step]] = np.inf
+        out[lo : lo + step] = _nearest(dist, cfg.k)
+    return out
 
 
 def _vote(neighbor_preds: np.ndarray):
@@ -217,7 +204,7 @@ def generate_pseudo_labels(banks: MemoryBanks, query_features: np.ndarray, cfg: 
     exhaustive stable sort of that row's distances (ties toward lower bank
     indices). With cfg.exclude_self, `self_indices` names each query's own
     bank row, which is skipped; leaving it out, or giving other than one
-    row in [0, banks.size) per query, is a ContractViolation. A lone query
+    integer row in [0, banks.size) per query, is a ContractViolation. A lone query
     through knn_query can rank near-ties differently: its cosine product
     runs as a BLAS matrix-vector product, whose last bits differ from the
     batched matrix product's.

@@ -55,10 +55,13 @@ class RandomStream:
         One Generator object is reset for every child, so each one must be
         used up before the iterator advances. Raises the ValueError
         `generator()` raises for a negative seed, path word, or first or last
-        id, and ContractViolation for another id outside [0, 2**32) or if the
-        derived keys disagree with SeedSequence.
+        id, and ContractViolation for non-integer ids, another id outside
+        [0, 2**32), or derived keys that disagree with SeedSequence.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise ContractViolation(f"child ids must be integers, got {ids.dtype}")
+        ids = ids.astype(np.int64)
         ends = [_reference_key(self.seed, self.path + (int(i),)) for i in ids[[0, -1]]] if ids.size else []
         if ids.size and (ids.min() < 0 or ids.max() >= 1 << 32):
             raise ContractViolation(f"child ids must lie in [0, 2**32), got {ids.min()}..{ids.max()}")

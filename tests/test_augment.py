@@ -19,6 +19,7 @@ from ecgmatch.augment import (
     weak_augment,
 )
 from ecgmatch.data import Dataset, Subset
+from ecgmatch.errors import ContractViolation
 from ecgmatch.rng import RandomStream
 
 
@@ -342,6 +343,8 @@ def test_augment_batch_offset_draws_the_rows_of_the_full_list():
     _assert_same_bytes(augment_batch(xs[25:], stream, cfg, strong=True, ids=np.arange(25, 40)), full[25:])
     picked = [7, 0, 31]
     _assert_same_bytes(augment_batch([xs[i] for i in picked], stream, cfg, strong=True, ids=picked), full[picked])
+    with pytest.raises(ContractViolation):  # not the rows of substreams 0 and 1
+        augment_batch(xs[:2], stream, cfg, strong=True, ids=[0.5, 1.5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

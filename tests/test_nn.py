@@ -311,40 +311,43 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_checkpoint_format_is_little_endian_float64(tmp_path):
     path = tmp_path / "m.bin"
-    nn.write_matrices(path, [np.array([[1.0, 2.0]])])
+    nn.save_params(path, nn.ParameterSet([(np.array([[1.0, 2.0]]), np.array([3.0, 4.0]))]))
     raw = path.read_bytes()
-    assert raw[:8] == (1).to_bytes(8, "little")
-    assert raw[8:16] == (1).to_bytes(8, "little")
-    assert raw[16:24] == (2).to_bytes(8, "little")
-    assert np.frombuffer(raw[24:], dtype="<f8").tolist() == [1.0, 2.0]
+    assert raw[:8] == (2).to_bytes(8, "little")
+    assert raw[8:40] == b"".join(n.to_bytes(8, "little") for n in (1, 2, 1, 2))
+    assert np.frombuffer(raw[40:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
-def test_read_matrices_rejects_truncated_shape_table(tmp_path):
+def _two_layer_checkpoint(path):
+    nn.save_params(path, nn.ParameterSet([(np.ones((2, 3)), np.ones(3)), (np.ones((3, 4)), np.ones(4))]))
+
+
+def test_load_params_rejects_truncated_shape_table(tmp_path):
     path = tmp_path / "m.bin"
-    nn.write_matrices(path, [np.ones((2, 3)), np.ones((1, 4))])
+    _two_layer_checkpoint(path)
     path.write_bytes(path.read_bytes()[:8 + 16 + 5])  # second shape entry cut short
     with pytest.raises(ConfigurationError, match="shape table"):
-        nn.read_matrices(path)
+        nn.load_params(path)
 
 
-def test_read_matrices_rejects_shape_larger_than_the_file(tmp_path):
+def test_load_params_rejects_shape_larger_than_the_file(tmp_path):
     path = tmp_path / "m.bin"
-    nn.write_matrices(path, [np.ones((2, 4))])
+    _two_layer_checkpoint(path)
     raw = bytearray(path.read_bytes())
     raw[8:16] = (2**62).to_bytes(8, "little")  # 8 * rows * cols overflows a read's size argument
     path.write_bytes(bytes(raw))
     with pytest.raises(ConfigurationError, match="truncated checkpoint payload"):
-        nn.read_matrices(path)
+        nn.load_params(path)
 
 
-def test_read_matrices_rejects_negative_shape(tmp_path):
+def test_load_params_rejects_negative_shape(tmp_path):
     path = tmp_path / "m.bin"
-    nn.write_matrices(path, [np.ones((2, 3))])
+    _two_layer_checkpoint(path)
     raw = bytearray(path.read_bytes())
     raw[8:16] = (-2).to_bytes(8, "little", signed=True)
     path.write_bytes(bytes(raw))
     with pytest.raises(ConfigurationError, match="negative shape"):
-        nn.read_matrices(path)
+        nn.load_params(path)
 
 
 @pytest.mark.parametrize("raw, message", [

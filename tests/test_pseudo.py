@@ -33,10 +33,10 @@ def test_bank_update_empty_index_list_is_noop():
     cfg, params = toy_model()
     x = np.random.default_rng(2).normal(size=(5, 6))
     banks = pseudo.bank_init(cfg, params, x)
-    before_f, before_p = banks.features.copy(), banks.predictions.copy()
+    before = banks.features.copy(), banks.unit_features.copy(), banks.predictions.copy()
     pseudo.bank_update(banks, [], cfg, params, np.zeros((0, 6)))
-    np.testing.assert_array_equal(banks.features, before_f)
-    np.testing.assert_array_equal(banks.predictions, before_p)
+    for got, want in zip((banks.features, banks.unit_features, banks.predictions), before):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_bank_update_locality_and_last_write_wins():
@@ -64,6 +64,15 @@ def test_bank_update_bad_index():
     banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)))
     with pytest.raises(ContractViolation):
         pseudo.bank_update(banks, [4], cfg, params, np.zeros((1, 6)))
+
+
+@pytest.mark.parametrize("indices", [[1.7], np.array([1.0]), [True]])
+def test_bank_update_rows_must_be_an_integer_list(indices):
+    """A float or bool row is rejected, not truncated or cast onto another row."""
+    banks = pseudo.MemoryBanks(5, 3, 2)
+    with pytest.raises(ContractViolation):
+        banks.update(indices, np.ones((1, 3)), np.ones((1, 2)))
+    assert not banks.features.any() and not banks.unit_features.any() and not banks.predictions.any()
 
 
 def test_bank_update_needs_one_row_per_index():
@@ -108,7 +117,8 @@ def test_unit_features_equal_a_fresh_normalisation_bit_for_bit():
         assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
 
 
-@pytest.mark.parametrize("self_indices", [None, [3], [2, 5, 7], [2, -1], [2, 12], [2, 20]])
+@pytest.mark.parametrize("self_indices", [None, [3], [2, 5, 7], [2, -1], [2, 12], [2, 20],
+                                          [2.9, 5], np.array([2.0, 5.0]), [True, False]])
 def test_a_bad_exclusion_is_a_contract_violation(self_indices):
     banks = _random_banks(np.random.default_rng(18), 12, 4, 2)
     cfg = pseudo.KnnConfig(k=3, distance="cosine", exclude_self=True)
@@ -177,6 +187,8 @@ def test_knn_query_exclude_self():
     hit = pseudo.knn_query(banks, banks.features[3], pseudo.KnnConfig(k=1, distance="euclidean"),
                            exclude=3)
     assert hit[0][0] != 3
+    with pytest.raises(ContractViolation):
+        pseudo.knn_query(banks, banks.features[3], pseudo.KnnConfig(k=1, distance="euclidean"), exclude=2.5)
 
 
 def _vote_over_whole_bank(preds, seed=0):
@@ -259,6 +271,13 @@ def test_generate_pseudo_labels_can_exclude_own_row():
     assert not np.allclose(excluded[1], banks.predictions[5])
 
 
+def _reference_distances(features, queries, distance):
+    """The whole (n_queries, n_bank) distance matrix, in one piece."""
+    if distance == "euclidean":
+        return np.sqrt(np.sum((queries[:, None, :] - features[None, :, :]) ** 2, axis=2))
+    return 1.0 - _unit_reference(queries) @ _unit_reference(features).T
+
+
 def _tied_banks(n=40, d=3, c=4):
     """Bank rows drawn from four distinct vectors, so distances tie heavily."""
     g = np.random.default_rng(15)
@@ -277,7 +296,7 @@ def test_generate_pseudo_labels_matches_oracle_under_forced_ties(distance, exclu
     k = 7
     cfg = pseudo.KnnConfig(k=k, distance=distance, exclude_self=exclude_self)
     targets, alpha = pseudo.generate_pseudo_labels(banks, queries, cfg, self_indices=self_indices)
-    dist = pseudo._distances(banks, queries, distance)
+    dist = _reference_distances(banks.features, queries, distance)
     for row, (own, q) in enumerate(zip(self_indices, queries)):
         kept = np.flatnonzero(np.arange(banks.size) != own) if exclude_self else np.arange(banks.size)
         hits = knn_oracle(banks.features[kept], banks.predictions[kept], q, k, distance)
@@ -298,14 +317,15 @@ def test_euclidean_distances_at_default_bank_size_match_oracle():
     cfg = pseudo.KnnConfig(k=10, distance="euclidean")
     targets, _ = pseudo.generate_pseudo_labels(banks, queries, cfg)
     assert targets.shape == (n_queries, 5)
-    dist = pseudo._distances(banks, queries, "euclidean")
-    for row in (0, 201, 447):
+    rows = [0, 201, 447]
+    dist = _reference_distances(banks.features, queries[rows], "euclidean")
+    for row, row_dist in zip(rows, dist):
         hits = knn_oracle(banks.features, banks.predictions, queries[row], 10, "euclidean")
         order = [i for i, _ in hits]
-        assert order == list(pseudo._nearest(dist[row : row + 1], 10)[0])
+        assert order == list(pseudo._nearest(row_dist[None], 10)[0])
         np.testing.assert_array_equal(targets[row], banks.predictions[order].mean(axis=0))
         want = [np.sqrt(np.sum((banks.features[i] - queries[row]) ** 2)) for i in order]
-        np.testing.assert_array_equal(dist[row, order], want)
+        np.testing.assert_array_equal(row_dist[order], want)
 
 
 @pytest.mark.parametrize("exclude_self", [False, True])
@@ -330,15 +350,37 @@ def test_cosine_vote_at_default_bank_size_equals_a_per_call_normalised_argsort(e
     assert np.array_equal(targets, want) and np.array_equal(alpha, np.abs(2.0 * want - 1.0))
 
 
-@pytest.mark.parametrize("k, m", [(1, 6080), (10, 6080), (37, 6080),  # several row blocks
+@pytest.mark.parametrize("distance, d", [("cosine", 16), ("euclidean", 4)])
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_neighbors_over_several_blocks_equal_a_stable_argsort(distance, d, exclude_self):
+    """2 * step + 1 query rows at the default bank size: two whole blocks and a one-row last block."""
+    g = np.random.default_rng(22)
+    n_bank, k = 6080, 10
+    step = pseudo._BLOCK_ELEMENTS // (n_bank * d if distance == "euclidean" else n_bank)
+    assert step >= 2  # each whole block holds several rows, with an exclusion each
+    n = 2 * step + 1
+    banks = _random_banks(g, n_bank, d, 5)
+    banks.update(np.arange(1, 200, 2), banks.features[:200:2], g.random((100, 5)))  # exact ties
+    self_indices = g.choice(n_bank, n, replace=False)
+    self_indices[::3] = g.choice(200, len(self_indices[::3]), replace=False)  # own rows with a twin
+    queries = banks.features[self_indices] + np.where(np.arange(n)[:, None] % 2, 0.0, 0.01)
+    dist = _reference_distances(banks.features, queries, distance)
+    if exclude_self:
+        dist[np.arange(n), self_indices] = np.inf
+    want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    assert (np.diff(np.take_along_axis(dist, want, axis=1), axis=1) == 0.0).any()
+    cfg = pseudo.KnnConfig(k=k, distance=distance, exclude_self=exclude_self)
+    assert np.array_equal(pseudo._neighbors(banks, queries, cfg, self_indices if exclude_self else None), want)
+
+
+@pytest.mark.parametrize("k, m", [(1, 6080), (10, 6080), (37, 6080),
                                   (10, 6079), (37, 6079), (1, 41), (10, 41),  # width not a multiple of 4k
                                   (37, 41), (10, 25),  # 4k >= m: one column per chunk
                                   (10, 10), (37, 37)])  # k == m
 def test_nearest_equals_a_stable_argsort_across_blocks(k, m):
-    """Ties across the k-th place, NaN, +-inf and signed zeros; the wide matrices span seven row blocks."""
+    """Ties across the k-th place, NaN, +-inf and signed zeros."""
     g = np.random.default_rng(17)
     n = 520
-    assert m < 1000 or n // (pseudo._BLOCK_ELEMENTS // m) >= 6
     dist = 1.0 + g.random((n, m))
     dist[::3] = np.round(dist[::3], 2)  # exact ties, ~60 per value in a wide row
     for row in range(1, n, 5):  # six distinct distances, then six equal ones across the k-th place

@@ -83,6 +83,13 @@ def test_children_reject_indices_beyond_one_word():
         RandomStream(0).children([-1, 0])
 
 
+@pytest.mark.parametrize("ids", [[0.5, 1.5], np.array([0.0, 1.0]), [True, False]])
+def test_children_reject_non_integer_ids(ids):
+    """A float or bool id is rejected, not truncated to another substream's draws."""
+    with pytest.raises(ContractViolation):
+        RandomStream(0).children(ids)
+
+
 @pytest.mark.parametrize("row", [0, -1])
 def test_children_guard_fires_on_a_corrupted_key(monkeypatch, row):
     real = rng._child_keys
