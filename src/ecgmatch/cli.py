@@ -15,7 +15,6 @@ import glob as globmod
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -191,6 +190,8 @@ def _gridsearch(args, stage) -> int:
     cell_cfgs = [replace(cfg, train=replace(cfg.train, weights=LossWeights(lu, lf))) for lu, lf in cells]
     workers = min(args.threads, len(cells))  # a fork pool starts every worker at the first submit
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_datasets,
                                  initargs=(datasets,)) as pool:
             results = list(pool.map(_train_cell, cell_cfgs, cell_dirs))

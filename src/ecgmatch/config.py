@@ -69,6 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigurationError("seeds must be a nonempty list of integers")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be nonnegative, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
 

@@ -477,6 +477,8 @@ class SynthConfig:
             raise ConfigurationError("target marginals must lie in (0, 1)")
         if self.noise_level < 0.0:
             raise ConfigurationError("noise_level must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError(f"data.synth.seed must be nonnegative, got {self.seed}")
         if self.channels < 1 or self.signal_length < 1:
             raise ConfigurationError("need channels >= 1 and signal_length >= 1")
 

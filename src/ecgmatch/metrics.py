@@ -3,15 +3,15 @@
 All ranking-based metrics use the "worst rank" convention for ties (an item
 tied with others takes the deepest of their shared positions) and score tied
 pairs as half-correct, which keeps every metric invariant under sample and
-class permutations. The four ranking metrics read one rank primitive,
+class permutations. `compute_all` is the one implementation of the four
+ranking metrics, and `ranking_loss`, `coverage`, `mean_average_precision`
+and `macro_auc` are views of its report (UndefinedMetricError where it holds
+NaN). It sorts the samples once and the classes once for the rank primitive,
 `rank_counts`: per entry, how many entries of a masked set in its row score
-higher and at least as high. It sorts each row once, and every mask passed
-with that sort shares it, so `compute_all` sorts the samples once and the
-classes once for all four. Scores must be finite:
-NaN or +-inf raise ValueError, since no ranking orders them consistently.
-Rows or classes that cannot support a metric (no relevant label,
-single-valued class column) are skipped, not zero-filled, and the skip
-counts are carried in the report.
+higher and at least as high. Scores must be finite: NaN or +-inf raise
+ValueError, since no ranking orders them consistently. Rows or classes that
+cannot support a metric (no relevant label, single-valued class column) are
+skipped, not zero-filled, and the skip counts are carried in the report.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UndefinedMetricError
+from .errors import ConfigurationError, UndefinedMetricError
 
 METRIC_NAMES = ("ranking_loss", "hamming_loss", "coverage", "map", "macro_auc", "macro_gbeta")
 _SKIP_KEYS = ("ranking_rows", "coverage_rows", "map_classes", "auc_classes")
@@ -35,6 +35,10 @@ class MetricsConfig:
 
     threshold: float = 0.5
     gbeta_beta: float = 2.0
+
+    def __post_init__(self):
+        if self.gbeta_beta < 0.0:  # a negative beta lifts G-beta above 1
+            raise ConfigurationError(f"gbeta_beta must be nonnegative, got {self.gbeta_beta}")
 
 
 @dataclass
@@ -132,19 +136,17 @@ def _macro_mean(per_class: dict) -> float:
     return float(np.mean(list(per_class.values()))) if per_class else float("nan")
 
 
-def _ranking_loss(pos, neg, neg_counts):
-    twice_wrong, pairs = _pair_errors(pos, neg, neg_counts)
-    ok = pairs > 0
-    return twice_wrong[ok] / 2 / pairs[ok], int((~ok).sum())
+def _defined(value, message: str) -> float:
+    """A ranking view's field of `compute_all`; UndefinedMetricError(message) when it is NaN."""
+    if np.isnan(value):
+        raise UndefinedMetricError(message)
+    return value
 
 
 def ranking_loss(sm: ScoreMatrix) -> float:
     """Mean fraction of (relevant, irrelevant) pairs ranked out of order (ties count half)."""
-    neg = sm.labels == 0.0
-    per_row, _ = _ranking_loss(sm.labels == 1.0, neg, *rank_counts(sm.scores, neg))
-    if not per_row.size:
-        raise UndefinedMetricError("ranking loss: no row has both relevant and irrelevant labels")
-    return _mean_in_order(per_row)
+    return _defined(compute_all(sm.scores, sm.labels).ranking_loss,
+                    "ranking loss: no row has both relevant and irrelevant labels")
 
 
 def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
@@ -153,53 +155,20 @@ def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
     return float(np.mean(pred != sm.labels))
 
 
-def _coverage(pos, all_counts):
-    _, worst_ranks = all_counts
-    has = pos.any(axis=1)
-    depth = np.where(pos, worst_ranks, 0).max(axis=1, initial=0)
-    return depth[has].astype(float), int((~has).sum())
-
-
 def coverage(sm: ScoreMatrix) -> float:
     """Mean depth (1-based rank) needed to cover every relevant label."""
-    pos = sm.labels == 1.0
-    per_row, _ = _coverage(pos, *rank_counts(sm.scores, np.ones_like(pos)))
-    if not per_row.size:
-        raise UndefinedMetricError("coverage: no row has a relevant label")
-    return _mean_in_order(per_row)
-
-
-def _map(pos, all_counts, pos_counts):
-    """Per class (a row of the transposed matrices), from the worst ranks and the positive hits."""
-    (_, worst_ranks), (_, hits) = all_counts, pos_counts
-    precision = hits / worst_ranks
-    per_class = {c: float(np.mean(precision[c, pos[c]])) for c in range(len(pos)) if pos[c].any()}
-    return per_class, len(pos) - len(per_class)
+    return _defined(compute_all(sm.scores, sm.labels).coverage, "coverage: no row has a relevant label")
 
 
 def mean_average_precision(sm: ScoreMatrix) -> float:
     """Macro mean over classes of average precision (classes without positives skipped)."""
-    pos = sm.labels.T == 1.0
-    per_class, _ = _map(pos, *rank_counts(sm.scores.T, np.ones_like(pos), pos))
-    if not per_class:
-        raise UndefinedMetricError("MAP: no class has a positive sample")
-    return _macro_mean(per_class)
-
-
-def _macro_auc(pos, neg, neg_counts):
-    twice_wrong, pairs = _pair_errors(pos, neg, neg_counts)
-    per_class = {c: float((pairs[c] - twice_wrong[c] / 2) / pairs[c])
-                 for c in range(len(pairs)) if pairs[c]}
-    return per_class, len(pairs) - len(per_class)
+    return _defined(compute_all(sm.scores, sm.labels).map, "MAP: no class has a positive sample")
 
 
 def macro_auc(sm: ScoreMatrix) -> float:
     """Macro mean pairwise AUC (ties half credit); single-valued classes skipped."""
-    neg = sm.labels.T == 0.0
-    per_class, _ = _macro_auc(sm.labels.T == 1.0, neg, *rank_counts(sm.scores.T, neg))
-    if not per_class:
-        raise UndefinedMetricError("macro AUC: no class has both positives and negatives")
-    return _macro_mean(per_class)
+    return _defined(compute_all(sm.scores, sm.labels).macro_auc,
+                    "macro AUC: no class has both positives and negatives")
 
 
 def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> float:
@@ -217,20 +186,25 @@ def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> Me
     sm = ScoreMatrix(scores, labels)
     pos, neg = sm.labels == 1.0, sm.labels == 0.0
     every = np.ones_like(pos)
-    # one sort per orientation: rows (samples) for the ranking loss and
-    # coverage, columns (classes) for MAP and AUC
-    row_neg, row_all = rank_counts(sm.scores, neg, every)
-    col_all, col_pos, col_neg = rank_counts(sm.scores.T, every.T, pos.T, neg.T)
-    rl_per_row, rl_skip = _ranking_loss(pos, neg, row_neg)
-    cov_per_row, cov_skip = _coverage(pos, row_all)
-    map_per_class, map_skip = _map(pos.T, col_all, col_pos)
-    auc_per_class, auc_skip = _macro_auc(pos.T, neg.T, col_neg)
+    # one sort per orientation: rows (samples) for ranking loss and coverage, columns (classes) for MAP and AUC
+    row_neg, (_, row_depth) = rank_counts(sm.scores, neg, every)
+    (_, col_depth), (_, col_hits), col_neg = rank_counts(sm.scores.T, every.T, pos.T, neg.T)
+    # per row: the mis-ordered (relevant, irrelevant) pairs, and the worst rank of a relevant label
+    twice_wrong, pairs = _pair_errors(pos, neg, row_neg)
+    ranked, has = pairs > 0, pos.any(axis=1)
+    depth = np.where(pos, row_depth, 0).max(axis=1, initial=0)
+    # per class (a row of the transposes): precision at each positive's worst rank, and mis-ordered pairs
+    pos_t, precision = pos.T, col_hits / col_depth
+    ap = {c: float(np.mean(precision[c, pos_t[c]])) for c in range(len(pos_t)) if pos_t[c].any()}
+    twice_wrong_t, pairs_t = _pair_errors(pos_t, neg.T, col_neg)
+    auc = {c: float((pairs_t[c] - twice_wrong_t[c] / 2) / pairs_t[c]) for c in range(len(pairs_t)) if pairs_t[c]}
     return MetricsReport(
-        ranking_loss=_mean_in_order(rl_per_row),
+        ranking_loss=_mean_in_order(twice_wrong[ranked] / 2 / pairs[ranked]),
         hamming_loss=hamming_loss(sm, threshold),
-        coverage=_mean_in_order(cov_per_row),
-        map=_macro_mean(map_per_class),
-        macro_auc=_macro_mean(auc_per_class),
+        coverage=_mean_in_order(depth[has].astype(float)),
+        map=_macro_mean(ap),
+        macro_auc=_macro_mean(auc),
         macro_gbeta=macro_gbeta(sm, beta, threshold),
-        skipped=dict(zip(_SKIP_KEYS, (rl_skip, cov_skip, map_skip, auc_skip))),
+        skipped=dict(zip(_SKIP_KEYS, (int((~ranked).sum()), int((~has).sum()),
+                                      len(pos_t) - len(ap), len(pairs_t) - len(auc)))),
     )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copyreg
 import csv
 import hashlib
@@ -168,6 +169,42 @@ def test_a_pool_len_below_1_exits_2_in_load_config_naming_the_key(tmp_path, caps
     config.write_text(json.dumps(doc))
     assert main([verb, "--config", str(config)]) == 2
     assert "configuration error in stage load-config: pool_len must be at least 1, got 0" in capsys.readouterr().err
+
+
+# a key that must not be negative, a negative value for it, and the message naming it
+NEGATIVE_KEYS = {
+    "seeds": (("seeds",), [-1], "seeds must be nonnegative, got [-1]"),
+    "synth_seed": (("data", "synth", "seed"), -3, "data.synth.seed must be nonnegative, got -3"),
+    "gbeta_beta": (("metrics", "gbeta_beta"), -0.5, "gbeta_beta must be nonnegative, got -0.5"),
+}
+
+
+@pytest.mark.parametrize("verb, case", [*((verb, case) for verb in ("run", "gridsearch") for case in NEGATIVE_KEYS),
+                                        ("synth", "synth_seed")])
+def test_a_negative_seed_or_gbeta_beta_exits_2_in_load_config_naming_the_key(tmp_path, capsys, verb, case):
+    (*sections, key), value, message = NEGATIVE_KEYS[case]
+    config, doc = smoke_config(tmp_path)
+    where = doc
+    for section in sections:
+        where = where.setdefault(section, {})
+    where[key] = value
+    config.write_text(json.dumps(doc))
+    out_file = ["--out-file", str(tmp_path / "ds.csv")] if verb == "synth" else []
+    assert main([verb, "--config", str(config), *out_file]) == 2
+    assert f"configuration error in stage load-config: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "gridsearch"])
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_a_negative_seed_override_exits_2_in_load_config(tmp_path, monkeypatch, capsys, verb, how):
+    config, _ = smoke_config(tmp_path)
+    argv = [verb, "--config", str(config)]
+    if how == "flag":
+        argv += ["--seed", "-2"]
+    else:
+        monkeypatch.setenv("ECGMATCH_SEED", "-2")
+    assert main(argv) == 2
+    assert "configuration error in stage load-config: seeds must be nonnegative, got [-2]" in capsys.readouterr().err
 
 
 def test_run_outputs_are_byte_identical_for_same_config(tmp_path):
@@ -486,6 +523,54 @@ def test_compare_keeps_a_line_break_inside_a_quoted_model_name(tmp_path):
     assert {row[1] for row in read_csv(tmp_path / "cmp" / "comparison.csv")[1:]} == {"m0", "m\n1"}
 
 
+def _exit_2_path(tmp_path, case):
+    """The argv of a CLI path that must exit 2, and what its message says after "configuration error"."""
+    dataset = tmp_path / "ds.csv"
+    dataset.write_text("2,3x,4,5\n")  # a non-integer header field
+    config_changes = {
+        "synth_and_paths": ({"data": {"synth": {}, "paths": [str(dataset)]}},
+                            " in stage load-config: data section needs exactly one of 'synth' or 'paths'"),
+        "path_not_a_string": ({"data": {"paths": [1]}},
+                              " in stage load-config: invalid value in data: paths must be strings, got [1]"),
+        "unknown_format": ({"data": {"synth": {}, "format": "xml"}},
+                           " in stage load-config: unknown data format 'xml'"),
+        "no_seeds": ({"seeds": []}, " in stage load-config: seeds must be a nonempty list of integers"),
+        "csv_header_not_an_integer": ({"data": {"paths": [str(dataset)]}},
+                                      f" in stage load-data: {dataset}:1: non-integer header field"),
+        "synth_on_data_paths": ({"data": {"paths": [str(dataset)]}},
+                                " in stage load-config: config has no data.synth section"),
+    }
+    if case in config_changes:
+        changes, message = config_changes[case]
+        config, _ = smoke_config(tmp_path, **changes)
+        if case == "synth_on_data_paths":
+            return ["synth", "--config", str(config), "--out-file", str(tmp_path / "out.csv")], message
+        return ["run", "--config", str(config)], message
+    if case == "config_not_an_object":
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        return ["run", "--config", str(config)], f" in stage load-config: {config}: top level must be an object"
+    for j in range(2):
+        _write_reports(tmp_path / f"r{j}.csv", f"m{j}", {"d1": 0.5, "d2": 0.4})
+    compare = ["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m0"]
+    if case == "control_not_a_model":
+        return [*compare[:-1], "m9"], ": control 'm9' not among models ['m0', 'm1']"
+    if case == "no_report_matches":
+        pattern = str(tmp_path / "none*.csv")
+        return ["compare", "--reports", pattern, "--control", "m0"], f": no report files match {pattern!r}"
+    (tmp_path / "r1.csv").write_text("model,dataset\n")  # case "other_report_header"
+    return compare, f": {tmp_path / 'r1.csv'}: unexpected header ['model', 'dataset']"
+
+
+@pytest.mark.parametrize("case", ["synth_and_paths", "path_not_a_string", "unknown_format", "no_seeds",
+                                  "csv_header_not_an_integer", "synth_on_data_paths", "config_not_an_object",
+                                  "control_not_a_model", "no_report_matches", "other_report_header"])
+def test_cli_paths_exit_2_with_their_message(tmp_path, capsys, case):
+    argv, message = _exit_2_path(tmp_path, case)
+    assert main(argv) == 2
+    assert f"configuration error{message}" in capsys.readouterr().err
+
+
 def test_annotate_known_lines(tmp_path, capsys):
     terms = tmp_path / "terms.txt"
     terms.write_text(
@@ -668,7 +753,7 @@ class _RecordingPool:
 
 @pytest.mark.parametrize("values, workers", [([0.8], []), ([0.0, 0.8], [2]), ([0.0, 0.4, 0.8], [3])])
 def test_gridsearch_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch, values, workers):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)  # _gridsearch imports it here
     monkeypatch.setattr(_RecordingPool, "made", [])
     monkeypatch.setattr(cli, "_worker_datasets", [])  # the stand-in's initializer sets it in this process
     config = _grid_config(tmp_path, "grid")

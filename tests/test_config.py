@@ -127,6 +127,19 @@ def test_the_metrics_section_configures_training():
         parse_experiment_config({"data": {"synth": {}}, "train": {"metrics": {}}})
 
 
+def test_seeds_and_gbeta_beta_are_legal_down_to_zero():
+    doc = {"data": {"synth": {"seed": 0}}, "seeds": [0], "metrics": {"gbeta_beta": 0.0}}  # beta 0 is recall
+    cfg = parse_experiment_config(doc)
+    assert (cfg.seeds, cfg.data.synth.seed, cfg.train.metrics.gbeta_beta) == ((0,), 0, 0.0)
+    for path, value, message in [(("seeds",), [0, -1], r"seeds must be nonnegative, got \[0, -1\]"),
+                                 (("data", "synth", "seed"), -1, "data.synth.seed must be nonnegative, got -1"),
+                                 (("metrics", "gbeta_beta"), -1e-300, "gbeta_beta must be nonnegative")]:
+        with pytest.raises(ConfigurationError, match=message):
+            parse_experiment_config(with_value(doc, path, value))
+    with pytest.raises(ConfigurationError, match="seeds must be nonnegative"):
+        replace(cfg, seeds=(-2,))  # as the --seed override does
+
+
 def test_a_json_target_correlation_parses_to_the_array_of_a_python_synth_config():
     corr = [[1, 0.25, 0], [0.25, 1, -0.5], [0, -0.5, 1]]
     synth = {"n_samples": 50, "target_marginals": [0.3, 0.2, 0.4], "target_correlation": corr}

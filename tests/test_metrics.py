@@ -41,6 +41,19 @@ def test_ranking_loss_no_valid_rows():
         m.ranking_loss(sm([0.5, 0.5], [1, 1]))
 
 
+@pytest.mark.parametrize("name, labels, message", [
+    ("ranking_loss", [[1, 1], [1, 1]], "ranking loss: no row has both relevant and irrelevant labels"),
+    ("coverage", [[0, 0], [0, 0]], "coverage: no row has a relevant label"),
+    ("map", [[0, 0], [0, 0]], "MAP: no class has a positive sample"),
+    ("macro_auc", [[1, 0], [1, 0]], "macro AUC: no class has both positives and negatives"),
+])
+def test_each_ranking_view_raises_where_compute_all_reports_nan(name, labels, message):
+    scores = [[0.9, 0.2], [0.4, 0.6]]
+    assert np.isnan(m.compute_all(scores, labels).value(name))
+    with pytest.raises(UndefinedMetricError, match=message):
+        IMPLS[name](sm(scores, labels))
+
+
 def test_hamming_loss_examples():
     assert m.hamming_loss(sm([0.9, 0.1], [1, 0])) == 0.0
     assert m.hamming_loss(sm([0.1, 0.9], [1, 0])) == 1.0

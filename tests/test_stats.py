@@ -124,12 +124,14 @@ def test_f_critical_value_matches_scipy():
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():
-    # no scipy module at all: only `compare` imports it, inside f_critical_value
+    # no scipy module at all: only `compare` imports it, inside f_critical_value; and no
+    # process pool: only `gridsearch --threads N>1` imports it, inside _gridsearch
     env = dict(os.environ, PYTHONPATH=str(Path(ecgmatch.__file__).parents[1]))
     for module in ("ecgmatch", "ecgmatch.cli"):
-        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules if "
+                "m.split('.')[0] in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-        assert out.stdout.strip() == "[]", module
+        assert out.stdout.strip() == "[]", (module, out.stdout)
 
 
 def test_reference_critical_value_is_stored_verbatim():
