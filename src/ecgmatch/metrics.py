@@ -8,8 +8,12 @@ ranking metrics, and `ranking_loss`, `coverage`, `mean_average_precision`
 and `macro_auc` are views of its report (UndefinedMetricError where it holds
 NaN). It sorts the samples once and the classes once for the rank primitive,
 `rank_counts`: per entry, how many entries of a masked set in its row score
-higher and at least as high. Scores must be finite: NaN or +-inf raise
-ValueError, since no ranking orders them consistently. Rows or classes that
+higher and at least as high, where a None mask is every entry. Each
+orientation asks for two sets, every entry and the negative (rows) or
+positive (classes) labels; a class's negative counts are every entry's less
+its positive ones. The sort need not be stable, as no count depends on the
+order within a tie. Scores must be finite: NaN or +-inf raise ValueError,
+since no ranking orders them consistently. Rows or classes that
 cannot support a metric (no relevant label, single-valued class column) are
 skipped, not zero-filled, and the skip counts are carried in the report.
 """
@@ -37,8 +41,19 @@ class MetricsConfig:
     gbeta_beta: float = 2.0
 
     def __post_init__(self):
-        if self.gbeta_beta < 0.0:  # a negative beta lifts G-beta above 1
-            raise ConfigurationError(f"gbeta_beta must be nonnegative, got {self.gbeta_beta}")
+        _check_beta(self.gbeta_beta, "gbeta_beta")
+
+
+def _check_beta(beta: float, name: str) -> None:
+    """ConfigurationError unless G-beta's beta is finite and >= 0 (0 is recall).
+
+    A negative beta lifts G-beta above 1; an infinite one scores a class with
+    no false positive 0 (inf * 0 is NaN), where any large finite beta gives recall.
+    """
+    if not beta >= 0.0:  # NaN fails too
+        raise ConfigurationError(f"{name} must be nonnegative, got {beta}")
+    if beta == np.inf:
+        raise ConfigurationError(f"{name} must be finite, got {beta}")
 
 
 @dataclass
@@ -85,19 +100,22 @@ class MetricsReport:
         return cls(*map(float, row[:k]), skipped=dict(zip(_SKIP_KEYS, map(int, row[k:]))))
 
 
-def rank_counts(scores: np.ndarray, *masks: np.ndarray) -> list:
+def rank_counts(scores: np.ndarray, *masks: np.ndarray | None) -> list:
     """One (gt, ge) pair per mask: per entry, how many masked entries of its row
-    score higher / at least as high.
+    score higher / at least as high. A mask of None stands for every entry.
 
-    One stable sort per row, shared by every mask. Each tie group is a run of
-    the sorted, flattened array; a running count of a mask's entries, read at
-    the run's first and last position, gives the masked entries before the
-    group and up to its end, as exact integers.
+    One sort per row, shared by every mask. Each tie group is a run of the
+    sorted, flattened array; a running count of a mask's entries, read at the
+    run's first and last position, gives the masked entries before the group
+    and up to its end, as exact integers. For a None mask the sorted positions
+    are that count. The counts do not depend on the order inside a tie group,
+    so the sort need not be stable; they do need finite scores, since the
+    order a sort gives NaN decides how it would be counted.
     """
     n, c = scores.shape
     if not scores.size:
         return [(np.zeros((n, c), dtype=np.int64),) * 2 for _ in masks]
-    order = np.argsort(scores, axis=1, kind="stable")
+    order = np.argsort(scores, axis=1)
     ranked = np.take_along_axis(scores, order, axis=1)
     first = np.ones((n, c), dtype=bool)  # opens a tie group
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
@@ -105,13 +123,16 @@ def rank_counts(scores: np.ndarray, *masks: np.ndarray) -> list:
     ends = np.append(starts[1:], n * c) - 1
     row_last = (starts // c + 1) * c - 1  # last position of each group's row
     group = np.empty(n * c, dtype=np.int64)  # tie group of each entry, in its unsorted place
-    group[(order + c * np.arange(n)[:, None]).ravel()] = first.astype(np.int64).cumsum() - 1
+    group[(order + c * np.arange(n)[:, None]).ravel()] = np.cumsum(first, dtype=np.int64) - 1
     pairs = []
     for mask in masks:
-        hit = np.take_along_axis(mask, order, axis=1).ravel()
-        seen = hit.astype(np.int64).cumsum()
-        in_row = seen[row_last]
-        gt, ge = in_row - seen[ends], in_row - seen[starts] + hit[starts]
+        if mask is None:
+            gt, ge = row_last - ends, row_last - starts + 1
+        else:
+            hit = np.take_along_axis(mask, order, axis=1).ravel()
+            seen = np.cumsum(hit, dtype=np.int64)
+            in_row = seen[row_last]
+            gt, ge = in_row - seen[ends], in_row - seen[starts] + hit[starts]
         pairs.append((np.take(gt, group).reshape(n, c), np.take(ge, group).reshape(n, c)))
     return pairs
 
@@ -172,7 +193,9 @@ def macro_auc(sm: ScoreMatrix) -> float:
 
 
 def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> float:
-    """Macro mean of TP / (TP + FN + beta*FP) after thresholding (0 on empty denominators)."""
+    """Macro mean of TP / (TP + FN + beta*FP) after thresholding (0 on empty denominators);
+    ConfigurationError unless beta >= 0."""
+    _check_beta(beta, "beta")
     pred, truth = sm.scores > threshold, sm.labels == 1.0
     tp = (pred & truth).sum(axis=0).astype(float)
     fp = (pred & ~truth).sum(axis=0).astype(float)
@@ -185,10 +208,10 @@ def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> Me
     """All six metrics in one report; undefined metrics become NaN with their skips recorded."""
     sm = ScoreMatrix(scores, labels)
     pos, neg = sm.labels == 1.0, sm.labels == 0.0
-    every = np.ones_like(pos)
     # one sort per orientation: rows (samples) for ranking loss and coverage, columns (classes) for MAP and AUC
-    row_neg, (_, row_depth) = rank_counts(sm.scores, neg, every)
-    (_, col_depth), (_, col_hits), col_neg = rank_counts(sm.scores.T, every.T, pos.T, neg.T)
+    row_neg, (_, row_depth) = rank_counts(sm.scores, neg, None)
+    (col_gt, col_depth), (col_pos_gt, col_hits) = rank_counts(sm.scores.T, None, pos.T)
+    col_neg = (col_gt - col_pos_gt, col_depth - col_hits)  # every label not positive is negative
     # per row: the mis-ordered (relevant, irrelevant) pairs, and the worst rank of a relevant label
     twice_wrong, pairs = _pair_errors(pos, neg, row_neg)
     ranked, has = pairs > 0, pos.any(axis=1)

@@ -1,7 +1,9 @@
 """Friedman rank test and Bonferroni-Dunn critical-difference comparison.
 
 Models are ranked per dataset row (rank 1 = best, tie-averaged) with the
-rank primitive the ranking metrics share, `metrics.rank_counts`. The
+rank primitive the ranking metrics share, `metrics.rank_counts`, whose None
+mask counts every model of the row; `PerformanceTable` keeps its cells
+finite, as that primitive needs. The
 Friedman chi-square over mean ranks is converted to the F-form statistic
 
     F = (N - 1) * chi2 / (N * (k - 1) - chi2)
@@ -67,7 +69,7 @@ class RankTable:
 def rank_models(pt: PerformanceTable) -> RankTable:
     """Rank models within each dataset row, best = 1; ties share (#better + #as good + 1) / 2."""
     scores = pt.values if pt.higher_is_better else -pt.values
-    [(better, at_least)] = rank_counts(scores, np.ones(scores.shape, dtype=bool))
+    [(better, at_least)] = rank_counts(scores, None)  # every model of the row counts
     ranks = (better + at_least + 1) / 2
     return RankTable(ranks=ranks, mean_ranks=ranks.mean(axis=0))
 

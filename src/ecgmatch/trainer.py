@@ -325,12 +325,17 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds) -> 
     """Full pipeline per seed: split, pre-train, SSL train, evaluate on test.
 
     Each seed reseeds both the split and the training run, so the whole
-    experiment is a pure function of (datasets, spec, cfg, seeds).
+    experiment is a pure function of (datasets, spec, cfg, seeds). A negative
+    seed raises ConfigurationError before any work.
     """
+    seeds = [int(seed) for seed in seeds]
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigurationError(f"seeds must be nonnegative, got seed {seed}")
     per_seed = []
     for seed in seeds:
-        spec_s = replace(split_spec, seed=int(seed))
-        cfg_s = replace(cfg, seed=int(seed))
+        spec_s = replace(split_spec, seed=seed)
+        cfg_s = replace(cfg, seed=seed)
         splits = split(datasets, spec_s)
         needed = [name for name in ("lambda_u", "lambda_f") if getattr(cfg_s.effective_weights(), name) > 0.0]
         if needed and not len(splits.unlabeled):
@@ -343,7 +348,7 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds) -> 
         else:
             final, _, history = ssl_train(splits, cfg_s, teacher)
         report = evaluate_model(_model_config_for(cfg_s, splits.labeled), final, splits.test, cfg_s)
-        per_seed.append(SeedResult(int(seed), report, history, final))
+        per_seed.append(SeedResult(seed, report, history, final))
 
     mean, std = {}, {}
     for name in metrics.METRIC_NAMES:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecgmatch import metrics as m
-from ecgmatch.errors import UndefinedMetricError
+from ecgmatch.errors import ConfigurationError, UndefinedMetricError
 
 from oracles import METRIC_ORACLES
 
@@ -87,6 +87,27 @@ def test_macro_gbeta_examples():
     assert m.macro_gbeta(sm(scores, labels), beta=2.0) == pytest.approx(0.4)
     # beta=0 reduces to recall: TP / (TP + FN) = 2/3
     assert m.macro_gbeta(sm(scores, labels), beta=0.0) == pytest.approx(2.0 / 3.0)
+    assert m.compute_all(scores, labels, beta=0.0).macro_gbeta == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("beta", [-0.5, -1e-300, float("nan")])
+def test_a_negative_or_nan_beta_raises_in_every_entry_point(beta):
+    scores, labels = [[0.9], [0.9]], [[1], [0]]  # with beta -0.5 this read 2.0, above G-beta's range
+    with pytest.raises(ConfigurationError, match=f"beta must be nonnegative, got {beta}"):
+        m.macro_gbeta(sm(scores, labels), beta=beta)
+    with pytest.raises(ConfigurationError, match=f"beta must be nonnegative, got {beta}"):
+        m.compute_all(scores, labels, beta=beta)
+    with pytest.raises(ConfigurationError, match=f"gbeta_beta must be nonnegative, got {beta}"):
+        m.MetricsConfig(gbeta_beta=beta)
+
+
+def test_an_infinite_beta_raises_where_it_would_score_a_clean_class_0():
+    scores, labels = [[0.9], [0.1]], [[1], [0]]  # no false positive: recall 1 for every finite beta
+    assert m.compute_all(scores, labels, beta=1e300).macro_gbeta == 1.0
+    with pytest.raises(ConfigurationError, match="beta must be finite, got inf"):
+        m.compute_all(scores, labels, beta=float("inf"))
+    with pytest.raises(ConfigurationError, match="gbeta_beta must be finite, got inf"):
+        m.MetricsConfig(gbeta_beta=float("inf"))
 
 
 def test_all_metrics_match_bruteforce_oracles():
@@ -146,12 +167,12 @@ def test_rank_counts_shares_one_sort_across_masks_and_matches_brute_force():
         scores = np.round(g.random((n, c)) * g.integers(1, 6)) / 4 - 0.5  # few distinct values
         scores[g.random((n, c)) < 0.2] = 0.0
         scores[g.random((n, c)) < 0.2] = -0.0  # ties with 0.0
-        masks = [g.random((n, c)) < g.random(), np.zeros((n, c), dtype=bool), np.ones((n, c), dtype=bool)]
+        masks = [g.random((n, c)) < g.random(), np.zeros((n, c), dtype=bool), np.ones((n, c), dtype=bool), None]
         together = m.rank_counts(scores, *masks)
         assert len(together) == len(masks)
         for mask, (gt, ge) in zip(masks, together):
             [(alone_gt, alone_ge)] = m.rank_counts(scores, mask)
-            want_gt, want_ge = _brute_rank_counts(scores, mask)
+            want_gt, want_ge = _brute_rank_counts(scores, np.ones((n, c), dtype=bool) if mask is None else mask)
             for got, alone, want in ((gt, alone_gt, want_gt), (ge, alone_ge, want_ge)):
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, alone)
@@ -160,8 +181,30 @@ def test_rank_counts_shares_one_sort_across_masks_and_matches_brute_force():
 
 def test_rank_counts_on_empty_shapes():
     for shape in ((0, 4), (3, 0), (0, 0)):
-        [(gt, ge)] = m.rank_counts(np.zeros(shape), np.ones(shape, dtype=bool))
+        pairs = m.rank_counts(np.zeros(shape), np.ones(shape, dtype=bool), None)
+        assert len(pairs) == 2
+        for gt, ge in pairs:
+            assert gt.dtype == ge.dtype == np.int64
+            assert gt.shape == ge.shape == shape
+            assert not gt.any() and not ge.any()
+        [(gt, ge)] = m.rank_counts(np.zeros(shape), None)
         assert gt.shape == ge.shape == shape
+
+
+def test_rank_counts_do_not_depend_on_the_order_within_a_tie():
+    g = np.random.default_rng(14)
+    for _ in range(100):
+        n, c = g.integers(1, 9), g.integers(2, 40)
+        scores = g.integers(-2, 3, size=(n, c)) / 2.0  # a handful of values, each tied many times
+        scores[g.random((n, c)) < 0.3] = -0.0  # ties with 0.0
+        masks = [g.random((n, c)) < 0.5, None]
+        want = m.rank_counts(scores, *masks)
+        for _ in range(5):
+            p = g.permutation(c)
+            got = m.rank_counts(scores[:, p], *[None if mask is None else mask[:, p] for mask in masks])
+            for (got_gt, got_ge), (want_gt, want_ge) in zip(got, want):
+                np.testing.assert_array_equal(got_gt, want_gt[:, p])
+                np.testing.assert_array_equal(got_ge, want_ge[:, p])
 
 
 def test_compute_all_sorts_once_per_orientation(monkeypatch):
@@ -174,7 +217,7 @@ def test_compute_all_sorts_once_per_orientation(monkeypatch):
     monkeypatch.setattr(m, "rank_counts", counting)
     scores, labels = random_instance(np.random.default_rng(13), n=30, c=4, quantum=0.1)
     report = m.compute_all(scores, labels)
-    assert calls == [((30, 4), 2), ((4, 30), 3)]
+    assert calls == [((30, 4), 2), ((4, 30), 2)]
     monkeypatch.undo()
     assert report.to_csv_row() == m.compute_all(scores, labels).to_csv_row()
 

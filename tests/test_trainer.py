@@ -467,6 +467,18 @@ def test_an_empty_unlabeled_set_trains_when_no_loss_term_uses_it():
         trainer.run_experiment([ds], spec, quick_cfg(ablations=Ablations(no_pseudo=True)), seeds=[0])
 
 
+def test_run_experiment_rejects_a_negative_seed_before_any_work(monkeypatch):
+    ds = synth_generate(SynthConfig(n_samples=120, seed=6, noise_level=0.2, channels=2, signal_length=64))
+    spec = SplitSpec(protocol="within", labeled_frac=0.2, seed=0)
+
+    def no_split(*args):
+        raise AssertionError("split ran before the seeds were checked")
+
+    monkeypatch.setattr(trainer, "split", no_split)
+    with pytest.raises(ConfigurationError, match="seeds must be nonnegative, got seed -1"):
+        trainer.run_experiment([ds], spec, quick_cfg(), seeds=[0, -1])
+
+
 def test_run_experiment_is_deterministic():
     ds = synth_generate(SynthConfig(n_samples=200, seed=7, noise_level=0.2, channels=2,
                                     signal_length=64))
