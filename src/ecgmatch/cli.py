@@ -108,8 +108,11 @@ def _load(args, stage):
     cfg = load_experiment_config(args.config)
     out = _flag_or_env(args, "out")
     seed = _flag_or_env(args, "seed", integer=True)
-    if "threads" in args:  # gridsearch's worker count
-        args.threads = _flag_or_env(args, "threads", integer=True) or 1
+    if "threads" in args:  # gridsearch's worker count, 1 unless given
+        threads = _flag_or_env(args, "threads", integer=True)
+        if threads is not None and threads < 1:
+            raise ConfigurationError(f"threads must be at least 1, got {threads}")
+        args.threads = threads or 1
     if out is not None:
         cfg = replace(cfg, output_dir=str(out))
     if seed is not None:
@@ -225,10 +228,7 @@ def _eval(args, stage) -> int:
     labels = _load_matrix(args.labels)
     if scores.shape != labels.shape:
         raise ConfigurationError(f"scores {scores.shape} and labels {labels.shape} differ in shape")
-    try:
-        report = metrics.compute_all(scores, labels)
-    except ValueError as exc:  # scores no ranking orders, or labels that are not binary
-        raise ConfigurationError(str(exc)) from None
+    report = metrics.compute_all(scores, labels)
     for name in METRIC_NAMES:
         print(f"{name}: {report.value(name):.6f}")
     for key, count in report.skipped.items():
@@ -280,30 +280,29 @@ def _compare(args, stage) -> int:
     missing = [(m, d) for m in models for d in datasets if (m, d) not in cells]
     if missing:
         raise ConfigurationError(f"missing (model, dataset) cells: {missing}")
+    means = {cell: metrics.seed_mean_std(reports)[0] for cell, reports in cells.items()}
     k, n = len(models), len(datasets)
     cd = stats.bonferroni_dunn_cd(k, n, alpha)
     fcrit = stats.f_critical_value(k, n, alpha)
     control_idx = models.index(control_name)
-    rows, plot_rows = [], []
+    rows = []
     for metric_name in METRIC_NAMES:
-        values = np.array([
-            [np.mean([r.value(metric_name) for r in cells[(m, d)]]) for m in models]
-            for d in datasets
-        ])
-        table = stats.PerformanceTable(values, metrics.HIGHER_IS_BETTER[metric_name])
-        ranks = stats.rank_models(table)
+        values = np.array([[means[(m, d)][metric_name] for m in models] for d in datasets])
+        undefined = np.argwhere(~np.isfinite(values))
+        if undefined.size:
+            i, j = undefined[0]
+            raise ConfigurationError(f"{metric_name} of model {models[j]!r} on dataset {datasets[i]!r} "
+                                     "has no finite seed mean")
+        ranks = stats.rank_models(stats.PerformanceTable(values, metrics.HIGHER_IS_BETTER[metric_name]))
         chi2, ff = stats.friedman_statistic(ranks)
-        verdicts = {v.model_index: v for v in stats.dunn_compare(ranks, control_idx, cd)}
+        differences, significant = stats.dunn_compare(ranks, control_idx, cd)
         for j, model in enumerate(models):
-            verdict = verdicts.get(j)
             rows.append([
-                metric_name, model, repr(float(ranks.mean_ranks[j])),
-                repr(verdict.rank_difference) if verdict else "0.0",
-                str(verdict.significant).lower() if verdict else "control",
+                metric_name, model, repr(float(ranks.mean_ranks[j])), repr(float(differences[j])),
+                "control" if j == control_idx else str(significant[j]).lower(),
                 repr(float(chi2)), repr(float(ff)), repr(fcrit),
                 repr(stats.REFERENCE_CRITICAL_VALUE_K8_N4), repr(cd),
             ])
-            plot_rows.append([metric_name, model, repr(float(ranks.mean_ranks[j])), repr(cd)])
     print(f"critical difference (k={k}, N={n}, alpha={alpha}): {cd:.4f}")
     for row in rows:
         if row[4] == "true":
@@ -312,7 +311,8 @@ def _compare(args, stage) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "comparison.csv", COMPARISON_HEADER, rows)
-        _write_csv(out / "cd_plot.csv", ["metric", "model", "mean_rank", "cd"], plot_rows)
+        _write_csv(out / "cd_plot.csv", [*COMPARISON_HEADER[:3], COMPARISON_HEADER[-1]],
+                   [[*row[:3], row[-1]] for row in rows])
     return 0
 
 

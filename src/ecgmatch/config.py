@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import augment, metrics, nn, trainer
-from .data import SplitSpec, SynthConfig
+from .data import SplitSpec, SynthConfig, open_input
 from .errors import ConfigurationError
 
 _ROOT = "config root"
@@ -173,11 +173,11 @@ def _reject_constant(name):
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
+    with open_input(path) as fh:
+        try:
             doc = json.load(fh, parse_constant=_reject_constant)
-    except (ValueError, RecursionError) as exc:  # malformed, NaN, undecodable or too deeply nested
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
+        except (ValueError, RecursionError) as exc:  # malformed, NaN, undecodable or too deeply nested
+            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
     return parse_experiment_config(doc)

@@ -214,6 +214,14 @@ def parse_rows(lines, width=None, skip_blank=False):
     return np.array(parsed).reshape(len(parsed), width or 0), None
 
 
+def open_input(path, mode="r", **kwargs):
+    """`open` for an input file; a directory in its place (or a file on its path) is a ParseError."""
+    try:
+        return open(path, mode, **kwargs)
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+
+
 def read_lines(path) -> list:
     """A UTF-8 text file split at `\n`, `\r\n` and `\r` only, less one trailing empty line.
 
@@ -221,7 +229,7 @@ def read_lines(path) -> list:
     Undecodable bytes are a ParseError naming the path.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
@@ -275,7 +283,7 @@ def _load_csv(path) -> Dataset:
 
 
 def _load_raw(path) -> Dataset:
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         head = fh.read(_RAW_HEADER.size)
         if len(head) < _RAW_HEADER.size:
             raise ParseError(f"{path}: truncated header (offset 0)")

@@ -12,14 +12,16 @@ higher and at least as high, where a None mask is every entry. Each
 orientation asks for two sets, every entry and the negative (rows) or
 positive (classes) labels; a class's negative counts are every entry's less
 its positive ones. The sort need not be stable, as no count depends on the
-order within a tie. Scores must be finite: NaN or +-inf raise ValueError,
+order within a tie. Scores must be finite: NaN or +-inf raise ConfigurationError,
 since no ranking orders them consistently. Rows or classes that
 cannot support a metric (no relevant label, single-valued class column) are
 skipped, not zero-filled, and the skip counts are carried in the report.
+`seed_mean_std` is the one mean over seeds, for `summary.csv` and `compare`.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,13 +67,13 @@ class ScoreMatrix:
         self.scores = np.asarray(self.scores, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
         if self.scores.shape != self.labels.shape or self.scores.ndim != 2:
-            raise ValueError(
+            raise ConfigurationError(
                 f"scores {self.scores.shape} and labels {self.labels.shape} must be matching 2-D"
             )
         if not np.all(np.isfinite(self.scores)):
-            raise ValueError("scores must be finite (found NaN or inf)")
+            raise ConfigurationError("scores must be finite (found NaN or inf)")
         if not np.all((self.labels == 0.0) | (self.labels == 1.0)):
-            raise ValueError("labels must be binary")
+            raise ConfigurationError("labels must be binary")
 
 
 @dataclass
@@ -98,6 +100,15 @@ class MetricsReport:
             raise ValueError(f"expected {len(CSV_COLUMNS)} metric cells, got {len(row)}")
         k = len(METRIC_NAMES)
         return cls(*map(float, row[:k]), skipped=dict(zip(_SKIP_KEYS, map(int, row[k:]))))
+
+
+def seed_mean_std(reports) -> tuple[dict, dict]:
+    """Per metric, the mean and std over the `reports` (seeds) where it is defined; NaN where none is."""
+    values = {name: np.array([r.value(name) for r in reports]) for name in METRIC_NAMES}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns stay NaN
+        return ({name: float(np.nanmean(v)) for name, v in values.items()},
+                {name: float(np.nanstd(v)) for name, v in values.items()})
 
 
 def rank_counts(scores: np.ndarray, *masks: np.ndarray | None) -> list:

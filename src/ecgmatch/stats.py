@@ -3,13 +3,14 @@
 Models are ranked per dataset row (rank 1 = best, tie-averaged) with the
 rank primitive the ranking metrics share, `metrics.rank_counts`, whose None
 mask counts every model of the row; `PerformanceTable` keeps its cells
-finite, as that primitive needs. The
-Friedman chi-square over mean ranks is converted to the F-form statistic
+finite, as that primitive needs. The Friedman chi-square over mean ranks is
+converted to the F-form statistic
 
     F = (N - 1) * chi2 / (N * (k - 1) - chi2)
 
-with k models and N datasets, and post-hoc verdicts against a control model
-use the critical difference CD = q_alpha(k) * sqrt(k * (k + 1) / (6 * N)).
+with k models and N datasets. Post-hoc, `dunn_compare` gives every model's
+mean-rank difference from a control and whether it reaches the critical
+difference CD = q_alpha(k) * sqrt(k * (k + 1) / (6 * N)), as two arrays.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ class RankTable:
     ranks: np.ndarray  # (N, k), tie-averaged, 1 = best
     mean_ranks: np.ndarray  # (k,)
 
-    @property
-    def n_datasets(self) -> int:
-        return self.ranks.shape[0]
-
-    @property
-    def n_models(self) -> int:
-        return self.ranks.shape[1]
-
 
 def rank_models(pt: PerformanceTable) -> RankTable:
     """Rank models within each dataset row, best = 1; ties share (#better + #as good + 1) / 2."""
@@ -76,7 +69,7 @@ def rank_models(pt: PerformanceTable) -> RankTable:
 
 def friedman_statistic(rt: RankTable):
     """(chi2, F-form statistic); F is +inf when chi2 reaches its ceiling N*(k-1)."""
-    n, k = rt.n_datasets, rt.n_models
+    n, k = rt.ranks.shape
     chi2 = 12.0 * n / (k * (k + 1)) * (np.sum(rt.mean_ranks**2) - k * (k + 1) ** 2 / 4.0)
     chi2 = max(chi2, 0.0)
     denom = n * (k - 1) - chi2
@@ -102,22 +95,10 @@ def bonferroni_dunn_cd(k: int, n: int, alpha: float = 0.05) -> float:
     return table[k] * float(np.sqrt(k * (k + 1) / (6.0 * n)))
 
 
-@dataclass
-class DunnVerdict:
-    model_index: int
-    rank_difference: float
-    significant: bool
-
-
-def dunn_compare(rt: RankTable, control_index: int, cd: float) -> list[DunnVerdict]:
-    """Per-model verdicts against the control: significant iff the mean-rank gap >= cd."""
-    if not 0 <= control_index < rt.n_models:
+def dunn_compare(rt: RankTable, control_index: int, cd: float):
+    """(differences, significant) over all k models: each mean rank's distance from the
+    control's (exactly 0.0 for the control), and whether it reaches cd."""
+    if not 0 <= control_index < len(rt.mean_ranks):
         raise ContractViolation(f"control index {control_index} out of range")
-    control = rt.mean_ranks[control_index]
-    verdicts = []
-    for j in range(rt.n_models):
-        if j == control_index:
-            continue
-        diff = abs(rt.mean_ranks[j] - control)
-        verdicts.append(DunnVerdict(j, float(diff), bool(diff >= cd)))
-    return verdicts
+    differences = np.abs(rt.mean_ranks - rt.mean_ranks[control_index])
+    return differences, differences >= cd

@@ -17,7 +17,6 @@ threshold variant of pseudo-label filtering.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,6 +87,10 @@ class TrainConfig:
             raise ConfigurationError("patience and pretrain_patience must be positive")
         if self.pool_len < 1:
             raise ConfigurationError(f"pool_len must be at least 1, got {self.pool_len}")
+        if self.max_epochs < 0 or self.pretrain_max_epochs < 0:
+            raise ConfigurationError("max_epochs and pretrain_max_epochs must be nonnegative")
+        if not 0.0 <= self.fixed_threshold_tau <= 1.0:
+            raise ConfigurationError(f"fixed_threshold_tau must be in [0, 1], got {self.fixed_threshold_tau}")
 
     def effective_weights(self) -> nn.LossWeights:
         """(lambda_u, lambda_f) after ablations; supervised_only trains on the labeled loss alone."""
@@ -349,12 +352,4 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds) -> 
             final, _, history = ssl_train(splits, cfg_s, teacher)
         report = evaluate_model(_model_config_for(cfg_s, splits.labeled), final, splits.test, cfg_s)
         per_seed.append(SeedResult(seed, report, history, final))
-
-    mean, std = {}, {}
-    for name in metrics.METRIC_NAMES:
-        values = np.array([r.report.value(name) for r in per_seed])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns stay NaN
-            mean[name] = float(np.nanmean(values))
-            std[name] = float(np.nanstd(values))
-    return ExperimentResult(per_seed, mean, std)
+    return ExperimentResult(per_seed, *metrics.seed_mean_std([r.report for r in per_seed]))

@@ -420,16 +420,19 @@ def test_load_matrix_round_trips_every_float_bit_for_bit(tmp_path):
         assert _outcome(cli._load_matrix, str(path)) == _outcome(_scan_matrix, str(path))
 
 
-def _write_reports(path, model, per_dataset_values):
-    """One reports.csv with a fixed metric value per dataset; all six metrics equal."""
-    rows = []
-    for dataset, value in per_dataset_values.items():
-        for seed in (0, 1):
-            rows.append([model, dataset, str(seed)] + [repr(value)] * 6 + ["0"] * 4)
+def _write_seed_reports(path, model, cells):
+    """One reports.csv with a row per (dataset, seed): `cells[dataset]` lists each seed's six metric values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
-        writer.writerows(rows)
+        for dataset, seeds in cells.items():
+            for seed, values in enumerate(seeds):
+                writer.writerow([model, dataset, str(seed), *map(repr, values), "0", "0", "0", "0"])
+
+
+def _write_reports(path, model, per_dataset_values):
+    """One reports.csv with a fixed metric value per dataset; all six metrics and both seeds equal."""
+    _write_seed_reports(path, model, {d: [[value] * 6] * 2 for d, value in per_dataset_values.items()})
 
 
 def test_compare_reference_cd_and_verdicts(tmp_path, capsys):
@@ -451,6 +454,45 @@ def test_compare_reference_cd_and_verdicts(tmp_path, capsys):
     assert by_model["model_1"][4] == "false"
     assert float(by_model["model_0"][8]) == 3.2590  # reference critical value surfaced
     assert (tmp_path / "cmp" / "cd_plot.csv").exists()
+
+
+def test_compare_output_bytes_are_pinned(tmp_path):
+    # 4 models x 3 datasets x 2 seeds on a coarse grid of values: many cells tie, within a seed and in the mean
+    g = np.random.default_rng(22)
+    for j in range(4):
+        _write_seed_reports(tmp_path / f"r{j}.csv", f"m{j}",
+                            {f"d{i}": (g.integers(0, 4, size=(2, 6)) / 4).tolist() for i in range(3)})
+    assert main(["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m1",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    blob = b"".join((tmp_path / "cmp" / name).read_bytes() for name in ("comparison.csv", "cd_plot.csv"))
+    assert hashlib.sha256(blob).hexdigest()[:16] == "e097d2b60ec7bf12"
+
+
+def _nan_map_reports(tmp_path, m1_d1_map):
+    """Three models over two datasets; m1's map on d1 is `m1_d1_map`, one value per seed."""
+    for j, model in enumerate(["m0", "m1", "m2"]):
+        cells = {d: [[0.1 * (j + 1)] * 6] * 2 for d in ("d1", "d2")}
+        if model == "m1":
+            cells["d1"] = [[0.2, 0.2, 0.2, value, 0.2, 0.2] for value in m1_d1_map]
+        _write_seed_reports(tmp_path / f"r{j}.csv", model, cells)
+    return ["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m0", "--out", str(tmp_path / "cmp")]
+
+
+def test_compare_averages_a_cell_over_its_defined_seeds_as_the_summary_does(tmp_path, monkeypatch):
+    tables = []
+    real_table = cli.stats.PerformanceTable
+    monkeypatch.setattr(cli.stats, "PerformanceTable", lambda values, higher: tables.append(values) or
+                        real_table(values, higher))
+    assert main(_nan_map_reports(tmp_path, [0.8, float("nan")])) == 0
+    map_values = tables[list(cli.METRIC_NAMES).index("map")]
+    assert map_values[0, 1] == 0.8  # d1, m1: the mean of its one defined seed
+    by_model = {row[1]: row for row in read_csv(tmp_path / "cmp" / "comparison.csv")[1:] if row[0] == "map"}
+    assert [by_model[m][2] for m in ("m0", "m1", "m2")] == ["3.0", "1.5", "1.5"]
+
+
+def test_compare_a_cell_undefined_in_every_seed_exits_2_naming_it(tmp_path, capsys):
+    assert main(_nan_map_reports(tmp_path, [float("nan")] * 2)) == 2
+    assert "configuration error: map of model 'm1' on dataset 'd1' has no finite seed mean" in capsys.readouterr().err
 
 
 def test_compare_in_a_fresh_interpreter_equals_the_in_process_run(tmp_path, capsys):
@@ -527,6 +569,11 @@ def _exit_2_path(tmp_path, case):
     """The argv of a CLI path that must exit 2, and what its message says after "configuration error"."""
     dataset = tmp_path / "ds.csv"
     dataset.write_text("2,3x,4,5\n")  # a non-integer header field
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    _, smoke = smoke_config(tmp_path)
+    train, synth = smoke["train"], smoke["data"]["synth"]
+    epochs_message = " in stage load-config: max_epochs and pretrain_max_epochs must be nonnegative"
     config_changes = {
         "synth_and_paths": ({"data": {"synth": {}, "paths": [str(dataset)]}},
                             " in stage load-config: data section needs exactly one of 'synth' or 'paths'"),
@@ -539,6 +586,36 @@ def _exit_2_path(tmp_path, case):
                                       f" in stage load-data: {dataset}:1: non-integer header field"),
         "synth_on_data_paths": ({"data": {"paths": [str(dataset)]}},
                                 " in stage load-config: config has no data.synth section"),
+        "data_path_is_a_directory": ({"data": {"paths": [str(folder)]}},
+                                     f" in stage load-data: {folder}: Is a directory"),
+        "raw_data_path_is_a_directory": ({"data": {"paths": [str(folder)], "format": "raw_f32"}},
+                                         f" in stage load-data: {folder}: Is a directory"),
+        "batch_zero": ({"train": {**train, "batch_unlabeled": 0}},
+                       " in stage load-config: batch sizes must be positive"),
+        "knn_k_zero": ({"train": {**train, "knn": {"k": 0}}}, " in stage load-config: k must be positive, got 0"),
+        "lr0_zero": ({"train": {**train, "optimizer": {"lr0": 0}}}, " in stage load-config: lr0 must be positive"),
+        "gamma_zero": ({"train": {**train, "optimizer": {"gamma": 0}}},
+                       " in stage load-config: gamma, power and max_steps must be positive"),
+        "lambda_u_negative": ({"train": {**train, "lambda_u": -0.5}},
+                              " in stage load-config: loss weights must be nonnegative"),
+        "max_epochs_negative": ({"train": {**train, "max_epochs": -3}}, epochs_message),
+        "pretrain_max_epochs_negative": ({"train": {**train, "pretrain_max_epochs": -1}}, epochs_message),
+        "tau_above_1": ({"train": {**train, "fixed_threshold_tau": 7}},
+                        " in stage load-config: fixed_threshold_tau must be in [0, 1], got 7.0"),
+        "feature_dim_zero": ({"train": {**train, "feature_dim": 0}},
+                             " in stage train: layer widths must be positive"),
+        "hidden_dims_zero": ({"train": {**train, "hidden_dims": [32, 0]}},
+                             " in stage train: hidden_dims entries must be positive"),
+        "synth_marginal_1": ({"data": {"synth": {**synth, "target_marginals": [0.5, 1.0]}}},
+                             " in stage load-config: target marginals must lie in (0, 1)"),
+        "synth_noise_negative": ({"data": {"synth": {**synth, "noise_level": -0.1}}},
+                                 " in stage load-config: noise_level must be nonnegative"),
+        "synth_correlation_asymmetric": (
+            {"data": {"synth": {**synth, "target_marginals": [0.3, 0.4],
+                                "target_correlation": [[1.0, 0.5], [0.2, 1.0]]}}},
+            " in stage load-data: target_correlation must be symmetric with unit diagonal"),
+        "cross_without_held_out": ({"split": {"protocol": "cross"}},
+                                   " in stage train: cross protocol needs held_out_dataset"),
     }
     if case in config_changes:
         changes, message = config_changes[case]
@@ -550,6 +627,29 @@ def _exit_2_path(tmp_path, case):
         config = tmp_path / "config.json"
         config.write_text("[]")
         return ["run", "--config", str(config)], f" in stage load-config: {config}: top level must be an object"
+    terms, mapping = tmp_path / "terms.txt", tmp_path / "map.txt"
+    terms.write_text("myocardial infarction\n")
+    mapping.write_text({"map_unknown_superclass": "myocardial infarction\tHEART\n"}.get(case, "# no entries\n\n"))
+    input_paths = {
+        "config_is_a_directory": (["run", "--config", str(folder)],
+                                  f" in stage load-config: {folder}: Is a directory"),
+        "config_below_a_file": (["run", "--config", f"{dataset}/c.json"],
+                                f" in stage load-config: {dataset}/c.json: Not a directory"),
+        "synth_config_is_a_directory": (["synth", "--config", str(folder), "--out-file", str(tmp_path / "out.csv")],
+                                        f" in stage load-config: {folder}: Is a directory"),
+        "scores_are_a_directory": (["eval", "--scores", str(folder), "--labels", str(dataset)],
+                                   f": {folder}: Is a directory"),
+        "reports_are_a_directory": (["compare", "--reports", str(folder), "--control", "m0"],
+                                    f": {folder}: Is a directory"),
+        "terms_are_a_directory": (["annotate", "--terms", str(folder)], f": {folder}: Is a directory"),
+        "map_is_a_directory": (["annotate", "--terms", str(terms), "--map", str(folder)], f": {folder}: Is a directory"),
+        "map_unknown_superclass": (["annotate", "--terms", str(terms), "--map", str(mapping)],
+                                   f": {mapping}:1: unknown superclass 'HEART'"),
+        "map_without_entries": (["annotate", "--terms", str(terms), "--map", str(mapping)],
+                                f": {mapping}: mapping file has no entries"),
+    }
+    if case in input_paths:
+        return input_paths[case]
     for j in range(2):
         _write_reports(tmp_path / f"r{j}.csv", f"m{j}", {"d1": 0.5, "d2": 0.4})
     compare = ["compare", "--reports", str(tmp_path / "r*.csv"), "--control", "m0"]
@@ -562,9 +662,20 @@ def _exit_2_path(tmp_path, case):
     return compare, f": {tmp_path / 'r1.csv'}: unexpected header ['model', 'dataset']"
 
 
-@pytest.mark.parametrize("case", ["synth_and_paths", "path_not_a_string", "unknown_format", "no_seeds",
-                                  "csv_header_not_an_integer", "synth_on_data_paths", "config_not_an_object",
-                                  "control_not_a_model", "no_report_matches", "other_report_header"])
+@pytest.mark.parametrize("case", [
+    "synth_and_paths", "path_not_a_string", "unknown_format", "no_seeds", "csv_header_not_an_integer",
+    "synth_on_data_paths", "config_not_an_object", "control_not_a_model", "no_report_matches",
+    "other_report_header",
+    # a directory, or a file on the way to one, where an input file belongs
+    "data_path_is_a_directory", "raw_data_path_is_a_directory", "config_is_a_directory", "config_below_a_file",
+    "synth_config_is_a_directory", "scores_are_a_directory", "reports_are_a_directory", "terms_are_a_directory",
+    "map_is_a_directory",
+    # each config rule where it is checked, and the annotation map's
+    "batch_zero", "knn_k_zero", "lr0_zero", "gamma_zero", "lambda_u_negative", "max_epochs_negative",
+    "pretrain_max_epochs_negative", "tau_above_1", "feature_dim_zero", "hidden_dims_zero", "synth_marginal_1",
+    "synth_noise_negative", "synth_correlation_asymmetric", "cross_without_held_out", "map_unknown_superclass",
+    "map_without_entries",
+])
 def test_cli_paths_exit_2_with_their_message(tmp_path, capsys, case):
     argv, message = _exit_2_path(tmp_path, case)
     assert main(argv) == 2
@@ -707,6 +818,27 @@ def test_threads_env_not_an_int_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ECGMATCH_THREADS", "x")
     assert main(["gridsearch", "--config", str(config)]) == 2
     assert "threads override must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how, value", [("flag", "0"), ("env", "0"), ("flag", "-2"), ("env", "-1")])
+def test_threads_below_1_exits_2_in_load_config(tmp_path, monkeypatch, capsys, how, value):
+    config, _ = smoke_config(tmp_path)
+    argv = ["gridsearch", "--config", str(config)]
+    if how == "flag":
+        argv += ["--threads", value]
+    else:
+        monkeypatch.setenv("ECGMATCH_THREADS", value)
+    assert main(argv) == 2
+    assert f"configuration error in stage load-config: threads must be at least 1, got {value}" in \
+        capsys.readouterr().err
+
+
+def test_zero_training_epochs_stay_legal(tmp_path):
+    config, doc = smoke_config(tmp_path)
+    doc["train"].update(max_epochs=0, pretrain_max_epochs=0)
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == 0
+    assert len(read_csv(tmp_path / "run" / "train_log_seed0.csv")) == 2  # the header and epoch 0's score
 
 
 # flag, its value, the value it loads as, an ECGMATCH_ value, the value that loads as

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,28 @@ def test_score_matrix_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             m.ScoreMatrix(np.array([[0.2, bad]]), np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scores, labels", [(np.zeros((2, 3)), np.zeros((3, 2))),
+                                            (np.zeros((2, 2)), np.full((2, 2), 0.5)),
+                                            (np.array([[0.2, np.nan]]), np.array([[1.0, 0.0]]))],
+                         ids=["shapes", "labels", "scores"])
+def test_score_matrix_input_errors_are_configuration_errors(scores, labels):
+    with pytest.raises(ConfigurationError):
+        m.compute_all(scores, labels)
+
+
+def test_seed_mean_std_skips_the_seeds_where_a_metric_is_undefined():
+    def report(map_value, auc_value):
+        return m.MetricsReport(0.1, 0.2, 1.0, map_value, auc_value, 0.3)
+
+    reports = [report(0.5, np.nan), report(np.nan, np.nan), report(0.75, np.nan)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an all-NaN metric warns nothing
+        mean, std = m.seed_mean_std(reports)
+    assert (mean["map"], std["map"]) == (0.625, 0.125)
+    assert (mean["coverage"], std["coverage"]) == (1.0, 0.0)
+    assert np.isnan(mean["macro_auc"]) and np.isnan(std["macro_auc"])
+    values = np.random.default_rng(3).random(9)
+    mean, _ = m.seed_mean_std([report(v, v) for v in values])
+    assert mean["map"] == np.mean(values.tolist())  # on finite seeds, np.mean's bits

@@ -175,18 +175,18 @@ def test_q_table_tracks_normal_quantiles():
 
 def test_dunn_compare_boundary_and_verdicts():
     rt = stats.RankTable(ranks=np.zeros((4, 3)), mean_ranks=np.array([1.0, 3.0, 6.0]))
-    verdicts = stats.dunn_compare(rt, 0, cd=2.0)
-    assert [v.model_index for v in verdicts] == [1, 2]
-    assert verdicts[0].significant  # difference exactly 2.0 counts as significant
-    assert verdicts[1].significant
-    none = stats.dunn_compare(stats.RankTable(np.zeros((2, 3)), np.array([2.0, 2.0, 2.0])), 0, 2.0)
-    assert not any(v.significant for v in none)
+    differences, significant = stats.dunn_compare(rt, 0, cd=2.0)
+    assert differences.tolist() == [0.0, 2.0, 5.0]  # every model, the control's own difference 0
+    assert significant[1]  # difference exactly 2.0 counts as significant
+    assert significant[2]
+    _, none = stats.dunn_compare(stats.RankTable(np.zeros((2, 3)), np.array([2.0, 2.0, 2.0])), 0, 2.0)
+    assert not none.any()
 
 
 def test_dunn_compare_reference_example():
     rt = stats.RankTable(ranks=np.zeros((4, 2)), mean_ranks=np.array([1.0, 6.0]))
-    verdicts = stats.dunn_compare(rt, 0, cd=4.66)
-    assert verdicts[0].significant  # 5 >= 4.66
+    _, significant = stats.dunn_compare(rt, 0, cd=4.66)
+    assert significant[1]  # 5 >= 4.66
 
 
 def test_dunn_compare_bad_control():
