@@ -59,7 +59,7 @@ def _dataset_label(cfg: ExperimentConfig, datasets) -> str:
     if cfg.split.protocol == "within":
         return datasets[0].dataset_id
     if cfg.split.protocol == "cross":
-        return cfg.split.held_out_dataset or "cross"
+        return cfg.split.held_out_dataset
     return "mix"
 
 

@@ -2,11 +2,13 @@
 
 A dataset is an (n, channels, length) signal array plus an n x C binary
 label matrix. A subset indexes the rows of one or more datasets and walks
-them in same-shape blocks. Three split protocols cover single-dataset,
-multi-center pooled, and held-out-dataset evaluation. The synthetic
-generator draws correlated multi-label annotations from a Gaussian copula
-and renders signals as label-weighted sums of per-class prototype waveforms
-plus noise, so class structure and co-occurrence are both controllable.
+them in same-shape blocks. One `split` serves the three protocols:
+single-dataset (`within`), multi-center pooled (`mix`) and held-out-dataset
+(`cross`) evaluation, and `split_within`, `split_mix` and `split_cross` are
+its views by name. The synthetic generator draws correlated multi-label
+annotations from a Gaussian copula and renders signals as label-weighted
+sums of per-class prototype waveforms plus noise, so class structure and
+co-occurrence are both controllable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from statistics import NormalDist
 
@@ -129,6 +131,8 @@ class SplitSpec:
             raise ConfigurationError("need train_frac > 0, val_frac >= 0 and train_frac + val_frac <= 1")
         if not 0.0 < self.labeled_frac <= 1.0:
             raise ConfigurationError("labeled fraction must be in (0, 1]")
+        if self.protocol == "cross" and self.held_out_dataset is None:
+            raise ConfigurationError("cross protocol needs held_out_dataset")
 
 
 # --- file formats -------------------------------------------------------------
@@ -391,77 +395,62 @@ def _count(frac: float, n: int) -> int:
     return int(round(frac * n))
 
 
-def _partition_train(datasets, train, val, test, labeled_frac) -> SplitResult:
-    """Cut labeled/unlabeled inside train (each a (2, n) pick array); warn when a class has no labeled positive."""
-    n_lab = max(1, _count(labeled_frac, train.shape[1]))
-    labeled = Subset(datasets, *train[:, :n_lab])
-    empty = np.where(labeled.labels.sum(axis=0) == 0)[0]
-    if empty.size:
-        names = [datasets[0].class_names[c] for c in empty]
-        warnings.warn(f"labeled split has no positives for classes {names}")
-    return SplitResult(labeled, *(Subset(datasets, *p) for p in (train[:, n_lab:], val, test)))
-
-
-def _shuffle_and_cut(datasets, picks, spec: SplitSpec, substream: int) -> SplitResult:
-    """Shuffle picks with the split seed's substream, cut train/val/test, then labeled/unlabeled."""
-    n = picks.shape[1]
-    picks = picks[:, RandomStream(spec.seed).substream(substream).generator().permutation(n)]
-    n_train, n_val = _count(spec.train_frac, n), _count(spec.val_frac, n)
-    train, val, test = picks[:, :n_train], picks[:, n_train : n_train + n_val], picks[:, n_train + n_val :]
-    return _partition_train(datasets, train, val, test, spec.labeled_frac)
-
-
-def split_within(ds: Dataset, spec: SplitSpec) -> SplitResult:
-    """Single-dataset split: train/val/test, then labeled/unlabeled inside train."""
-    return _shuffle_and_cut([ds], _picks([ds], [0]), spec, substream=0)
-
-
-def _distinct_ids(datasets) -> list:
-    """The dataset ids; a repeated one would put the same samples in two sets, so it is a ConfigurationError."""
-    ids = [ds.dataset_id for ds in datasets]
-    repeated = [i for i in ids if ids.count(i) > 1]
-    if repeated:
-        raise ConfigurationError(f"dataset ids must be distinct, {repeated[0]!r} is repeated")
-    return ids
-
-
-def split_mix(datasets, spec: SplitSpec) -> SplitResult:
-    """Pool every dataset, then split as in the single-dataset protocol."""
-    if len(datasets) < 2:
-        raise ConfigurationError("mix protocol needs at least two datasets")
-    _distinct_ids(datasets)
-    return _shuffle_and_cut(datasets, _picks(datasets, range(len(datasets))), spec, substream=1)
-
-
-def split_cross(datasets, spec: SplitSpec) -> SplitResult:
-    """Hold one dataset out as the entire test set; pool the rest for train/val."""
-    if spec.held_out_dataset is None:
-        raise ConfigurationError("cross protocol needs held_out_dataset")
-    ids = _distinct_ids(datasets)
-    if spec.held_out_dataset not in ids:
-        raise ConfigurationError(
-            f"held-out id {spec.held_out_dataset!r} not among {ids}"
-        )
-    held = ids.index(spec.held_out_dataset)
-    pool = _picks(datasets, [d for d in range(len(datasets)) if d != held])
-    pool = pool[:, RandomStream(spec.seed).substream(2).generator().permutation(pool.shape[1])]
-    n_train = _count(0.9, pool.shape[1])
-    return _partition_train(datasets, pool[:, :n_train], pool[:, n_train:], _picks(datasets, [held]),
-                            spec.labeled_frac)
+# the split seed's substream of each protocol
+_SPLIT_SUBSTREAM = {"within": 0, "mix": 1, "cross": 2}
 
 
 def split(datasets, spec: SplitSpec) -> SplitResult:
-    """The split of `spec.protocol`; training needs every set but the unlabeled one, so a labeled,
-    val or test set that the fractions (or rounding on few samples) leave empty is a ConfigurationError."""
+    """The split of `spec.protocol`: pool every dataset but the held-out one, shuffle the pool with the
+    protocol's substream of the split seed, cut train/val/test, then labeled/unlabeled inside train.
+
+    `within` splits one dataset and `mix` pools two or more, both by the spec's fractions; `cross` trains
+    on 0.9 of the pool, validates on the rest and tests on the whole held-out dataset. Training needs every
+    set but the unlabeled one, so a labeled, val or test set that the fractions (or rounding on few
+    samples) leave empty is a ConfigurationError.
+    """
     if spec.protocol == "within" and len(datasets) != 1:
         raise ConfigurationError("within protocol takes exactly one dataset")
-    result = (split_within(datasets[0], spec) if spec.protocol == "within"
-              else (split_mix if spec.protocol == "mix" else split_cross)(datasets, spec))
+    if spec.protocol == "mix" and len(datasets) < 2:
+        raise ConfigurationError("mix protocol needs at least two datasets")
+    ids = [ds.dataset_id for ds in datasets]
+    repeated = [i for i in ids if ids.count(i) > 1]
+    if repeated:  # the same samples would land in two sets
+        raise ConfigurationError(f"dataset ids must be distinct, {repeated[0]!r} is repeated")
+    cross = spec.protocol == "cross"
+    if cross and spec.held_out_dataset not in ids:
+        raise ConfigurationError(f"held-out id {spec.held_out_dataset!r} not among {ids}")
+    held = ids.index(spec.held_out_dataset) if cross else None
+    pool = _picks(datasets, [d for d in range(len(datasets)) if d != held])
+    n = pool.shape[1]
+    pool = pool[:, RandomStream(spec.seed).substream(_SPLIT_SUBSTREAM[spec.protocol]).generator().permutation(n)]
+    n_train = _count(0.9 if cross else spec.train_frac, n)
+    n_val = n - n_train if cross else _count(spec.val_frac, n)
+    train, val = pool[:, :n_train], pool[:, n_train : n_train + n_val]
+    test = _picks(datasets, [held]) if cross else pool[:, n_train + n_val :]
+    n_lab = max(1, _count(spec.labeled_frac, n_train))
+    result = SplitResult(*(Subset(datasets, *p) for p in (train[:, :n_lab], train[:, n_lab:], val, test)))
+    empty = np.flatnonzero(result.labeled.labels.sum(axis=0) == 0)
+    if empty.size:
+        names = [datasets[0].class_names[c] for c in empty]
+        warnings.warn(f"labeled split has no positives for classes {names}")
     for name in ("labeled", "val", "test"):
         if not len(getattr(result, name)):
             raise ConfigurationError(f"the {spec.protocol} split leaves the {name} set empty; "
                                      "change the split fractions or add samples")
     return result
+
+
+# the protocols by name: views of `split`
+def split_within(ds: Dataset, spec: SplitSpec) -> SplitResult:
+    return split([ds], replace(spec, protocol="within"))
+
+
+def split_mix(datasets, spec: SplitSpec) -> SplitResult:
+    return split(datasets, replace(spec, protocol="mix"))
+
+
+def split_cross(datasets, spec: SplitSpec) -> SplitResult:
+    return split(datasets, replace(spec, protocol="cross"))
 
 
 # --- synthetic generation -----------------------------------------------------

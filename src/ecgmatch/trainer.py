@@ -91,6 +91,8 @@ class TrainConfig:
             raise ConfigurationError("max_epochs and pretrain_max_epochs must be nonnegative")
         if not 0.0 <= self.fixed_threshold_tau <= 1.0:
             raise ConfigurationError(f"fixed_threshold_tau must be in [0, 1], got {self.fixed_threshold_tau}")
+        # the network's own rules on its widths and activation, at any input width and class count
+        nn.ModelConfig(self.pool_len, 2, self.hidden_dims, self.feature_dim, self.head_hidden, self.activation)
 
     def effective_weights(self) -> nn.LossWeights:
         """(lambda_u, lambda_f) after ablations; supervised_only trains on the labeled loss alone."""
@@ -188,8 +190,6 @@ def _fit(model_cfg: nn.ModelConfig, params: nn.ParameterSet, val: Subset, cfg: T
 
 def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.ParameterSet:
     """Supervised training of the teacher with early stopping on the validation metric."""
-    if len(labeled) == 0:
-        raise ConfigurationError("labeled split is empty")
     if labeled.labels.sum() == 0:
         raise ConfigurationError("no positive labels in any class; nothing to pre-train on")
     model_cfg = _model_config_for(cfg, labeled)

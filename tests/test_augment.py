@@ -393,3 +393,17 @@ def test_apply_queue_empty_queue_returns_an_equal_copy():
     out = apply_queue(x, [], RandomStream(0))
     assert out is not x and not np.shares_memory(out, x)
     _assert_same_bytes([out], [x])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: apply_queue(np.ones(8), [], RandomStream(0)),
+     "signals need 2 axes, the last two (channels, length), got shape (8,)"),
+    (lambda: augment_batch(np.ones((3, 0, 8)), RandomStream(0), AugmentConfig()),
+     "signals need 3 axes, the last two (channels, length), got shape (3, 0, 8)"),
+    (lambda: augment_batch(np.ones((3, 2, 8)), RandomStream(0), AugmentConfig(), ids=[0, 1]),
+     "need one id per row: 3 rows, ids of shape (2,)"),
+], ids=["one-axis", "no-channels", "ids-short"])
+def test_misshapen_signals_or_ids_raise_naming_the_shape(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

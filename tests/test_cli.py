@@ -603,9 +603,13 @@ def _exit_2_path(tmp_path, case):
         "tau_above_1": ({"train": {**train, "fixed_threshold_tau": 7}},
                         " in stage load-config: fixed_threshold_tau must be in [0, 1], got 7.0"),
         "feature_dim_zero": ({"train": {**train, "feature_dim": 0}},
-                             " in stage train: layer widths must be positive"),
+                             " in stage load-config: layer widths must be positive"),
+        "head_hidden_zero": ({"train": {**train, "head_hidden": 0}},
+                             " in stage load-config: layer widths must be positive"),
+        "activation_unknown": ({"train": {**train, "activation": "gelu"}},
+                               " in stage load-config: activation must be relu or tanh, got 'gelu'"),
         "hidden_dims_zero": ({"train": {**train, "hidden_dims": [32, 0]}},
-                             " in stage train: hidden_dims entries must be positive"),
+                             " in stage load-config: hidden_dims entries must be positive"),
         "synth_marginal_1": ({"data": {"synth": {**synth, "target_marginals": [0.5, 1.0]}}},
                              " in stage load-config: target marginals must lie in (0, 1)"),
         "synth_noise_negative": ({"data": {"synth": {**synth, "noise_level": -0.1}}},
@@ -615,7 +619,7 @@ def _exit_2_path(tmp_path, case):
                                 "target_correlation": [[1.0, 0.5], [0.2, 1.0]]}}},
             " in stage load-data: target_correlation must be symmetric with unit diagonal"),
         "cross_without_held_out": ({"split": {"protocol": "cross"}},
-                                   " in stage train: cross protocol needs held_out_dataset"),
+                                   " in stage load-config: cross protocol needs held_out_dataset"),
     }
     if case in config_changes:
         changes, message = config_changes[case]
@@ -672,9 +676,9 @@ def _exit_2_path(tmp_path, case):
     "map_is_a_directory",
     # each config rule where it is checked, and the annotation map's
     "batch_zero", "knn_k_zero", "lr0_zero", "gamma_zero", "lambda_u_negative", "max_epochs_negative",
-    "pretrain_max_epochs_negative", "tau_above_1", "feature_dim_zero", "hidden_dims_zero", "synth_marginal_1",
-    "synth_noise_negative", "synth_correlation_asymmetric", "cross_without_held_out", "map_unknown_superclass",
-    "map_without_entries",
+    "pretrain_max_epochs_negative", "tau_above_1", "feature_dim_zero", "hidden_dims_zero", "head_hidden_zero",
+    "activation_unknown", "synth_marginal_1", "synth_noise_negative", "synth_correlation_asymmetric",
+    "cross_without_held_out", "map_unknown_superclass", "map_without_entries",
 ])
 def test_cli_paths_exit_2_with_their_message(tmp_path, capsys, case):
     argv, message = _exit_2_path(tmp_path, case)

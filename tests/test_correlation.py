@@ -209,3 +209,13 @@ def test_correlation_backward_matches_finite_differences(kind):
             numeric[i, j] = (objective(plus) - objective(minus)) / (2 * h)
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda y: corr.correlation_matrix(y, "cos"),
+    lambda y: corr.correlation_matrix_backward(y, "cos", np.ones((2, 2))),
+], ids=["matrix", "backward"])
+def test_unknown_similarity_kind_raises_naming_it(call):
+    with pytest.raises(ContractViolation) as exc:
+        call(np.ones((3, 2)))
+    assert str(exc.value) == "unknown similarity kind 'cos'"

@@ -470,13 +470,29 @@ def test_split_spec_needs_positive_train_nonnegative_val_and_a_sum_of_at_most_on
         SplitSpec(train_frac=train, val_frac=val)
 
 
-@pytest.mark.parametrize("train,val", [(0.8, 0.1), (0.7, 0.3), (1.0, 0.0), (0.5, 0.0)])
+@pytest.mark.parametrize("train,val", [(0.8, 0.1), (0.7, 0.2), (0.6, 0.3), (0.5, 0.25)])
 def test_split_spec_test_share_is_the_rest(train, val):
-    # the protocol helpers cut what the fractions say; `split` rejects the empty sets
     ds = tiny_dataset(n=100)
     result = split_within(ds, SplitSpec(train_frac=train, val_frac=val, labeled_frac=1.0))
     assert len(result.val) == round(val * 100)
     assert len(result.test) == 100 - round(train * 100) - round(val * 100)
+
+
+@pytest.mark.filterwarnings("ignore:labeled split has no positives")
+def test_split_rows_are_pinned():
+    # every protocol on uneven datasets, each held-out id in turn, seeds 0-4: one digest of the sets' rows
+    datasets = [tiny_dataset(n=n, seed=s, dataset_id=name)
+                for s, (n, name) in enumerate(zip((23, 61, 40, 97), "abcd"))]
+    cases = [([ds], dict(protocol="within")) for ds in datasets] + [(datasets, dict(protocol="mix"))]
+    cases += [(datasets, dict(protocol="cross", held_out_dataset=name)) for name in "abcd"]
+    h = hashlib.sha256()
+    for seed in range(5):
+        for sets, kw in cases:
+            result = split(sets, SplitSpec(labeled_frac=0.2, seed=seed, **kw))
+            for part in (result.labeled, result.unlabeled, result.val, result.test):
+                h.update(part.sources.astype("<i8").tobytes())
+                h.update(part.rows.astype("<i8").tobytes())
+    assert h.hexdigest()[:16] == "47df7228dfacb000"
 
 
 @pytest.mark.filterwarnings("ignore:labeled split has no positives")
@@ -718,3 +734,23 @@ def test_dataset_rejects_samples_with_no_channel_or_no_length(shape):
     with pytest.raises(ConfigurationError, match="at least one channel and sample"):
         Dataset(np.zeros(shape), np.zeros((shape[0], 5)))
     assert len(Dataset(np.zeros((0,) + shape[1:]), np.zeros((0, 5)))) == 0  # an empty dataset still loads
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.zeros((2, 5)), "signal count and label rows must match"),
+    (np.zeros(3), "signal count and label rows must match"),
+    (np.full((3, 5), 0.5), "labels must be binary"),
+    (np.zeros((3, 2)), "class_names length must equal the label width"),
+], ids=["rows", "one-axis-labels", "non-binary", "class-names"])
+def test_labels_that_do_not_fit_the_signals_raise_naming_the_rule(labels, message):
+    with pytest.raises(ConfigurationError) as exc:
+        Dataset(np.zeros((3, 2, 4)), labels)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("io", ["save", "load"])
+def test_unknown_file_format_raises_naming_it(tmp_path, io):
+    path = tmp_path / "ds.xml"
+    with pytest.raises(ConfigurationError) as exc:
+        save_dataset(path, tiny_dataset(), "xml") if io == "save" else load_dataset(path, "xml")
+    assert str(exc.value) == "unknown format 'xml'"

@@ -4,6 +4,7 @@ from scipy.special import expit
 
 from ecgmatch import correlation, nn
 from ecgmatch.errors import ConfigurationError, ContractViolation, NumericError
+from ecgmatch.rng import RandomStream
 
 from oracles import finite_difference_grads, forward_oracle, max_relative_error
 
@@ -377,3 +378,38 @@ def test_model_config_validation():
         nn.ModelConfig(input_dim=4, num_classes=1)
     with pytest.raises(ConfigurationError):
         nn.ModelConfig(input_dim=4, num_classes=2, activation="gelu")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda cfg, params: nn.ParameterSet([(np.zeros((2, 3)), np.zeros(2))]), ConfigurationError,
+     "layer 0 has inconsistent shapes (2, 3) / (2,)"),
+    (lambda cfg, params: nn.forward(cfg, params, np.ones(6)), ConfigurationError, "batch must be 2-D, got shape (6,)"),
+    (lambda cfg, params: nn.forward(cfg, params, np.full((2, 6), np.nan)), NumericError,
+     "batch contains non-finite values"),
+    (lambda cfg, params: nn.forward(cfg, nn.ParameterSet(params.layers[1:]), np.ones((2, 6))), ConfigurationError,
+     "expected 4 layers, got 3"),
+    (lambda cfg, params: nn.forward(cfg, nn.init_params(small_cfg(hidden_dims=(2,)), RandomStream(0)),
+                                    np.ones((2, 6))),
+     ConfigurationError, "layer 0: weight shape (6, 2) != (6, 5)"),
+    (lambda cfg, params: nn.bce(np.full((2, 3), 0.5), np.zeros((2, 2))), ConfigurationError,
+     "probs (2, 3), targets (2, 2) and alpha (2, 3) must share a shape"),
+    (lambda cfg, params: nn.LossWeights(np.inf, 0.0), ConfigurationError, "loss weights must be finite"),
+    (lambda cfg, params: nn.LossWeights(0.8, np.nan), ConfigurationError, "loss weights must be finite"),
+    (lambda cfg, params: nn.backward(cfg, params, nn.StepBatch(pseudo_targets=np.zeros((2, 3)),
+                                                               pseudo_weights=np.ones((2, 3))), nn.LossWeights()),
+     ConfigurationError, "pseudo targets supplied without strong inputs"),
+    (lambda cfg, params: nn.backward(cfg, params, nn.StepBatch(correlation_target=np.eye(3)), nn.LossWeights()),
+     ConfigurationError, "alignment target supplied without unlabeled inputs"),
+    (lambda cfg, params: nn.ema_update(params, params, 1.5), ConfigurationError,
+     "ema momentum must be in [0, 1], got 1.5"),
+    (lambda cfg, params: nn.ema_update(params, nn.ParameterSet(params.layers[1:]), 0.5), ConfigurationError,
+     "teacher/student shape mismatch"),
+], ids=["parameter-shapes", "batch-1-d", "batch-nan", "layer-count", "weight-shape", "bce-shapes",
+        "lambda-u-inf", "lambda-f-nan", "pseudo-without-strong", "alignment-without-unlabeled", "ema-momentum",
+        "ema-shapes"])
+def test_bad_network_inputs_raise_naming_the_fault(call, error, message):
+    cfg = small_cfg()
+    params = nn.init_params(cfg, RandomStream(0))
+    with pytest.raises(error) as exc:
+        call(cfg, params)
+    assert str(exc.value) == message

@@ -102,3 +102,9 @@ def test_children_guard_fires_on_a_corrupted_key(monkeypatch, row):
     monkeypatch.setattr(rng, "_child_keys", corrupted)
     with pytest.raises(ContractViolation):
         RandomStream(11, (4,)).children(np.arange(6))
+
+
+def test_as_generator_rejects_a_seed_naming_its_type():
+    with pytest.raises(TypeError) as exc:
+        rng.as_generator(42)
+    assert str(exc.value) == "expected RandomStream or numpy Generator, got int"
