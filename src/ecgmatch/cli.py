@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,8 @@ def _dataset_label(cfg: ExperimentConfig, datasets) -> str:
     return "mix"
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -71,7 +72,6 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _write_run_outputs(out_dir: Path, cfg: ExperimentConfig, result, dataset_label: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         [cfg.model_name, dataset_label, str(sr.seed), *sr.report.to_csv_row()]
         for sr in result.per_seed
@@ -169,27 +169,26 @@ def _run(args, stage) -> int:
     return 0
 
 
-def _grid_cells(cfg: ExperimentConfig):
-    if cfg.grid.axis == "cartesian":
-        return [(lu, lf) for lu in cfg.grid.values for lf in cfg.grid.values]
-    if cfg.grid.axis == "lambda_f":
-        return [(cfg.grid.fixed, lf) for lf in cfg.grid.values]
-    return [(lu, cfg.grid.fixed) for lu in cfg.grid.values]
-
-
 def _gridsearch(args, stage) -> int:
-    """One `_train` per grid cell, all on the config and datasets loaded once; each of the
-    min(--threads, cells) worker processes receives the datasets once, through the pool initializer."""
+    """One `_train` per grid cell: the config's run with each swept weight set to a grid value, on the
+    datasets loaded once; each of the min(--threads, cells) worker processes receives them once."""
     cfg, datasets = _load(args, stage)
-    cells = _grid_cells(cfg)
+    swept = ("lambda_u", "lambda_f") if cfg.grid.axis == "cartesian" else (cfg.grid.axis,)
+    lu_values = cfg.grid.values if "lambda_u" in swept else (cfg.train.weights.lambda_u,)
+    lf_values = cfg.grid.values if "lambda_f" in swept else (cfg.train.weights.lambda_f,)
+    cells = list(product(lu_values, lf_values))
     out_dir = Path(cfg.output_dir)
     stage("train")
+    for name in swept:
+        setting = cfg.train.zeroed_by(name)
+        if setting is not None:
+            raise ConfigurationError(f"grid axis {cfg.grid.axis} sweeps {name}, which {setting} holds at 0, "
+                                     "so its cells would train the same model")
     cell_dirs = [out_dir / f"cell_lu{lu:g}_lf{lf:g}" for lu, lf in cells]
     shared = next((d for d in cell_dirs if cell_dirs.count(d) > 1), None)
     if shared is not None:
         raise ConfigurationError(f"two grid cells would write to {shared}; "
                                  "grid values must differ in their first 6 significant digits")
-    out_dir.mkdir(parents=True, exist_ok=True)
     cell_cfgs = [replace(cfg, train=replace(cfg.train, weights=LossWeights(lu, lf))) for lu, lf in cells]
     workers = min(args.threads, len(cells))  # a fork pool starts every worker at the first submit
     if workers > 1:
@@ -235,9 +234,7 @@ def _eval(args, stage) -> int:
         if count:
             print(f"skipped {key}: {count}")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "metrics_report.csv", CSV_COLUMNS, [report.to_csv_row()])
+        _write_csv(Path(args.out) / "metrics_report.csv", CSV_COLUMNS, [report.to_csv_row()])
     return 0
 
 
@@ -309,7 +306,6 @@ def _compare(args, stage) -> int:
             print(f"{row[0]}: {control_name} vs {row[1]} significant (rank diff {float(row[3]):.3f})")
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "comparison.csv", COMPARISON_HEADER, rows)
         _write_csv(out / "cd_plot.csv", [*COMPARISON_HEADER[:3], COMPARISON_HEADER[-1]],
                    [[*row[:3], row[-1]] for row in rows])

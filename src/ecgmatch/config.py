@@ -46,8 +46,7 @@ class DataSource:
 @dataclass(frozen=True)
 class GridConfig:
     axis: str = "lambda_f"
-    values: tuple = (0.0, 0.4, 0.8, 1.2, 1.6)
-    fixed: float = 0.8
+    values: tuple = (0.0, 0.4, 0.8, 1.2, 1.6)  # the unswept weight is train's
 
     def __post_init__(self):
         if self.axis not in ("lambda_u", "lambda_f", "cartesian"):

@@ -133,6 +133,9 @@ class SplitSpec:
             raise ConfigurationError("labeled fraction must be in (0, 1]")
         if self.protocol == "cross" and self.held_out_dataset is None:
             raise ConfigurationError("cross protocol needs held_out_dataset")
+        if self.protocol != "cross" and self.held_out_dataset is not None:
+            raise ConfigurationError(f"held_out_dataset is only for the cross protocol, not {self.protocol} "
+                                     f"(got {self.held_out_dataset!r})")
 
 
 # --- file formats -------------------------------------------------------------

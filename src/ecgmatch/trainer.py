@@ -91,16 +91,26 @@ class TrainConfig:
             raise ConfigurationError("max_epochs and pretrain_max_epochs must be nonnegative")
         if not 0.0 <= self.fixed_threshold_tau <= 1.0:
             raise ConfigurationError(f"fixed_threshold_tau must be in [0, 1], got {self.fixed_threshold_tau}")
-        # the network's own rules on its widths and activation, at any input width and class count
-        nn.ModelConfig(self.pool_len, 2, self.hidden_dims, self.feature_dim, self.head_hidden, self.activation)
+        self.model_config()  # the network's own rules on its widths and activation
+
+    def model_config(self, channels: int = 1, num_classes: int = 2) -> nn.ModelConfig:
+        """The network for `channels`-channel signals and `num_classes` classes: encode_subset's width
+        is channels * pool_len."""
+        return nn.ModelConfig(channels * self.pool_len, num_classes, self.hidden_dims, self.feature_dim,
+                              self.head_hidden, self.activation)
+
+    def zeroed_by(self, weight: str) -> str | None:
+        """The setting that holds loss weight `weight` ("lambda_u" or "lambda_f") at 0, or None."""
+        if self.baseline == "supervised_only":
+            return "baseline supervised_only"
+        if weight == "lambda_u":
+            return "ablations.no_pseudo" if self.ablations.no_pseudo else None
+        return "ablations.no_align" if self.ablations.no_align else None
 
     def effective_weights(self) -> nn.LossWeights:
         """(lambda_u, lambda_f) after ablations; supervised_only trains on the labeled loss alone."""
-        if self.baseline == "supervised_only":
-            return nn.LossWeights(0.0, 0.0)
-        lu = 0.0 if self.ablations.no_pseudo else self.weights.lambda_u
-        lf = 0.0 if self.ablations.no_align else self.weights.lambda_f
-        return nn.LossWeights(lu, lf)
+        return nn.LossWeights(*(0.0 if self.zeroed_by(name) else getattr(self.weights, name)
+                                for name in ("lambda_u", "lambda_f")))
 
 
 @dataclass
@@ -128,18 +138,6 @@ def _inputs(subset: Subset, picks, cfg: TrainConfig, stream: RandomStream | None
             signals = augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong, ids=positions)
         out[positions] = encode_subset(signals, cfg.pool_len)
     return out
-
-
-def _model_config_for(cfg: TrainConfig, labeled: Subset) -> nn.ModelConfig:
-    """The network for `labeled`: encode_subset's width is channels * pool_len."""
-    return nn.ModelConfig(
-        input_dim=labeled.channels * cfg.pool_len,
-        num_classes=labeled.labels.shape[1],
-        hidden_dims=cfg.hidden_dims,
-        feature_dim=cfg.feature_dim,
-        head_hidden=cfg.head_hidden,
-        activation=cfg.activation,
-    )
 
 
 def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: Subset,
@@ -192,7 +190,7 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
     """Supervised training of the teacher with early stopping on the validation metric."""
     if labeled.labels.sum() == 0:
         raise ConfigurationError("no positive labels in any class; nothing to pre-train on")
-    model_cfg = _model_config_for(cfg, labeled)
+    model_cfg = cfg.model_config(labeled.channels, labeled.labels.shape[1])
     stream = RandomStream(cfg.seed)
     params = nn.init_params(model_cfg, stream.substream(_NS_INIT))
     velocity = params.zeros_like()
@@ -215,7 +213,7 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
 def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
                      teacher: nn.ParameterSet) -> TrainState:
     """Set up the student, banks and the frozen labeled correlation matrix."""
-    model_cfg = _model_config_for(cfg, labeled)
+    model_cfg = cfg.model_config(labeled.channels, labeled.labels.shape[1])
     weights = cfg.effective_weights()
     banks = None
     if weights.lambda_u > 0.0:
@@ -350,6 +348,7 @@ def run_experiment(datasets, split_spec: SplitSpec, cfg: TrainConfig, seeds) -> 
             final, history = teacher, []
         else:
             final, _, history = ssl_train(splits, cfg_s, teacher)
-        report = evaluate_model(_model_config_for(cfg_s, splits.labeled), final, splits.test, cfg_s)
+        model_cfg = cfg_s.model_config(splits.labeled.channels, splits.labeled.labels.shape[1])
+        report = evaluate_model(model_cfg, final, splits.test, cfg_s)
         per_seed.append(SeedResult(seed, report, history, final))
     return ExperimentResult(per_seed, *metrics.seed_mean_std([r.report for r in per_seed]))

@@ -620,6 +620,14 @@ def _exit_2_path(tmp_path, case):
             " in stage load-data: target_correlation must be symmetric with unit diagonal"),
         "cross_without_held_out": ({"split": {"protocol": "cross"}},
                                    " in stage load-config: cross protocol needs held_out_dataset"),
+        "grid_fixed": ({"grid": {"axis": "lambda_f", "values": [0.8], "fixed": 0.8}},
+                       " in stage load-config: unknown keys in grid: ['fixed']"),
+        "held_out_under_within": ({"split": {"protocol": "within", "held_out_dataset": "nope"}},
+                                  " in stage load-config: held_out_dataset is only for the cross protocol, "
+                                  "not within (got 'nope')"),
+        "held_out_under_mix": ({"split": {"protocol": "mix", "held_out_dataset": "nope"}},
+                               " in stage load-config: held_out_dataset is only for the cross protocol, "
+                               "not mix (got 'nope')"),
     }
     if case in config_changes:
         changes, message = config_changes[case]
@@ -678,7 +686,8 @@ def _exit_2_path(tmp_path, case):
     "batch_zero", "knn_k_zero", "lr0_zero", "gamma_zero", "lambda_u_negative", "max_epochs_negative",
     "pretrain_max_epochs_negative", "tau_above_1", "feature_dim_zero", "hidden_dims_zero", "head_hidden_zero",
     "activation_unknown", "synth_marginal_1", "synth_noise_negative", "synth_correlation_asymmetric",
-    "cross_without_held_out", "map_unknown_superclass", "map_without_entries",
+    "cross_without_held_out", "held_out_under_within", "held_out_under_mix", "grid_fixed",
+    "map_unknown_superclass", "map_without_entries",
 ])
 def test_cli_paths_exit_2_with_their_message(tmp_path, capsys, case):
     argv, message = _exit_2_path(tmp_path, case)
@@ -733,7 +742,7 @@ def test_synth_byte_identical_given_seed(tmp_path):
 
 def test_gridsearch_sweep_writes_one_row_per_cell(tmp_path):
     config, doc = smoke_config(tmp_path, out_name="grid")
-    doc["grid"] = {"axis": "lambda_f", "values": [0.0, 0.8], "fixed": 0.8}
+    doc["grid"] = {"axis": "lambda_f", "values": [0.0, 0.8]}
     doc["data"]["synth"]["n_samples"] = 120
     doc["train"]["max_epochs"] = 1
     doc["train"]["pretrain_max_epochs"] = 1
@@ -750,7 +759,7 @@ def test_gridsearch_sweep_writes_one_row_per_cell(tmp_path):
 def test_gridsearch_seed_override_reaches_every_cell(tmp_path, monkeypatch, how):
     config, doc = smoke_config(tmp_path, out_name="grid")
     doc["seeds"] = [0, 1]
-    doc["grid"] = {"axis": "lambda_f", "values": [0.8], "fixed": 0.8}
+    doc["grid"] = {"axis": "lambda_f", "values": [0.8]}
     doc["data"]["synth"]["n_samples"] = 120
     doc["train"]["max_epochs"] = 1
     doc["train"]["pretrain_max_epochs"] = 1
@@ -781,6 +790,7 @@ CONFIG_VALUE_ERRORS = {
     "pretrain_patience_zero": (("train", "pretrain_patience"), 0),
     "seeds_repeated": (("seeds",), [0, 0]),
     "grid_values_empty": (("grid", "values"), []),
+    "grid_fixed": (("grid", "fixed"), 0.8),  # the unswept weight is train's
     "synth_channels_zero": (("data", "synth", "channels"), 0),
     "synth_signal_length_zero": (("data", "synth", "signal_length"), 0),
 }
@@ -911,7 +921,7 @@ def test_an_empty_split_exits_2_naming_it_before_training(tmp_path, monkeypatch,
     monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
     config, doc = smoke_config(tmp_path)
     doc["split"].update(train_frac=fracs[0], val_frac=fracs[1])
-    doc["grid"] = {"axis": "lambda_u", "values": [0.8], "fixed": 0.8}
+    doc["grid"] = {"axis": "lambda_u", "values": [0.8]}
     config.write_text(json.dumps(doc))
     assert main([verb, "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -936,7 +946,7 @@ def test_synth_write_failure_exits_1_with_stage(tmp_path, capsys):
 def _grid_config(tmp_path, out_name):
     config, doc = smoke_config(tmp_path, out_name=out_name)
     doc["seeds"] = [0, 1]
-    doc["grid"] = {"axis": "lambda_u", "values": [0.0, 0.8], "fixed": 0.8}
+    doc["grid"] = {"axis": "lambda_u", "values": [0.0, 0.8]}
     doc["data"]["synth"]["n_samples"] = 120
     doc["train"]["max_epochs"] = 1
     doc["train"]["pretrain_max_epochs"] = 1
@@ -976,6 +986,71 @@ def test_gridsearch_workers_receive_the_datasets_once_each(tmp_path, monkeypatch
     assert len(pickled) <= 2  # at most once per worker, not once per cell
 
 
+@pytest.mark.parametrize("axis", ["lambda_u", "lambda_f"])
+def test_the_grid_cell_at_the_train_weights_writes_the_files_of_run(tmp_path, axis):
+    config = _grid_config(tmp_path, "grid")
+    doc = json.loads(config.read_text())
+    doc["grid"] = {"axis": axis, "values": [0.8]}  # train's own weights are the defaults, 0.8 and 0.8
+    config.write_text(json.dumps(doc))
+    assert main(["gridsearch", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    run = _tree_bytes(tmp_path / "run")
+    assert sorted(run) == ["checkpoints/student_seed0.bin", "checkpoints/student_seed1.bin", "reports.csv",
+                           "summary.csv", "train_log_seed0.csv", "train_log_seed1.csv"]
+    assert _tree_bytes(tmp_path / "grid" / "cell_lu0.8_lf0.8") == run
+
+
+def test_the_unswept_weight_is_the_train_weight(tmp_path):
+    config = _grid_config(tmp_path, "grid")
+    doc = json.loads(config.read_text())
+    doc["seeds"] = [0]
+    doc["train"]["lambda_u"] = 0.3
+    doc["grid"] = {"axis": "lambda_f", "values": [0.0, 0.8]}
+    config.write_text(json.dumps(doc))
+    assert main(["gridsearch", "--config", str(config)]) == 0
+    rows = read_csv(tmp_path / "grid" / "gridsearch.csv")
+    assert [row[:2] for row in rows[1:]] == [["0.3", "0.0"], ["0.3", "0.8"]]
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert _tree_bytes(tmp_path / "grid" / "cell_lu0.3_lf0.8") == _tree_bytes(tmp_path / "run")
+
+
+# the train keys that hold a loss weight at 0, and the weight each grid axis then sweeps in vain
+ZEROING_SETTINGS = {
+    "ablations.no_pseudo": ({"ablations": {"no_pseudo": True}}, {"lambda_u": "lambda_u", "cartesian": "lambda_u"}),
+    "ablations.no_align": ({"ablations": {"no_align": True}}, {"lambda_f": "lambda_f", "cartesian": "lambda_f"}),
+    "baseline supervised_only": ({"baseline": "supervised_only"},
+                                 {"lambda_u": "lambda_u", "lambda_f": "lambda_f", "cartesian": "lambda_u"}),
+}
+
+
+@pytest.mark.parametrize("name, axis", [(name, axis) for name, (_, axes) in ZEROING_SETTINGS.items() for axis in axes])
+def test_a_grid_sweeping_a_zeroed_weight_exits_2_before_any_cell_trains(tmp_path, monkeypatch, capsys, name, axis):
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    setting, axes = ZEROING_SETTINGS[name]
+    monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
+    config, doc = smoke_config(tmp_path, out_name="grid")
+    doc["train"].update(setting)
+    doc["grid"] = {"axis": axis, "values": [0.0, 0.8]}
+    config.write_text(json.dumps(doc))
+    assert main(["gridsearch", "--config", str(config)]) == 2
+    assert (f"configuration error in stage train: grid axis {axis} sweeps {axes[axis]}, which {name} holds at 0, "
+            "so its cells would train the same model") in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
+
+
+def test_a_grid_sweeping_the_weight_an_ablation_keeps_runs(tmp_path):
+    config = _grid_config(tmp_path, "grid")
+    doc = json.loads(config.read_text())
+    doc["seeds"] = [0]
+    doc["train"]["ablations"] = {"no_align": True}
+    doc["grid"] = {"axis": "lambda_u", "values": [0.0, 0.8]}
+    config.write_text(json.dumps(doc))
+    assert main(["gridsearch", "--config", str(config)]) == 0
+    assert len(read_csv(tmp_path / "grid" / "gridsearch.csv")) == 1 + 2
+
+
 @pytest.mark.parametrize("axis", ["lambda_f", "cartesian"])
 def test_grid_cells_sharing_a_directory_exit_2_before_any_cell_trains(tmp_path, monkeypatch, capsys, axis):
     def no_training(*args):
@@ -983,7 +1058,7 @@ def test_grid_cells_sharing_a_directory_exit_2_before_any_cell_trains(tmp_path, 
 
     monkeypatch.setattr(cli.trainer, "pretrain_teacher", no_training)
     config, doc = smoke_config(tmp_path, out_name="grid")
-    doc["grid"] = {"axis": axis, "values": [0.1, 0.10000001], "fixed": 0.8}
+    doc["grid"] = {"axis": axis, "values": [0.1, 0.10000001]}
     config.write_text(json.dumps(doc))
     assert main(["gridsearch", "--config", str(config), "--threads", "2"]) == 2
     shared = tmp_path / "grid" / ("cell_lu0.8_lf0.1" if axis == "lambda_f" else "cell_lu0.1_lf0.1")

@@ -131,7 +131,7 @@ def test_pretrain_reduces_training_loss_on_average():
     for seed in (0, 1, 2):
         splits = quick_splits(seed=seed)
         cfg = quick_cfg(seed=seed, pretrain_max_epochs=1, pretrain_patience=1)
-        model_cfg = trainer._model_config_for(cfg, splits.labeled)
+        model_cfg = cfg.model_config(splits.labeled.channels, splits.labeled.labels.shape[1])
         init = nn.init_params(model_cfg, RandomStream(seed).substream(0))
 
         inputs = _inputs(splits.labeled, np.arange(len(splits.labeled)), cfg)
@@ -150,7 +150,7 @@ def test_pretrain_reaches_high_map_on_separable_fixture():
     cfg = quick_cfg(seed=5, pool_len=16, pretrain_max_epochs=50, pretrain_patience=10,
                     optimizer=nn.OptimizerConfig(max_steps=500, ema_momentum=0.99))
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
-    model_cfg = trainer._model_config_for(cfg, splits.labeled)
+    model_cfg = cfg.model_config(splits.labeled.channels, splits.labeled.labels.shape[1])
     report = trainer.evaluate_model(model_cfg, teacher, splits.val, cfg)
     assert report.map > 0.95
 
@@ -322,7 +322,7 @@ def test_model_width_is_channels_times_pool_len():
     splits = quick_splits()  # 2-channel signals
     for pool_len in (4, 8):
         cfg = quick_cfg(pool_len=pool_len)
-        model_cfg = trainer._model_config_for(cfg, splits.labeled)
+        model_cfg = cfg.model_config(splits.labeled.channels, splits.labeled.labels.shape[1])
         first = splits.labeled.datasets[0].signals[:1]
         assert model_cfg.input_dim == encode_subset(first, pool_len).shape[1] == 2 * pool_len
 
@@ -331,7 +331,7 @@ def test_evaluate_model_encodes_each_subset_once(monkeypatch):
     splits = quick_splits()
     cfg = quick_cfg(pretrain_max_epochs=2)
     teacher = trainer.pretrain_teacher(splits.labeled, splits.val, cfg)
-    model_cfg = trainer._model_config_for(cfg, splits.labeled)
+    model_cfg = cfg.model_config(splits.labeled.channels, splits.labeled.labels.shape[1])
     test = Subset(splits.test.datasets, splits.test.sources, splits.test.rows)
     fresh = encode_subset(test.datasets[0].signals[test.rows], cfg.pool_len)
     want = metrics.compute_all(nn.forward(model_cfg, teacher, fresh)[1], test.labels).to_csv_row()
@@ -350,7 +350,7 @@ def test_evaluate_model_encodes_each_subset_once(monkeypatch):
     assert test.encoded[0] == cfg.pool_len and test.encoded[1].tobytes() == fresh.tobytes()
     # a different pool length encodes again
     cfg4 = quick_cfg(pool_len=4)
-    model4 = trainer._model_config_for(cfg4, splits.labeled)
+    model4 = cfg4.model_config(splits.labeled.channels, splits.labeled.labels.shape[1])
     trainer.evaluate_model(model4, nn.init_params(model4, RandomStream(0)), test, cfg4)
     assert calls[1:] == [(len(test), 4)] and test.encoded[0] == 4
 
