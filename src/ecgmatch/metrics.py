@@ -6,13 +6,13 @@ pairs as half-correct, which keeps every metric invariant under sample and
 class permutations. `compute_all` is the one implementation of the four
 ranking metrics, and `ranking_loss`, `coverage`, `mean_average_precision`
 and `macro_auc` are views of its report (UndefinedMetricError where it holds
-NaN). It sorts the samples once and the classes once for the rank primitive,
-`rank_counts`: per entry, how many entries of a masked set in its row score
-higher and at least as high, where a None mask is every entry. Each
-orientation asks for two sets, every entry and the negative (rows) or
-positive (classes) labels; a class's negative counts are every entry's less
-its positive ones. The sort need not be stable, as no count depends on the
-order within a tie. Scores must be finite: NaN or +-inf raise ConfigurationError,
+NaN). It sorts each entry once per orientation (samples, then classes) in
+blocks of about `_BLOCK_ENTRIES` entries, a class column at least, and
+counts once per tie group: its positive labels in it and at or above it
+give every group's mis-ordered pairs, depth and precision. `rank_counts`
+spreads those group counts onto entries for any mask (None is every entry).
+No count depends on the order within a tie, so the sort need not be stable.
+Scores must be finite: NaN or +-inf raise ConfigurationError,
 since no ranking orders them consistently. Rows or classes that
 cannot support a metric (no relevant label, single-valued class column) are
 skipped, not zero-filled, and the skip counts are carried in the report.
@@ -111,21 +111,17 @@ def seed_mean_std(reports) -> tuple[dict, dict]:
                 {name: float(np.nanstd(v)) for name, v in values.items()})
 
 
-def rank_counts(scores: np.ndarray, *masks: np.ndarray | None) -> list:
-    """One (gt, ge) pair per mask: per entry, how many masked entries of its row
-    score higher / at least as high. A mask of None stands for every entry.
+# Entries the ranking metrics sort at once: 128 KiB per int64 temporary.
+_BLOCK_ENTRIES = 1 << 14
 
-    One sort per row, shared by every mask. Each tie group is a run of the
-    sorted, flattened array; a running count of a mask's entries, read at the
-    run's first and last position, gives the masked entries before the group
-    and up to its end, as exact integers. For a None mask the sorted positions
-    are that count. The counts do not depend on the order inside a tie group,
-    so the sort need not be stable; they do need finite scores, since the
-    order a sort gives NaN decides how it would be counted.
+
+def _tie_groups(scores: np.ndarray, *masks: np.ndarray | None):
+    """Sort each row of `scores` once and cut it into tie groups (runs of equal scores).
+    Returns each sorted entry's flat index, the group sizes and starts, and per mask
+    each group's (gt, ge): the masked entries of its row scoring higher / at least as
+    high, read off a running count at the group's ends (None: the sorted positions).
     """
     n, c = scores.shape
-    if not scores.size:
-        return [(np.zeros((n, c), dtype=np.int64),) * 2 for _ in masks]
     order = np.argsort(scores, axis=1)
     ranked = np.take_along_axis(scores, order, axis=1)
     first = np.ones((n, c), dtype=bool)  # opens a tie group
@@ -133,26 +129,50 @@ def rank_counts(scores: np.ndarray, *masks: np.ndarray | None) -> list:
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], n * c) - 1
     row_last = (starts // c + 1) * c - 1  # last position of each group's row
-    group = np.empty(n * c, dtype=np.int64)  # tie group of each entry, in its unsorted place
-    group[(order + c * np.arange(n)[:, None]).ravel()] = np.cumsum(first, dtype=np.int64) - 1
-    pairs = []
+    counts = []
     for mask in masks:
         if mask is None:
-            gt, ge = row_last - ends, row_last - starts + 1
-        else:
-            hit = np.take_along_axis(mask, order, axis=1).ravel()
-            seen = np.cumsum(hit, dtype=np.int64)
-            in_row = seen[row_last]
-            gt, ge = in_row - seen[ends], in_row - seen[starts] + hit[starts]
-        pairs.append((np.take(gt, group).reshape(n, c), np.take(ge, group).reshape(n, c)))
-    return pairs
+            counts.append((row_last - ends, row_last - starts + 1))
+            continue
+        hit = np.take_along_axis(mask, order, axis=1).ravel()
+        seen = np.cumsum(hit, dtype=np.int64)
+        in_row = seen[row_last]
+        counts.append((in_row - seen[ends], in_row - seen[starts] + hit[starts]))
+    return (order + c * np.arange(n)[:, None]).ravel(), ends - starts + 1, starts, counts
 
 
-def _pair_errors(pos: np.ndarray, neg: np.ndarray, neg_counts):
-    """Per row: twice the (positive, negative) pairs where the negative scores higher,
-    ties counting half (an exact integer), and the positive x negative pair count."""
-    gt, ge = neg_counts
-    return np.where(pos, gt + ge, 0).sum(axis=1), pos.sum(axis=1) * neg.sum(axis=1)
+def _spread(values: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """One value per tie group, copied onto each of its entries in their unsorted places."""
+    out = np.empty(flat.size, dtype=values.dtype)
+    out[flat] = np.repeat(values, sizes)
+    return out
+
+
+def rank_counts(scores: np.ndarray, *masks: np.ndarray | None) -> list:
+    """One (gt, ge) pair per mask: per entry, how many masked entries of its row
+    score higher / at least as high (its tie group's counts). None is every entry."""
+    if not scores.size:
+        return [(np.zeros(scores.shape, dtype=np.int64),) * 2 for _ in masks]
+    flat, sizes, _, counts = _tie_groups(scores, *masks)
+    return [tuple(_spread(v, flat, sizes).reshape(scores.shape) for v in pair) for pair in counts]
+
+
+def _row_blocks(n: int, width: int) -> list:
+    """Slices of about _BLOCK_ENTRIES entries (at least a row) over n rows of `width`; none if it is 0."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, n if width else 0, step)]
+
+
+def _ranked_block(scores: np.ndarray, pos: np.ndarray):
+    """Per row of a block: twice its mis-ordered (positive, negative) pairs, ties
+    counting half, and its deepest positive's depth (0 if none); per tie group its
+    precision (positives / entries at or above), with what `_spread` needs."""
+    flat, sizes, starts, [(gt, ge), (pos_gt, hits)] = _tie_groups(scores, None, pos)
+    in_group = hits - pos_gt  # the group's positives; the rest of it is negative
+    row_first = np.flatnonzero(starts % scores.shape[1] == 0)
+    twice_wrong = np.add.reduceat(in_group * (gt - pos_gt + ge - hits), row_first)
+    depth = np.maximum.reduceat(np.where(in_group > 0, ge, 0), row_first)
+    return twice_wrong, depth, (hits / ge, flat, sizes)
 
 
 def _mean_in_order(values: np.ndarray) -> float:
@@ -183,8 +203,7 @@ def ranking_loss(sm: ScoreMatrix) -> float:
 
 def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
     """Fraction of cells where the thresholded score disagrees with the label."""
-    pred = (sm.scores > threshold).astype(float)
-    return float(np.mean(pred != sm.labels))
+    return float(np.mean((sm.scores > threshold) != (sm.labels == 1.0)))
 
 
 def coverage(sm: ScoreMatrix) -> float:
@@ -218,20 +237,22 @@ def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> f
 def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> MetricsReport:
     """All six metrics in one report; undefined metrics become NaN with their skips recorded."""
     sm = ScoreMatrix(scores, labels)
-    pos, neg = sm.labels == 1.0, sm.labels == 0.0
-    # one sort per orientation: rows (samples) for ranking loss and coverage, columns (classes) for MAP and AUC
-    row_neg, (_, row_depth) = rank_counts(sm.scores, neg, None)
-    (col_gt, col_depth), (col_pos_gt, col_hits) = rank_counts(sm.scores.T, None, pos.T)
-    col_neg = (col_gt - col_pos_gt, col_depth - col_hits)  # every label not positive is negative
-    # per row: the mis-ordered (relevant, irrelevant) pairs, and the worst rank of a relevant label
-    twice_wrong, pairs = _pair_errors(pos, neg, row_neg)
-    ranked, has = pairs > 0, pos.any(axis=1)
-    depth = np.where(pos, row_depth, 0).max(axis=1, initial=0)
+    pos = sm.labels == 1.0  # every label not positive is negative
+    (n, c), npos, npos_t = pos.shape, pos.sum(axis=1), pos.sum(axis=0)
+    # per row (sample): the mis-ordered (relevant, irrelevant) pairs, and the worst rank of a relevant label
+    twice_wrong, depth = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for rows in _row_blocks(n, c):
+        twice_wrong[rows], depth[rows], _ = _ranked_block(sm.scores[rows], pos[rows])
+    pairs, has = npos * (c - npos), npos > 0
+    ranked = pairs > 0
     # per class (a row of the transposes): precision at each positive's worst rank, and mis-ordered pairs
-    pos_t, precision = pos.T, col_hits / col_depth
-    ap = {c: float(np.mean(precision[c, pos_t[c]])) for c in range(len(pos_t)) if pos_t[c].any()}
-    twice_wrong_t, pairs_t = _pair_errors(pos_t, neg.T, col_neg)
-    auc = {c: float((pairs_t[c] - twice_wrong_t[c] / 2) / pairs_t[c]) for c in range(len(pairs_t)) if pairs_t[c]}
+    twice_wrong_t, pairs_t, ap = np.zeros(c, dtype=np.int64), npos_t * (n - npos_t), {}
+    for classes in _row_blocks(c, n):
+        twice_wrong_t[classes], _, group_precision = _ranked_block(sm.scores.T[classes], pos.T[classes])
+        precision = _spread(*group_precision).reshape(-1, n)
+        ap.update((k, float(np.mean(p[hit]))) for k, p, hit in zip(range(c)[classes], precision, pos.T[classes])
+                  if hit.any())
+    auc = {k: float((pairs_t[k] - twice_wrong_t[k] / 2) / pairs_t[k]) for k in range(c) if pairs_t[k]}
     return MetricsReport(
         ranking_loss=_mean_in_order(twice_wrong[ranked] / 2 / pairs[ranked]),
         hamming_loss=hamming_loss(sm, threshold),
@@ -240,5 +261,5 @@ def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> Me
         macro_auc=_macro_mean(auc),
         macro_gbeta=macro_gbeta(sm, beta, threshold),
         skipped=dict(zip(_SKIP_KEYS, (int((~ranked).sum()), int((~has).sum()),
-                                      len(pos_t) - len(ap), len(pairs_t) - len(auc)))),
+                                      c - len(ap), c - len(auc)))),
     )

@@ -1,10 +1,10 @@
 """Friedman rank test and Bonferroni-Dunn critical-difference comparison.
 
 Models are ranked per dataset row (rank 1 = best, tie-averaged) with the
-rank primitive the ranking metrics share, `metrics.rank_counts`, whose None
-mask counts every model of the row; `PerformanceTable` keeps its cells
-finite, as that primitive needs. The Friedman chi-square over mean ranks is
-converted to the F-form statistic
+rank primitive the ranking metrics share, `metrics.rank_counts` (one sort
+per row, one count per tie group, which each model of the group takes);
+`PerformanceTable` keeps its cells finite, as that primitive needs. The
+Friedman chi-square over mean ranks is converted to the F-form statistic
 
     F = (N - 1) * chi2 / (N * (k - 1) - chi2)
 

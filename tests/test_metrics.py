@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,19 +210,57 @@ def test_rank_counts_do_not_depend_on_the_order_within_a_tie():
                 np.testing.assert_array_equal(got_ge, want_ge[:, p])
 
 
-def test_compute_all_sorts_once_per_orientation(monkeypatch):
-    calls, rank_counts = [], m.rank_counts
+def test_compute_all_sorts_each_entry_once_per_orientation_in_blocks(monkeypatch):
+    scores, labels = random_instance(np.random.default_rng(13), n=30, c=7, quantum=0.1)
+    one_block = m.compute_all(scores, labels).to_csv_row()
+    sorted_blocks, tie_groups = [], m._tie_groups
 
-    def counting(scores, *masks):
-        calls.append((scores.shape, len(masks)))
-        return rank_counts(scores, *masks)
+    def recording(block, *masks):
+        sorted_blocks.append(np.array(block))
+        return tie_groups(block, *masks)
 
-    monkeypatch.setattr(m, "rank_counts", counting)
-    scores, labels = random_instance(np.random.default_rng(13), n=30, c=4, quantum=0.1)
+    monkeypatch.setattr(m, "_tie_groups", recording)
+    monkeypatch.setattr(m, "_BLOCK_ENTRIES", 64)  # 9 samples (the last block 3) or 2 classes a block
     report = m.compute_all(scores, labels)
-    assert calls == [((30, 4), 2), ((4, 30), 2)]
-    monkeypatch.undo()
-    assert report.to_csv_row() == m.compute_all(scores, labels).to_csv_row()
+    rows = [b for b in sorted_blocks if b.shape[1] == 7]
+    classes = [b for b in sorted_blocks if b.shape[1] == 30]
+    assert [len(b) for b in rows] == [9, 9, 9, 3]
+    assert [len(b) for b in classes] == [2, 2, 2, 1]
+    assert sum(b.size for b in sorted_blocks) == 2 * scores.size  # every entry sorted once per orientation
+    np.testing.assert_array_equal(np.concatenate(rows), scores)
+    np.testing.assert_array_equal(np.concatenate(classes), scores.T)
+    assert report.to_csv_row() == one_block
+
+
+# Rows of compute_all(np.zeros(shape) + 0.3, np.ones(shape)) with no sample, no
+# class or one class: no block, or one block of a single column.
+DEGENERATE_ROWS = {
+    (0, 5): "nan,nan,nan,nan,nan,0.0,0,0,5,5",
+    (5, 0): "nan,nan,nan,nan,nan,nan,5,5,0,0",
+    (0, 0): "nan,nan,nan,nan,nan,nan,0,0,0,0",
+    (1, 1): "nan,1.0,1.0,1.0,nan,0.0,1,0,0,1",
+    (3, 1): "nan,1.0,1.0,1.0,nan,0.0,3,0,0,1",
+}
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+@pytest.mark.parametrize("shape", list(DEGENERATE_ROWS))
+def test_compute_all_on_degenerate_shapes(shape):
+    report = m.compute_all(np.zeros(shape) + 0.3, np.ones(shape))
+    assert ",".join(report.to_csv_row()) == DEGENERATE_ROWS[shape]
+
+
+@pytest.mark.parametrize("n,c", [(64_000, 5), (16_000, 24)])
+def test_compute_all_temporaries_stay_within_a_few_score_matrices(n, c):
+    g = np.random.default_rng(15)
+    scores, labels = g.random((n, c)), (g.random((n, c)) < 0.3).astype(float)
+    tracemalloc.start()
+    try:
+        m.compute_all(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * scores.nbytes
 
 
 def test_rank_metrics_invariant_under_monotone_transform():
