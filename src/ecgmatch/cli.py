@@ -244,8 +244,8 @@ def cmd_eval(scores_path: str, labels_path: str, out_dir: str | None = None) -> 
 
 
 def _read_reports(pattern: str):
-    """(model, dataset) -> list of MetricsReport across seeds."""
-    cells: dict = {}
+    """(model, dataset) -> list of MetricsReport across seeds; a seed reported twice is a ParseError."""
+    cells, seen = {}, {}  # seen: (model, dataset, seed) -> the path:line that reported it
     paths = sorted(globmod.glob(pattern, recursive=True))
     if not paths:
         raise ConfigurationError(f"no report files match {pattern!r}")
@@ -255,10 +255,15 @@ def _read_reports(pattern: str):
         if header != REPORT_HEADER:
             raise ParseError(f"{path}: unexpected header {header}")
         for row in reader:
+            here = f"{path}:{reader.line_num}"
             try:
                 report = metrics.MetricsReport.from_csv_row(row[3:])
             except ValueError as exc:
-                raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+                raise ParseError(f"{here}: {exc}") from None
+            first = seen.setdefault(tuple(row[:3]), here)
+            if first != here:
+                raise ParseError(f"seed {row[2]} of model {row[0]!r} on dataset {row[1]!r} is reported twice, "
+                                 f"at {first} and {here}")
             cells.setdefault((row[0], row[1]), []).append(report)
     return cells
 

@@ -2,7 +2,8 @@
 
 A dataset is an (n, channels, length) signal array plus an n x C binary
 label matrix. A subset indexes the rows of one or more datasets and walks
-them in same-shape blocks. One `split` serves the three protocols:
+them in same-shape blocks, cut by `row_blocks`, which cuts every bounded
+walk of the package against one budget. One `split` serves the three protocols:
 single-dataset (`within`), multi-center pooled (`mix`) and held-out-dataset
 (`cross`) evaluation, and `split_within`, `split_mix` and `split_cross` are
 its views by name. The synthetic generator draws correlated multi-label
@@ -68,9 +69,15 @@ class Dataset:
         return self.labels.shape[1]
 
 
-# Rows per block of `Subset.blocks`: at 3x256 signals a block's augment and encode
-# temporaries stay near 1.5 MB, so a whole unlabeled pool is never stacked at once.
-_ENCODE_BLOCK = 256
+# Elements of temporaries per block of every bounded walk (`row_blocks`): about 4 MB of float64 each.
+_BLOCK_ELEMENTS = 1 << 19
+
+
+def row_blocks(n: int, row_elements: int) -> list[slice]:
+    """Consecutive slices over n rows, each of about _BLOCK_ELEMENTS elements at `row_elements`
+    per row and one row at least; none when a row holds no element."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, row_elements))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n if row_elements else 0, step)]
 
 
 @dataclass
@@ -106,13 +113,14 @@ class Subset:
 
     def blocks(self, picks):
         """(positions, signals) blocks covering subset rows `picks`: `signals[j]` is row `picks[positions[j]]`.
-        A block stacks at most _ENCODE_BLOCK rows of one source dataset, so its signals share one shape."""
+        A block stacks rows of one source dataset, so its signals share one shape, and is cut by
+        `row_blocks` at five times a row's signal elements: augment and encode hold a few copies of it."""
         picks = np.asarray(picks, dtype=int)
         for d, ds in enumerate(self.datasets):
             positions = np.flatnonzero(self.sources[picks] == d)
-            for start in range(0, len(positions), _ENCODE_BLOCK):
-                block = positions[start : start + _ENCODE_BLOCK]
-                yield block, ds.signals[self.rows[picks[block]]]
+            _, channels, length = ds.signals.shape
+            for block in row_blocks(len(positions), 5 * channels * length):
+                yield positions[block], ds.signals[self.rows[picks[positions[block]]]]
 
 
 @dataclass(frozen=True)

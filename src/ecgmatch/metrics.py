@@ -7,15 +7,16 @@ class permutations. `compute_all` is the one implementation of the four
 ranking metrics, and `ranking_loss`, `coverage`, `mean_average_precision`
 and `macro_auc` are views of its report (UndefinedMetricError where it holds
 NaN). It sorts each entry once per orientation (samples, then classes) in
-blocks of about `_BLOCK_ENTRIES` entries, a class column at least, and
-counts once per tie group: its positive labels in it and at or above it
-give every group's mis-ordered pairs, depth and precision. `rank_counts`
-spreads those group counts onto entries for any mask (None is every entry).
-No count depends on the order within a tie, so the sort need not be stable.
-Scores must be finite: NaN or +-inf raise ConfigurationError,
-since no ranking orders them consistently. Rows or classes that
-cannot support a metric (no relevant label, single-valued class column) are
-skipped, not zero-filled, and the skip counts are carried in the report.
+blocks that `data.row_blocks` cuts, at `_ENTRY_ELEMENTS` per entry and a
+class column at least, and counts once per tie group: its positive labels
+in it and at or above it give every group's mis-ordered pairs, depth and
+precision. `rank_counts` spreads those group counts onto entries for any
+mask (None is every entry). No count depends on the order within a tie, so
+the sort need not be stable. Scores must be finite: NaN or +-inf raise
+ConfigurationError, since no ranking orders them consistently. Rows or
+classes that cannot support a metric (no relevant label, single-valued
+class column) are skipped, not zero-filled, and the skip counts are carried
+in the report; a metric with nothing to average is NaN, without a warning.
 `seed_mean_std` is the one mean over seeds, for `summary.csv` and `compare`.
 """
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import row_blocks
 from .errors import ConfigurationError, UndefinedMetricError
 
 METRIC_NAMES = ("ranking_loss", "hamming_loss", "coverage", "map", "macro_auc", "macro_gbeta")
@@ -111,10 +113,6 @@ def seed_mean_std(reports) -> tuple[dict, dict]:
                 {name: float(np.nanstd(v)) for name, v in values.items()})
 
 
-# Entries the ranking metrics sort at once: 128 KiB per int64 temporary.
-_BLOCK_ENTRIES = 1 << 14
-
-
 def _tie_groups(scores: np.ndarray, *masks: np.ndarray | None):
     """Sort each row of `scores` once and cut it into tie groups (runs of equal scores).
     Returns each sorted entry's flat index, the group sizes and starts, and per mask
@@ -157,10 +155,9 @@ def rank_counts(scores: np.ndarray, *masks: np.ndarray | None) -> list:
     return [tuple(_spread(v, flat, sizes).reshape(scores.shape) for v in pair) for pair in counts]
 
 
-def _row_blocks(n: int, width: int) -> list:
-    """Slices of about _BLOCK_ENTRIES entries (at least a row) over n rows of `width`; none if it is 0."""
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
-    return [slice(lo, lo + step) for lo in range(0, n if width else 0, step)]
+# Elements of temporaries one entry of a ranking block holds, with room to spare: `_ranked_block`
+# holds ~14 per entry, and `_spread` and AP's gather add theirs. Blocks are 2^14 entries.
+_ENTRY_ELEMENTS = 32
 
 
 def _ranked_block(scores: np.ndarray, pos: np.ndarray):
@@ -183,9 +180,9 @@ def _mean_in_order(values: np.ndarray) -> float:
     return np.add.accumulate(values)[-1] / values.size if values.size else float("nan")
 
 
-def _macro_mean(per_class: dict) -> float:
-    """np.mean over the per-class values, NaN when no class was scored."""
-    return float(np.mean(list(per_class.values()))) if per_class else float("nan")
+def _mean(values) -> float:
+    """np.mean of the values, NaN without numpy's empty-slice warning when there are none."""
+    return float(np.mean(values)) if np.size(values) else float("nan")
 
 
 def _defined(value, message: str) -> float:
@@ -202,8 +199,8 @@ def ranking_loss(sm: ScoreMatrix) -> float:
 
 
 def hamming_loss(sm: ScoreMatrix, threshold: float = 0.5) -> float:
-    """Fraction of cells where the thresholded score disagrees with the label."""
-    return float(np.mean((sm.scores > threshold) != (sm.labels == 1.0)))
+    """Fraction of cells where the thresholded score disagrees with the label; NaN with no cell."""
+    return _mean((sm.scores > threshold) != (sm.labels == 1.0))
 
 
 def coverage(sm: ScoreMatrix) -> float:
@@ -231,7 +228,7 @@ def macro_gbeta(sm: ScoreMatrix, beta: float = 2.0, threshold: float = 0.5) -> f
     fp = (pred & ~truth).sum(axis=0).astype(float)
     fn = (~pred & truth).sum(axis=0).astype(float)
     denom = tp + fn + beta * fp
-    return float(np.mean(np.divide(tp, denom, out=np.zeros_like(tp), where=denom > 0)))
+    return _mean(np.divide(tp, denom, out=np.zeros_like(tp), where=denom > 0))
 
 
 def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> MetricsReport:
@@ -241,13 +238,13 @@ def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> Me
     (n, c), npos, npos_t = pos.shape, pos.sum(axis=1), pos.sum(axis=0)
     # per row (sample): the mis-ordered (relevant, irrelevant) pairs, and the worst rank of a relevant label
     twice_wrong, depth = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for rows in _row_blocks(n, c):
+    for rows in row_blocks(n, _ENTRY_ELEMENTS * c):
         twice_wrong[rows], depth[rows], _ = _ranked_block(sm.scores[rows], pos[rows])
     pairs, has = npos * (c - npos), npos > 0
     ranked = pairs > 0
     # per class (a row of the transposes): precision at each positive's worst rank, and mis-ordered pairs
     twice_wrong_t, pairs_t, ap = np.zeros(c, dtype=np.int64), npos_t * (n - npos_t), {}
-    for classes in _row_blocks(c, n):
+    for classes in row_blocks(c, _ENTRY_ELEMENTS * n):
         twice_wrong_t[classes], _, group_precision = _ranked_block(sm.scores.T[classes], pos.T[classes])
         precision = _spread(*group_precision).reshape(-1, n)
         ap.update((k, float(np.mean(p[hit]))) for k, p, hit in zip(range(c)[classes], precision, pos.T[classes])
@@ -257,8 +254,8 @@ def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> Me
         ranking_loss=_mean_in_order(twice_wrong[ranked] / 2 / pairs[ranked]),
         hamming_loss=hamming_loss(sm, threshold),
         coverage=_mean_in_order(depth[has].astype(float)),
-        map=_macro_mean(ap),
-        macro_auc=_macro_mean(auc),
+        map=_mean(list(ap.values())),
+        macro_auc=_mean(list(auc.values())),
         macro_gbeta=macro_gbeta(sm, beta, threshold),
         skipped=dict(zip(_SKIP_KEYS, (int((~ranked).sum()), int((~has).sum()),
                                       c - len(ap), c - len(auc)))),

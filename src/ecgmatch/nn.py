@@ -109,6 +109,15 @@ def _act_prime(cfg: ModelConfig, z: np.ndarray) -> np.ndarray:
     return (z > 0.0).astype(float)
 
 
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, each row with the bits it has in any product of two or more rows.
+
+    A one-row product runs as a BLAS matrix-vector product, whose last bits
+    differ; so a lone row runs as two copies of itself, and the first is kept.
+    """
+    return (np.repeat(a, 2, axis=0) @ b)[:1] if len(a) == 1 else a @ b
+
+
 def _forward_cache(cfg: ModelConfig, params: ParameterSet, batch: np.ndarray):
     x = np.asarray(batch, dtype=float)
     if x.ndim != 2:
@@ -130,7 +139,7 @@ def _forward_cache(cfg: ModelConfig, params: ParameterSet, batch: np.ndarray):
     features = None
     for idx, (w, b) in enumerate(params):
         inputs.append(a)
-        z = a @ w + b
+        z = matmul_rows(a, w) + b
         preacts.append(z)
         if idx == ne - 1:  # feature layer output stays linear
             features = z

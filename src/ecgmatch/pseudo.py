@@ -17,16 +17,16 @@ the batch path `generate_pseudo_labels`; `knn_query` and
 
 `MemoryBanks` keeps the unit-norm copy of its feature rows that the cosine
 distance reads, refreshed in `update`, and checks every bank row it is
-given. No step holds a pool-sized temporary: `_row_blocks` cuts rows into
-blocks of about `_BLOCK_ELEMENTS` elements, never a single row of several,
-since a one-row matrix product runs as a BLAS matrix-vector product with
-other last bits. `bank_init` runs the teacher forward and the bank update
-one block at a time. `_neighbors` walks the query rows once: a block's
-distances (its own rows of the cosine product), its excluded cells set to
-inf, then `_nearest`, which sorts only the entries not above a bound from
-4k column-chunk minima and equals a stable argsort of the whole row. At
-20,000 pool rows this took bank_init's traced peak from 103.0 to 43.1 MiB
-(the banks hold 39.8 MiB) and a 448-query vote's from 68.9 to 8.4 MiB.
+given. No step holds a pool-sized temporary: `data.row_blocks` cuts rows
+into blocks of about `data._BLOCK_ELEMENTS` elements. `bank_init` runs the
+teacher forward and the bank update one block at a time. `_neighbors`
+walks the query rows once: a block's distances (its own rows of the cosine
+product, through `nn.matmul_rows`, so a lone query has its batch bits),
+its excluded cells set to inf, then `_nearest`, which sorts only the
+entries not above a bound from 4k column-chunk minima and equals a stable
+argsort of the whole row. At 20,000 pool rows this took bank_init's traced
+peak from 103.0 to 43.1 MiB (the banks hold 39.8 MiB) and a 448-query
+vote's from 68.9 to 8.4 MiB.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .data import row_blocks
 from .errors import ConfigurationError, ContractViolation
 
 
@@ -100,7 +101,7 @@ def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_i
     n = len(unlabeled_inputs)
     banks = MemoryBanks(n, teacher_cfg.feature_dim, teacher_cfg.num_classes)
     # a forward pass holds each layer's input and preactivation rows until it returns
-    for rows in _row_blocks(n, sum(map(sum, teacher_cfg.layer_sizes()))):
+    for rows in row_blocks(n, sum(map(sum, teacher_cfg.layer_sizes()))):
         banks.update(np.arange(rows.start, rows.stop), *nn.forward(teacher_cfg, teacher, unlabeled_inputs[rows]))
     return banks
 
@@ -110,26 +111,6 @@ def bank_update(banks: MemoryBanks, indices, teacher_cfg: nn.ModelConfig,
     """Refresh the addressed rows with the teacher's view of the current mini-batch."""
     banks.update(indices, *nn.forward(teacher_cfg, teacher, batch))
     return banks
-
-
-# Elements per block of rows, for the teacher's pool pass, the euclidean
-# difference tensor or the cosine distances, and for the ranking's candidate
-# scan: about 4 MB of float64 per temporary.
-_BLOCK_ELEMENTS = 1 << 19
-
-
-def _row_blocks(n: int, row_elements: int) -> list[slice]:
-    """Consecutive slices over n rows, each about _BLOCK_ELEMENTS elements of `row_elements` per row.
-
-    No slice is a single row unless n is 1. A one-row matrix product runs
-    as a BLAS matrix-vector product, whose last bits differ from the whole
-    product's; a block of two or more rows keeps them. So a row wider than
-    the budget goes two at a time, and a lone last row joins the block
-    before it.
-    """
-    step = max(2, _BLOCK_ELEMENTS // max(1, row_elements))
-    starts = list(range(0, n - (n > 1), step))  # no block starts at the last of several rows
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -178,12 +159,12 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
     euclidean = cfg.distance == "euclidean"
     unit_q = None if euclidean else _unit_rows(queries)  # a zero vector has cosine similarity 0
     out = np.empty((n, cfg.k), dtype=np.intp)
-    for rows in _row_blocks(n, n_bank * d if euclidean else n_bank):
+    for rows in row_blocks(n, n_bank * d if euclidean else n_bank):
         if euclidean:
             diff = queries[rows, None, :] - banks.features[None, :, :]
             dist = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=2))
         else:  # cosine distance 1 - s
-            dist = unit_q[rows] @ banks.unit_features.T
+            dist = nn.matmul_rows(unit_q[rows], banks.unit_features.T)
             np.subtract(1.0, dist, out=dist)
         if exclude is not None:
             dist[np.arange(len(dist)), exclude[rows]] = np.inf
@@ -224,10 +205,7 @@ def generate_pseudo_labels(banks: MemoryBanks, query_features: np.ndarray, cfg: 
     exhaustive stable sort of that row's distances (ties toward lower bank
     indices). With cfg.exclude_self, `self_indices` names each query's own
     bank row, which is skipped; leaving it out, or giving other than one
-    integer row in [0, banks.size) per query, is a ContractViolation. A lone query
-    through knn_query can rank near-ties differently: its cosine product
-    runs as a BLAS matrix-vector product, whose last bits differ from the
-    batched matrix product's.
+    integer row in [0, banks.size) per query, is a ContractViolation.
     """
     queries = np.asarray(query_features, dtype=float)
     if cfg.exclude_self and self_indices is None:

@@ -548,6 +548,17 @@ def test_compare_malformed_report_row_exits_2_naming_the_line(tmp_path, capsys, 
     assert "r1.csv:6:" in capsys.readouterr().err
 
 
+def test_compare_a_seed_reported_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    """Two files holding one seed of a cell (a glob over a copied run directory) would be averaged."""
+    for j, model in enumerate(["ecgmatch", "other"]):
+        _write_reports(tmp_path / f"r{j}.csv", model, {"a": 0.5 - 0.1 * j, "b": 0.5 - 0.1 * j})
+    (tmp_path / "copy").mkdir()
+    _write_seed_reports(tmp_path / "copy" / "r0.csv", "ecgmatch", {"a": [[0.1] * 6]})  # seed 0 of (ecgmatch, a)
+    assert main(["compare", "--reports", str(tmp_path / "**" / "r*.csv"), "--control", "ecgmatch"]) == 2
+    assert (f"seed 0 of model 'ecgmatch' on dataset 'a' is reported twice, at {tmp_path / 'copy' / 'r0.csv'}:2 "
+            f"and {tmp_path / 'r0.csv'}:2") in capsys.readouterr().err
+
+
 def test_compare_on_undecodable_reports_exits_2_naming_the_path(tmp_path, capsys):
     _write_reports(tmp_path / "r0.csv", "m0", {"d1": 0.5, "d2": 0.5})
     bad = tmp_path / "r1.csv"

@@ -702,18 +702,32 @@ def test_encode_subset_rejects_pool_len_below_1(pool_len):
 def test_encode_subset_ragged_list_longer_than_one_block_keeps_row_order():
     """Shuffled rows of three lengths, encoded block by block of `Subset.blocks` and put back in order."""
     g = np.random.default_rng(21)
-    sizes, lengths = (360, 100, 52), (256, 300, 17)  # the 256-sample rows span two blocks
+    sizes, lengths = (360, 100, 52), (256, 300, 17)  # the 256-sample rows span three blocks
     datasets = [Dataset(g.normal(size=(n, 3, length)), np.zeros((n, 5))) for n, length in zip(sizes, lengths)]
     subset = Subset(datasets, np.repeat([0, 1, 2], sizes), np.concatenate([np.arange(n) for n in sizes]))
     picks = g.permutation(len(subset))
     got = np.full((len(picks), 96), np.nan)
     blocks = list(subset.blocks(picks))
-    assert max(len(p) for p, _ in blocks) == data._ENCODE_BLOCK and len(blocks) == 4
+    assert max(len(p) for p, _ in blocks) == data._BLOCK_ELEMENTS // (5 * 3 * 256) and len(blocks) == 5
     for positions, signals in blocks:
         got[positions] = encode_subset(signals, 32)
     want = np.vstack([_preprocess_reference(datasets[d].signals[i], 32)
                       for d, i in zip(subset.sources[picks], subset.rows[picks])])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("row_elements", [1, data._BLOCK_ELEMENTS // 3, data._BLOCK_ELEMENTS,
+                                          10 * data._BLOCK_ELEMENTS])  # a row wider than the budget
+def test_row_blocks_cover_the_rows_in_order_within_the_budget(row_elements):
+    step = max(1, data._BLOCK_ELEMENTS // row_elements)
+    for n in range(12):
+        blocks = data.row_blocks(n, row_elements)
+        bounds = [0] + [b.stop for b in blocks]
+        assert [b.start for b in blocks] == bounds[:-1] and bounds[-1] == n
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(size == step for size in sizes[:-1]) and all(1 <= size <= step for size in sizes)
+        assert all(size == 1 or size * row_elements <= data._BLOCK_ELEMENTS for size in sizes)
+        assert data.row_blocks(n, 0) == []  # a row of no element: nothing to walk
 
 
 def test_subset_rejects_pooled_channel_counts_and_ragged_datasets():

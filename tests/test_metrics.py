@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ecgmatch import data
 from ecgmatch import metrics as m
 from ecgmatch.errors import ConfigurationError, UndefinedMetricError
 
@@ -220,7 +221,7 @@ def test_compute_all_sorts_each_entry_once_per_orientation_in_blocks(monkeypatch
         return tie_groups(block, *masks)
 
     monkeypatch.setattr(m, "_tie_groups", recording)
-    monkeypatch.setattr(m, "_BLOCK_ENTRIES", 64)  # 9 samples (the last block 3) or 2 classes a block
+    monkeypatch.setattr(data, "_BLOCK_ELEMENTS", 64 * m._ENTRY_ELEMENTS)  # 9 samples (the last block 3) or 2 classes
     report = m.compute_all(scores, labels)
     rows = [b for b in sorted_blocks if b.shape[1] == 7]
     classes = [b for b in sorted_blocks if b.shape[1] == 30]
@@ -233,7 +234,8 @@ def test_compute_all_sorts_each_entry_once_per_orientation_in_blocks(monkeypatch
 
 
 # Rows of compute_all(np.zeros(shape) + 0.3, np.ones(shape)) with no sample, no
-# class or one class: no block, or one block of a single column.
+# class or one class: no block, or one block of a single column. With no sample,
+# macro_gbeta scores each class's empty denominator 0, so (0, C) reports 0.0.
 DEGENERATE_ROWS = {
     (0, 5): "nan,nan,nan,nan,nan,0.0,0,0,5,5",
     (5, 0): "nan,nan,nan,nan,nan,nan,5,5,0,0",
@@ -243,7 +245,7 @@ DEGENERATE_ROWS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")  # an undefined metric is NaN without numpy's warnings
 @pytest.mark.parametrize("shape", list(DEGENERATE_ROWS))
 def test_compute_all_on_degenerate_shapes(shape):
     report = m.compute_all(np.zeros(shape) + 0.3, np.ones(shape))

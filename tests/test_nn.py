@@ -93,6 +93,17 @@ def test_forward_with_huge_weights_saturates_without_overflow():
     np.testing.assert_array_equal(probs, _expit_reference(preacts[-1]))
 
 
+def test_a_one_row_forward_equals_its_row_of_a_batch_bit_for_bit():
+    """A lone row runs through `nn.matmul_rows`, not as a BLAS matrix-vector product with other last bits."""
+    cfg = nn.ModelConfig(input_dim=96, num_classes=5, hidden_dims=(128,))
+    params = nn.init_params(cfg, np.random.default_rng(6))
+    x = np.random.default_rng(7).normal(size=(64, cfg.input_dim))
+    features, probs = nn.forward(cfg, params, x)
+    for i in range(len(x)):
+        one_features, one_probs = nn.forward(cfg, params, x[i : i + 1])
+        assert np.array_equal(one_features, features[i : i + 1]) and np.array_equal(one_probs, probs[i : i + 1])
+
+
 def test_forward_shape_mismatch_raises():
     cfg = small_cfg()
     params = nn.init_params(cfg, np.random.default_rng(0))

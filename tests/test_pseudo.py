@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ecgmatch import nn, pseudo
+from ecgmatch import data, nn, pseudo
 from ecgmatch.errors import ConfigurationError, ContractViolation
 
 from oracles import knn_oracle
@@ -355,10 +355,10 @@ def test_cosine_vote_at_default_bank_size_equals_a_per_call_normalised_argsort(e
 @pytest.mark.parametrize("distance, d", [("cosine", 16), ("euclidean", 4)])
 @pytest.mark.parametrize("exclude_self", [False, True])
 def test_neighbors_over_several_blocks_equal_a_stable_argsort(distance, d, exclude_self):
-    """2 * step + 1 query rows at the default bank size: a whole block, then one with the lone last row."""
+    """2 * step + 1 query rows at the default bank size: two whole blocks, then the lone last row."""
     g = np.random.default_rng(22)
     n_bank, k = 6080, 10
-    step = pseudo._BLOCK_ELEMENTS // (n_bank * d if distance == "euclidean" else n_bank)
+    step = data._BLOCK_ELEMENTS // (n_bank * d if distance == "euclidean" else n_bank)
     assert step >= 2  # each whole block holds several rows, with an exclusion each
     n = 2 * step + 1
     banks = _random_banks(g, n_bank, d, 5)
@@ -405,19 +405,6 @@ def test_nearest_equals_a_stable_argsort_across_blocks(k, m):
         assert np.isnan(dist[200, want[200, 3:]]).all()
 
 
-@pytest.mark.parametrize("row_elements", [1, pseudo._BLOCK_ELEMENTS // 3, pseudo._BLOCK_ELEMENTS,
-                                          10 * pseudo._BLOCK_ELEMENTS])  # a row wider than the budget
-def test_row_blocks_cover_the_rows_in_order_and_never_cut_one_row_of_several(row_elements):
-    step = max(2, pseudo._BLOCK_ELEMENTS // row_elements)
-    for n in range(12):
-        blocks = pseudo._row_blocks(n, row_elements)
-        bounds = [0] + [b.stop for b in blocks]
-        assert [b.start for b in blocks] == bounds[:-1] and bounds[-1] == n
-        sizes = [b.stop - b.start for b in blocks]
-        assert all(2 <= size <= step for size in sizes[:-1])
-        assert sizes[-1:] in ([], [1]) if n < 2 else 2 <= sizes[-1] <= step + 1
-
-
 def _ranked_distances(monkeypatch, banks, queries, cfg, exclude):
     """The distance blocks `_neighbors` hands its ranking, in order."""
     blocks, nearest = [], pseudo._nearest
@@ -429,19 +416,20 @@ def _ranked_distances(monkeypatch, banks, queries, cfg, exclude):
 @pytest.mark.parametrize("distance, d", [("cosine", 128), ("euclidean", 8)])
 @pytest.mark.parametrize("extra", [None, 0, 1, 2])  # one query, or 2 * step + extra queries
 def test_blocked_distances_equal_the_whole_matrix_bit_for_bit(monkeypatch, distance, d, extra):
-    """Compares values, not ranks: a one-row product block (a BLAS matrix-vector
-    product) differs in last bits that rarely change a rank."""
+    """Compares values, not ranks. A lone query, and a lone last row of a block walk, has
+    its row's bits of a batched product (`nn.matmul_rows`), not a matrix-vector product's."""
     g = np.random.default_rng(23)
     n_bank = 6080
-    step = pseudo._BLOCK_ELEMENTS // (n_bank * d if distance == "euclidean" else n_bank)
+    step = data._BLOCK_ELEMENTS // (n_bank * d if distance == "euclidean" else n_bank)
     n = 1 if extra is None else 2 * step + extra
     banks = _random_banks(g, n_bank, d, 5)
     queries = g.normal(size=(n, d))
     own = g.choice(n_bank, n, replace=False)
     blocks = _ranked_distances(monkeypatch, banks, queries, pseudo.KnnConfig(distance=distance), own)
     assert len(blocks) == 1 if extra is None else len(blocks) > 1
-    if distance == "cosine":
-        want = 1.0 - pseudo._unit_rows(queries) @ banks.unit_features.T
+    if distance == "cosine":  # a lone query's reference is its row of a batch
+        batch = queries if n > 1 else np.vstack([queries, g.normal(size=(63, d))])
+        want = (1.0 - pseudo._unit_rows(batch) @ banks.unit_features.T)[:n]
     else:
         want = _reference_distances(banks.features, queries, distance)
     want[np.arange(n), own] = np.inf
@@ -457,7 +445,7 @@ def _wide_model(seed):
 @pytest.mark.parametrize("extra", [0, 1, 2])
 def test_bank_init_over_several_blocks_equals_one_whole_pool_forward_bit_for_bit(monkeypatch, extra):
     cfg, params = _wide_model(24)
-    step = pseudo._BLOCK_ELEMENTS // sum(map(sum, cfg.layer_sizes()))
+    step = data._BLOCK_ELEMENTS // sum(map(sum, cfg.layer_sizes()))
     x = np.random.default_rng(25).normal(size=(2 * step + extra, cfg.input_dim))
     features, predictions = nn.forward(cfg, params, x)
     rows, forward = [], nn.forward
@@ -478,7 +466,7 @@ def test_bank_init_and_the_vote_hold_one_block_of_temporaries_not_the_pool():
     x = g.normal(size=(n, cfg.input_dim))
     queries = g.normal(size=(n_queries, cfg.feature_dim))
     own = g.choice(n, n_queries, replace=False)
-    block_bytes = pseudo._BLOCK_ELEMENTS * 8
+    block_bytes = data._BLOCK_ELEMENTS * 8
     tracemalloc.start()
     try:
         banks = pseudo.bank_init(cfg, params, x)

@@ -1,4 +1,6 @@
 import hashlib
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,7 +305,7 @@ def test_threshold_step_alpha_is_binary(monkeypatch):
 def test_fused_augment_encode_equals_augment_then_encode(strong):
     """`_inputs` over a pool of three signal lengths equals augmenting and encoding each row alone."""
     g = np.random.default_rng(12)
-    sizes, lengths = (300, 150, 150), (256, 64, 9)  # the 256-sample rows span two blocks
+    sizes, lengths = (300, 150, 150), (256, 64, 9)  # the 256-sample rows span three blocks
     datasets = [Dataset(g.normal(size=(n, 3, length)), np.zeros((n, 5))) for n, length in zip(sizes, lengths)]
     pool = Subset(datasets, np.repeat([0, 1, 2], sizes), np.concatenate([np.arange(n) for n in sizes]))
     picks = g.integers(0, len(pool), size=500)  # with repeats, as unlabeled batches may draw
@@ -316,6 +318,22 @@ def test_fused_augment_encode_equals_augment_then_encode(strong):
         for p, i in enumerate(picks)])
     got = _inputs(pool, picks, cfg, stream, strong=strong)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_strong_inputs_of_long_multi_lead_signals_hold_a_block_not_the_batch():
+    """32 rows of 12x5000 signals (15 MiB): a block is cut by signal elements, not row count,
+    so augment and encode hold a row or so at a time. At 256 rows a block it was ~56 MiB."""
+    g = np.random.default_rng(13)
+    pool = Subset([Dataset(g.normal(size=(32, 12, 5000)), np.zeros((32, 5)))], np.zeros(32), np.arange(32))
+    cfg, stream = quick_cfg(pool_len=32), RandomStream(6, (_NS_STEP, 2))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        _inputs(pool, np.arange(32), cfg, stream, strong=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20 and time.perf_counter() - start < 1.0
 
 
 def test_model_width_is_channels_times_pool_len():
