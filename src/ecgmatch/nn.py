@@ -15,6 +15,12 @@ unsupervised binary cross-entropy against soft pseudo-targets, and a
 Frobenius alignment penalty between label correlation matrices; `backward`
 returns its analytic gradient, which is validated against central finite
 differences in the test suite.
+
+A forward pass records one array per layer: its input (the batch, then each
+layer's output, activated or linear). The head's pre-sigmoid output is not
+kept. Backpropagation reads each activation's derivative off that layer's
+recorded output, and `_activated` is the one rule for which layers stay
+linear (the feature layer and the head output).
 """
 
 from __future__ import annotations
@@ -102,11 +108,14 @@ def _act(cfg: ModelConfig, z: np.ndarray) -> np.ndarray:
     return np.tanh(z) if cfg.activation == "tanh" else np.maximum(z, 0.0)
 
 
-def _act_prime(cfg: ModelConfig, z: np.ndarray) -> np.ndarray:
-    if cfg.activation == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0.0).astype(float)
+def _act_prime(cfg: ModelConfig, a: np.ndarray) -> np.ndarray:
+    """The activation's derivative, read off its output a: relu's a > 0 is z > 0, tanh's 1 - a^2."""
+    return 1.0 - a * a if cfg.activation == "tanh" else (a > 0.0).astype(float)
+
+
+def _activated(cfg: ModelConfig, idx: int) -> bool:
+    """Whether layer idx passes the activation: the feature layer and the head output stay linear."""
+    return idx not in (cfg.n_extractor_layers - 1, cfg.n_extractor_layers + 1)
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,6 +128,7 @@ def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _forward_cache(cfg: ModelConfig, params: ParameterSet, batch: np.ndarray):
+    """(probs, inputs): inputs[i] is layer i's input, so inputs[n_extractor_layers] the features."""
     x = np.asarray(batch, dtype=float)
     if x.ndim != 2:
         raise ConfigurationError(f"batch must be 2-D, got shape {x.shape}")
@@ -133,50 +143,37 @@ def _forward_cache(cfg: ModelConfig, params: ParameterSet, batch: np.ndarray):
     if x.shape[1] != cfg.input_dim:
         raise ConfigurationError(f"batch width {x.shape[1]} != input_dim {cfg.input_dim}")
 
-    ne = cfg.n_extractor_layers
-    inputs, preacts = [], []
-    a = x
-    features = None
+    inputs, a = [], x
     for idx, (w, b) in enumerate(params):
         inputs.append(a)
-        z = matmul_rows(a, w) + b
-        preacts.append(z)
-        if idx == ne - 1:  # feature layer output stays linear
-            features = z
-            a = z
-        elif idx == len(params) - 1:  # head output, sigmoid applied below
-            a = z
-        else:
-            a = _act(cfg, z)
+        a = matmul_rows(a, w) + b
+        if _activated(cfg, idx):
+            a = _act(cfg, a)
     # libm's exp, as scipy.special.expit calls it, so probabilities keep its
     # bits (np.exp rounds differently); beyond +-40 the clip below decides.
-    neg = -np.clip(preacts[-1], -40.0, 40.0)
+    neg = -np.clip(a, -40.0, 40.0)
     e = np.fromiter(map(math.exp, neg.ravel().tolist()), dtype=float, count=neg.size).reshape(neg.shape)
-    probs = np.clip(1.0 / (1.0 + e), _OPEN_UNIT, 1.0 - _OPEN_UNIT)
-    return features, probs, (inputs, preacts)
+    return np.clip(1.0 / (1.0 + e), _OPEN_UNIT, 1.0 - _OPEN_UNIT), inputs
 
 
 def forward(cfg: ModelConfig, params: ParameterSet, batch: np.ndarray):
     """Run the network; returns (features n*d, probs n*C)."""
-    features, probs, _ = _forward_cache(cfg, params, batch)
-    return features, probs
+    probs, inputs = _forward_cache(cfg, params, batch)
+    return inputs[cfg.n_extractor_layers], probs
 
 
-def _backprop(cfg: ModelConfig, params: ParameterSet, cache, d_z_out: np.ndarray, grads: ParameterSet):
+def _backprop(cfg: ModelConfig, params: ParameterSet, inputs, d_z_out: np.ndarray, grads: ParameterSet):
     """Accumulate into `grads` the gradient flowing back from the output preactivation."""
-    inputs, preacts = cache
-    ne = cfg.n_extractor_layers
     d = d_z_out
     for idx in range(len(params) - 1, -1, -1):
-        w, _ = params.layers[idx]
         gw, gb = grads.layers[idx]
         gw += inputs[idx].T @ d
         gb += d.sum(axis=0)
         if idx == 0:
             break
-        d = d @ w.T
-        if idx - 1 != ne - 1:  # the feature layer is linear, everything else activated
-            d = d * _act_prime(cfg, preacts[idx - 1])
+        d = d @ params.layers[idx][0].T
+        if _activated(cfg, idx - 1):
+            d = d * _act_prime(cfg, inputs[idx])
 
 
 def bce(probs: np.ndarray, targets: np.ndarray, alpha: np.ndarray | None = None) -> float:
@@ -261,33 +258,29 @@ def backward(cfg: ModelConfig, params: ParameterSet, batch: StepBatch, weights: 
     out = LossBreakdown()
 
     if batch.labeled_inputs is not None:
-        _, p_b, cache_b = _forward_cache(cfg, params, batch.labeled_inputs)
+        p_b, inputs_b = _forward_cache(cfg, params, batch.labeled_inputs)
         y = np.asarray(batch.labels, dtype=float)
         out.supervised = bce(p_b, y)
-        _backprop(cfg, params, cache_b, _bce_dz(p_b, y, None, p_b.size), grads)
+        _backprop(cfg, params, inputs_b, _bce_dz(p_b, y, None, p_b.size), grads)
 
-    p_strong = cache_s = None
-    if batch.strong_inputs is not None:
-        _, p_strong, cache_s = _forward_cache(cfg, params, batch.strong_inputs)
-    p_weak = cache_w = None
-    if batch.weak_inputs is not None:
-        _, p_weak, cache_w = _forward_cache(cfg, params, batch.weak_inputs)
+    # (probs, inputs) of each unlabeled view given, in stacking order: strong, then weak
+    views = [_forward_cache(cfg, params, x) for x in (batch.strong_inputs, batch.weak_inputs) if x is not None]
 
     if batch.pseudo_targets is not None:
-        if p_strong is None:
+        if batch.strong_inputs is None:
             raise ConfigurationError("pseudo targets supplied without strong inputs")
+        p_strong, inputs_s = views[0]
         t = np.asarray(batch.pseudo_targets, dtype=float)
         a = np.asarray(batch.pseudo_weights, dtype=float)
         out.unsupervised = bce(p_strong, t, a)
         if weights.lambda_u != 0.0:
             d_z = weights.lambda_u * _bce_dz(p_strong, t, a, p_strong.size)
-            _backprop(cfg, params, cache_s, d_z, grads)
+            _backprop(cfg, params, inputs_s, d_z, grads)
 
     if batch.correlation_target is not None:
-        blocks = [p for p in (p_strong, p_weak) if p is not None]
-        if not blocks:
+        if not views:
             raise ConfigurationError("alignment target supplied without unlabeled inputs")
-        stacked = np.vstack(blocks)
+        stacked = np.vstack([p for p, _ in views])
         r_u = correlation.correlation_matrix(stacked, batch.similarity)
         target = np.asarray(batch.correlation_target, dtype=float)
         if target.shape != r_u.shape:
@@ -299,13 +292,8 @@ def backward(cfg: ModelConfig, params: ParameterSet, batch: StepBatch, weights: 
             d_stacked = weights.lambda_f * correlation.correlation_matrix_backward(
                 stacked, batch.similarity, d_r
             )
-            offset = 0
-            for p, cache in ((p_strong, cache_s), (p_weak, cache_w)):
-                if p is None:
-                    continue
-                d_p = d_stacked[offset : offset + p.shape[0]]
-                _backprop(cfg, params, cache, d_p * p * (1.0 - p), grads)
-                offset += p.shape[0]
+            for (p, inputs), d_p in zip(views, np.split(d_stacked, [len(views[0][0])])):
+                _backprop(cfg, params, inputs, d_p * p * (1.0 - p), grads)
 
     out.total = total_loss(out.supervised, out.unsupervised, out.alignment, weights)
 

@@ -24,9 +24,7 @@ walks the query rows once: a block's distances (its own rows of the cosine
 product, through `nn.matmul_rows`, so a lone query has its batch bits),
 its excluded cells set to inf, then `_nearest`, which sorts only the
 entries not above a bound from 4k column-chunk minima and equals a stable
-argsort of the whole row. At 20,000 pool rows this took bank_init's traced
-peak from 103.0 to 43.1 MiB (the banks hold 39.8 MiB) and a 448-query
-vote's from 68.9 to 8.4 MiB.
+argsort of the whole row.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .correlation import normalize_columns
 from .data import row_blocks
 from .errors import ConfigurationError, ContractViolation
 
@@ -84,7 +83,7 @@ class MemoryBanks:
         self.features[rows] = features
         self.predictions[rows] = predictions
         # read back the stored rows: float64 after the cast, the last write for a repeated index
-        self.unit_features[rows] = _unit_rows(self.features[rows])
+        self.unit_features[rows] = normalize_columns(self.features[rows].T).T
 
     def _rows(self, indices, n: int) -> np.ndarray:
         """`indices` as n bank rows: integers in [0, size), else a ContractViolation."""
@@ -100,7 +99,7 @@ def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_i
     """The teacher's view of the (weak-augmented, encoded) unlabeled pool, one row block at a time."""
     n = len(unlabeled_inputs)
     banks = MemoryBanks(n, teacher_cfg.feature_dim, teacher_cfg.num_classes)
-    # a forward pass holds each layer's input and preactivation rows until it returns
+    # a forward pass holds each layer's input rows until it returns
     for rows in row_blocks(n, sum(map(sum, teacher_cfg.layer_sizes()))):
         banks.update(np.arange(rows.start, rows.stop), *nn.forward(teacher_cfg, teacher, unlabeled_inputs[rows]))
     return banks
@@ -111,12 +110,6 @@ def bank_update(banks: MemoryBanks, indices, teacher_cfg: nn.ModelConfig,
     """Refresh the addressed rows with the teacher's view of the current mini-batch."""
     banks.update(indices, *nn.forward(teacher_cfg, teacher, batch))
     return banks
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Rows of x scaled to unit norm; a zero row stays zero."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms > 0.0, norms, 1.0)
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -157,7 +150,7 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
     n = queries.shape[0]
     exclude = None if exclude is None else banks._rows(exclude, n)
     euclidean = cfg.distance == "euclidean"
-    unit_q = None if euclidean else _unit_rows(queries)  # a zero vector has cosine similarity 0
+    unit_q = None if euclidean else normalize_columns(queries.T).T  # a zero vector has cosine similarity 0
     out = np.empty((n, cfg.k), dtype=np.intp)
     for rows in row_blocks(n, n_bank * d if euclidean else n_bank):
         if euclidean:

@@ -150,9 +150,11 @@ def evaluate_model(model_cfg: nn.ModelConfig, params: nn.ParameterSet, subset: S
 
 
 def _batches(n: int, batch: int, stream: RandomStream, iters: int | None = None) -> list:
-    """One epoch's row batches of a pool of `n`: `iters` (default n // batch) slices of one
-    permutation drawn from `stream`, or `iters` draws with replacement when the pool is too small."""
+    """One epoch's row batches of a pool of `n`, each of min(batch, n) rows: `iters` (default
+    n // batch) slices of one permutation drawn from `stream`, or `iters` draws with replacement
+    when the pool is too small."""
     g = stream.generator()
+    batch = min(batch, n)
     iters = n // batch if iters is None else iters
     if n >= batch * iters:
         order = g.permutation(n)
@@ -194,11 +196,10 @@ def pretrain_teacher(labeled: Subset, val: Subset, cfg: TrainConfig) -> nn.Param
     stream = RandomStream(cfg.seed)
     params = nn.init_params(model_cfg, stream.substream(_NS_INIT))
     velocity = params.zeros_like()
-    batch_size = min(cfg.batch_labeled, len(labeled))
 
     def run_epoch(epoch):
         nonlocal params, velocity
-        batches = _batches(len(labeled), batch_size, stream.substream(_NS_PRETRAIN, epoch))
+        batches = _batches(len(labeled), cfg.batch_labeled, stream.substream(_NS_PRETRAIN, epoch))
         for it, idx in enumerate(batches):
             sub = stream.substream(_NS_PRETRAIN, epoch, it, _ROLE_LABELED) if cfg.pretrain_augment else None
             batch = nn.StepBatch(labeled_inputs=_inputs(labeled, idx, cfg, sub), labels=labeled.labels[idx])
@@ -285,15 +286,14 @@ def ssl_train(splits: SplitResult, cfg: TrainConfig, teacher: nn.ParameterSet):
     state = init_train_state(splits.labeled, splits.unlabeled, cfg, teacher)
     stream = RandomStream(cfg.seed)
     n_lab, n_unlab = len(splits.labeled), len(splits.unlabeled)
-    batch_size = min(cfg.batch_labeled, n_lab)
     history = [{"step": 0, "epoch": 0, "lb": "", "lu": "", "lf": "", "lr": "", "val_metric": ""}]
 
     def run_epoch(epoch):
         if epoch == 0:
             return state.student
-        labeled_rows = _batches(n_lab, batch_size, stream.substream(_NS_LABELED_ORDER, epoch))
-        unlabeled_rows = _batches(n_unlab, min(cfg.batch_unlabeled, n_unlab),
-                                  stream.substream(_NS_UNLABELED_ORDER, epoch), len(labeled_rows))
+        labeled_rows = _batches(n_lab, cfg.batch_labeled, stream.substream(_NS_LABELED_ORDER, epoch))
+        unlabeled_rows = _batches(n_unlab, cfg.batch_unlabeled, stream.substream(_NS_UNLABELED_ORDER, epoch),
+                                  len(labeled_rows))
         for lab, unlab in zip(labeled_rows, unlabeled_rows):
             last = train_step(state, lab, unlab, cfg)
             history.append({"step": state.step, "epoch": epoch,

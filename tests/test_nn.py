@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -72,8 +74,8 @@ def test_forward_probabilities_equal_scipy_expit_bit_for_bit():
         x = np.clip(g.standard_normal((25_000, k)) * 10.0 ** g.integers(-3, 3, (25_000, k)), -700.0, 700.0)
         x.ravel()[:: 97] = g.choice(specials, size=x.ravel()[:: 97].size)
         _, probs = nn.forward(cfg, params, x)
-        _, _, (_, preacts) = nn._forward_cache(cfg, params, x)
-        z = preacts[-1]
+        _, inputs = nn._forward_cache(cfg, params, x)
+        z = nn.matmul_rows(inputs[-1], params.layers[-1][0]) + params.layers[-1][1]
         np.testing.assert_array_equal(z[:, :k], x)
         np.testing.assert_array_equal(probs, _expit_reference(z))  # NaN where z is NaN
         assert np.isnan(probs[:, -1]).all() and (probs[:, k:k + 2] == [1.0 - 1e-12, 1e-12]).all()
@@ -88,9 +90,10 @@ def test_forward_with_huge_weights_saturates_without_overflow():
     params.layers[-1] = (w * 1e6, b)
     x = np.random.default_rng(5).normal(size=(64, 6))
     _, probs = nn.forward(cfg, params, x)
-    _, _, (_, preacts) = nn._forward_cache(cfg, params, x)
-    assert np.abs(preacts[-1]).max() > 710.0  # math.exp would overflow here unclipped
-    np.testing.assert_array_equal(probs, _expit_reference(preacts[-1]))
+    _, inputs = nn._forward_cache(cfg, params, x)
+    z = nn.matmul_rows(inputs[-1], params.layers[-1][0]) + b
+    assert np.abs(z).max() > 710.0  # math.exp would overflow here unclipped
+    np.testing.assert_array_equal(probs, _expit_reference(z))
 
 
 def test_a_one_row_forward_equals_its_row_of_a_batch_bit_for_bit():
@@ -254,6 +257,20 @@ def test_backward_loss_identity():
     w = nn.LossWeights(0.6, 1.2)
     breakdown, _ = nn.backward(cfg, params, batch, w)
     assert breakdown.total == breakdown.supervised + 0.6 * breakdown.unsupervised + 1.2 * breakdown.alignment
+
+
+@pytest.mark.parametrize("activation, digest", [("relu", "2f80697a1428bf3a"), ("tanh", "a55ca57113ee560e")])
+def test_backward_loss_and_gradient_bytes_are_pinned(activation, digest):
+    """All three loss terms on one fixed batch: the breakdown and every gradient array keep their bits."""
+    cfg = small_cfg(activation=activation)
+    params = nn.init_params(cfg, np.random.default_rng(15))
+    breakdown, grads = nn.backward(cfg, params, _composite_batch(cfg, seed=16), nn.LossWeights(0.6, 1.2))
+    h = hashlib.sha256(np.array([breakdown.supervised, breakdown.unsupervised, breakdown.alignment,
+                                 breakdown.total]).tobytes())
+    for gw, gb in grads:
+        h.update(gw.tobytes())
+        h.update(gb.tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_sgd_momentum_zero_is_plain_descent():

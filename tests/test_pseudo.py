@@ -429,7 +429,7 @@ def test_blocked_distances_equal_the_whole_matrix_bit_for_bit(monkeypatch, dista
     assert len(blocks) == 1 if extra is None else len(blocks) > 1
     if distance == "cosine":  # a lone query's reference is its row of a batch
         batch = queries if n > 1 else np.vstack([queries, g.normal(size=(63, d))])
-        want = (1.0 - pseudo._unit_rows(batch) @ banks.unit_features.T)[:n]
+        want = (1.0 - _unit_reference(batch) @ banks.unit_features.T)[:n]
     else:
         want = _reference_distances(banks.features, queries, distance)
     want[np.arange(n), own] = np.inf

@@ -3,10 +3,11 @@
 Runs the tier-1 suite (pytest from the repository root, as ROADMAP.md gives
 it) in this process under `sys.settrace`, records the lines run in the
 package's own modules, and prints `path:line` for every raise statement whose
-first line never ran, in file order. It is a report, not a gate: the exit
-code is pytest's. Code that a test runs in another process (a fresh
-interpreter, a gridsearch worker) is not traced, so a raise reached only
-there is listed. Tracing slows the suite about twofold.
+first line never ran, in file order. It exits 1 when it prints a line, and
+with pytest's exit code otherwise, so "every raise is reached by a tier-1
+test" is checked by the exit code. Code that a test runs in another process
+(a fresh interpreter, a gridsearch worker) is not traced, so a raise reached
+only there is listed. Tracing slows the suite about twofold.
 
     python tools/unreached_raises.py [extra pytest arguments]
 """
@@ -58,11 +59,11 @@ def main(argv: list[str]) -> int:
     for name, lines in executed.items():
         if lines is not None:
             run.setdefault(Path(name).resolve(), set()).update(lines)
-    for path in sorted(PACKAGE.glob("*.py")):
-        for line in raise_lines(path):
-            if line not in run.get(path, ()):
-                print(f"{path.relative_to(ROOT)}:{line}")
-    return int(code)
+    unreached = [f"{path.relative_to(ROOT)}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+                 for line in raise_lines(path) if line not in run.get(path, ())]
+    for entry in unreached:
+        print(entry)
+    return 1 if unreached else int(code)
 
 
 if __name__ == "__main__":
