@@ -569,9 +569,13 @@ def encode_subset(signals, pool_len: int = 32) -> np.ndarray:
     as a C-ordered array (a copy only if it is not one already), so every
     reduction runs along the contiguous time axis of one row and the output
     equals per-signal encoding bit for bit, whatever the input's layout.
-    Bins are pooled one width at a time: `np.take` gathers the bins of one
-    width as a contiguous (n, channels, bins, width) array, whose mean sums
-    each bin in the order a slice of it would.
+    The channels are centred into one array and divided by their std in
+    place (into a zero-filled copy only when a channel is constant or NaN).
+    When pool_len equal bins tile the row, each bin is a contiguous run of
+    the z-scored row, so a reshape pools them without a copy. Otherwise
+    bins are pooled one width at a time: `np.take` gathers the bins of one
+    width as a contiguous (n, channels, bins, width) array. Either way each
+    bin's mean sums it in the order a slice of it would.
     """
     if pool_len < 1:
         raise ConfigurationError(f"pool_len must be at least 1, got {pool_len}")
@@ -580,9 +584,14 @@ def encode_subset(signals, pool_len: int = 32) -> np.ndarray:
     edges = np.linspace(0, length, pool_len + 1).astype(int)
     lo = edges[:-1]
     width = np.maximum(edges[1:] - lo, 1)
-    d = x - x.mean(axis=2, keepdims=True)
-    std = np.sqrt(np.multiply(d, d).sum(axis=2, keepdims=True) / length)  # x.std's own steps
-    z = np.divide(d, std, out=np.zeros_like(d), where=std > 0.0)
+    z = x - x.mean(axis=2, keepdims=True)
+    std = np.sqrt(np.multiply(z, z).sum(axis=2, keepdims=True) / length)  # x.std's own steps
+    if (std > 0.0).all():
+        z /= std
+    else:  # constant and NaN channels become zeros
+        z = np.divide(z, std, out=np.zeros_like(z), where=std > 0.0)
+    if length == pool_len * width[0]:  # equal bins tile the row: the gather's layout, as a view
+        return z.reshape(n, channels * pool_len, width[0]).mean(axis=2)
     pooled = np.empty((n, channels, pool_len))
     for w in np.unique(width):
         bins = np.flatnonzero(width == w)

@@ -258,6 +258,8 @@ def backward(cfg: ModelConfig, params: ParameterSet, batch: StepBatch, weights: 
     out = LossBreakdown()
 
     if batch.labeled_inputs is not None:
+        if batch.labels is None:
+            raise ConfigurationError("labeled inputs supplied without labels")
         p_b, inputs_b = _forward_cache(cfg, params, batch.labeled_inputs)
         y = np.asarray(batch.labels, dtype=float)
         out.supervised = bce(p_b, y)
@@ -269,6 +271,8 @@ def backward(cfg: ModelConfig, params: ParameterSet, batch: StepBatch, weights: 
     if batch.pseudo_targets is not None:
         if batch.strong_inputs is None:
             raise ConfigurationError("pseudo targets supplied without strong inputs")
+        if batch.pseudo_weights is None:
+            raise ConfigurationError("pseudo targets supplied without pseudo weights")
         p_strong, inputs_s = views[0]
         t = np.asarray(batch.pseudo_targets, dtype=float)
         a = np.asarray(batch.pseudo_weights, dtype=float)

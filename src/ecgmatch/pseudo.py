@@ -20,11 +20,14 @@ distance reads, refreshed in `update`, and checks every bank row it is
 given. No step holds a pool-sized temporary: `data.row_blocks` cuts rows
 into blocks of about `data._BLOCK_ELEMENTS` elements. `bank_init` runs the
 teacher forward and the bank update one block at a time. `_neighbors`
-walks the query rows once: a block's distances (its own rows of the cosine
-product, through `nn.matmul_rows`, so a lone query has its batch bits),
-its excluded cells set to inf, then `_nearest`, which sorts only the
-entries not above a bound from 4k column-chunk minima and equals a stable
-argsort of the whole row.
+walks the query rows once, with one distance block in flight: a block's
+distances (its own rows of the cosine product, through `nn.matmul_rows`,
+so a lone query has its batch bits; under euclidean, the bank axis is cut
+too, so one chunk's (rows, bank rows, d) difference tensor stays within
+the budget), its excluded cells set to inf, then `_nearest`, which sorts
+only the entries not above a bound from 4k column-chunk minima and equals
+a stable argsort of the whole row. Each block is released before the next
+one is formed.
 """
 
 from __future__ import annotations
@@ -153,15 +156,21 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
     unit_q = None if euclidean else normalize_columns(queries.T).T  # a zero vector has cosine similarity 0
     out = np.empty((n, cfg.k), dtype=np.intp)
     for rows in row_blocks(n, n_bank * d if euclidean else n_bank):
-        if euclidean:
-            diff = queries[rows, None, :] - banks.features[None, :, :]
-            dist = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=2))
+        if euclidean:  # each pair sums its d squares along one contiguous row, whatever the bank cut
+            q = queries[rows, None, :]
+            dist = np.empty((len(q), n_bank))
+            for cols in row_blocks(n_bank, len(q) * d):
+                diff = q - banks.features[None, cols, :]
+                np.sum(np.multiply(diff, diff, out=diff), axis=2, out=dist[:, cols])
+                del diff  # freed before the next chunk's is formed
+            np.sqrt(dist, out=dist)
         else:  # cosine distance 1 - s
             dist = nn.matmul_rows(unit_q[rows], banks.unit_features.T)
             np.subtract(1.0, dist, out=dist)
         if exclude is not None:
             dist[np.arange(len(dist)), exclude[rows]] = np.inf
         out[rows] = _nearest(dist, cfg.k)
+        del dist  # freed before the next block's is formed
     return out
 
 

@@ -677,13 +677,25 @@ def test_encode_subset_equals_per_signal_reference(channels, length, pool_len):
     g = np.random.default_rng(length)
     signals = [g.normal(loc=g.normal(), scale=5.0 * g.random() + 0.1, size=(channels, length))
                for _ in range(7)]
-    signals[2][0] = 4.0  # a constant channel
-    want = np.vstack([_preprocess_reference(x, pool_len) for x in signals])
-    assert np.array_equal(encode_subset(signals, pool_len), want)
-    assert np.array_equal(encode_subset([signals[4]], pool_len)[0], want[4])
-    reversed_view = np.stack(signals)[:, :, ::-1]  # a negative time stride
-    want = np.vstack([_preprocess_reference(x[:, ::-1].copy(), pool_len) for x in signals])
-    assert np.array_equal(encode_subset(reversed_view, pool_len), want)
+    for constant in (False, True):  # every channel varies (the in-place divide), then one does not
+        if constant:
+            signals[2][0] = 4.0
+        want = np.vstack([_preprocess_reference(x, pool_len) for x in signals])
+        assert np.array_equal(encode_subset(signals, pool_len), want)
+        assert np.array_equal(encode_subset([signals[4]], pool_len)[0], want[4])
+        reversed_view = np.stack(signals)[:, :, ::-1]  # a negative time stride
+        want = np.vstack([_preprocess_reference(x[:, ::-1].copy(), pool_len) for x in signals])
+        assert np.array_equal(encode_subset(reversed_view, pool_len), want)
+
+
+@pytest.mark.parametrize("length,pool_len", [(256, 32), (250, 32), (5, 7)])  # equal bins tile the row, or not
+def test_encode_subset_encodes_a_nan_channel_as_zeros(length, pool_len):
+    signals = np.random.default_rng(length).normal(size=(4, 3, length))
+    signals[1, 2, length // 2] = np.nan
+    out = encode_subset(signals, pool_len).reshape(4, 3, pool_len)
+    assert np.array_equal(out[1, 2], np.zeros(pool_len))
+    want = np.vstack([_preprocess_reference(x, pool_len) for x in signals]).reshape(4, 3, pool_len)
+    assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("n,channels,length,pool_len", [(3, 3, 256, 32), (4, 2, 300, 32), (3, 2, 1000, 1)])

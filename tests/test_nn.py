@@ -428,12 +428,18 @@ def test_model_config_validation():
      ConfigurationError, "pseudo targets supplied without strong inputs"),
     (lambda cfg, params: nn.backward(cfg, params, nn.StepBatch(correlation_target=np.eye(3)), nn.LossWeights()),
      ConfigurationError, "alignment target supplied without unlabeled inputs"),
+    (lambda cfg, params: nn.backward(cfg, params, nn.StepBatch(labeled_inputs=np.ones((2, 6))), nn.LossWeights()),
+     ConfigurationError, "labeled inputs supplied without labels"),
+    (lambda cfg, params: nn.backward(cfg, params, nn.StepBatch(strong_inputs=np.ones((2, 6)),
+                                                               pseudo_targets=np.zeros((2, 3))), nn.LossWeights()),
+     ConfigurationError, "pseudo targets supplied without pseudo weights"),
     (lambda cfg, params: nn.ema_update(params, params, 1.5), ConfigurationError,
      "ema momentum must be in [0, 1], got 1.5"),
     (lambda cfg, params: nn.ema_update(params, nn.ParameterSet(params.layers[1:]), 0.5), ConfigurationError,
      "teacher/student shape mismatch"),
 ], ids=["parameter-shapes", "batch-1-d", "batch-nan", "layer-count", "weight-shape", "bce-shapes",
-        "lambda-u-inf", "lambda-f-nan", "pseudo-without-strong", "alignment-without-unlabeled", "ema-momentum",
+        "lambda-u-inf", "lambda-f-nan", "pseudo-without-strong", "alignment-without-unlabeled",
+        "labeled-without-labels", "pseudo-without-weights", "ema-momentum",
         "ema-shapes"])
 def test_bad_network_inputs_raise_naming_the_fault(call, error, message):
     cfg = small_cfg()
