@@ -15,18 +15,20 @@ One ranking (`_neighbors`, over `_nearest`) and one vote (`_vote`) serve
 the batch path `generate_pseudo_labels`; `knn_query` and
 `neighbor_agreement` are one-query and one-neighbourhood views of them.
 
-`MemoryBanks` keeps the unit-norm copy of its feature rows that the cosine
-distance reads, refreshed in `update`, and checks every bank row it is
-given. No step holds a pool-sized temporary: `data.row_blocks` cuts rows
-into blocks of about `data._BLOCK_ELEMENTS` elements. `bank_init` runs the
-teacher forward and the bank update one block at a time. `_neighbors`
-walks the query rows once, with one distance block in flight: a block's
-distances (its own rows of the cosine product, through `nn.matmul_rows`,
-so a lone query has its batch bits; under euclidean, the bank axis is cut
-too, so one chunk's (rows, bank rows, d) difference tensor stays within
-the budget), its excluded cells set to inf, then `_nearest`, which sorts
-only the entries not above a bound from 4k column-chunk minima and equals
-a stable argsort of the whole row. Each block is released before the next
+`MemoryBanks` is built for one distance and stores each feature row once,
+in the space that distance ranks: scaled to unit norm for cosine (a zero
+row stays zero), as given for euclidean. `update` checks every bank row it
+is given, and `_neighbors` refuses a query under the other distance. No
+step holds a pool-sized temporary: `data.row_blocks` cuts rows into blocks
+of about `data._BLOCK_ELEMENTS` elements. `bank_init` runs the teacher
+forward and the bank update one block at a time. `_neighbors` walks the
+query rows once, with one distance block in flight: a block's distances
+(its own rows of the cosine product, through `nn.matmul_rows`, so a lone
+query has its batch bits; under euclidean, the bank axis is cut too, so
+one chunk's (rows, bank rows, d) difference tensor stays within the
+budget), its excluded cells set to inf, then `_nearest`, which sorts only
+the entries not above a bound from 4k column-chunk minima and equals a
+stable argsort of the whole row. Each block is released before the next
 one is formed.
 """
 
@@ -58,15 +60,19 @@ class KnnConfig:
 class MemoryBanks:
     """Row-aligned feature and prediction stores for the unlabeled pool.
 
-    `unit_features` holds each feature row scaled to unit norm (a zero row
-    stays zero); `update` keeps it in step with `features`.
+    `features` holds the rows that `distance` ranks, as float64: each given
+    row scaled to unit norm under cosine (a zero row stays zero), the given
+    row itself under euclidean.
     """
 
-    def __init__(self, n_unlabeled: int, feature_dim: int, num_classes: int):
+    def __init__(self, n_unlabeled: int, feature_dim: int, num_classes: int, distance: str):
         if n_unlabeled < 1:
             raise ConfigurationError("memory banks need at least one unlabeled sample")
+        if feature_dim < 1 or num_classes < 1:
+            raise ConfigurationError(f"memory banks need feature_dim and num_classes >= 1, "
+                                     f"got {feature_dim} and {num_classes}")
+        self.distance = KnnConfig(distance=distance).distance  # cosine or euclidean, else a ConfigurationError
         self.features = np.zeros((n_unlabeled, feature_dim))
-        self.unit_features = np.zeros((n_unlabeled, feature_dim))
         self.predictions = np.zeros((n_unlabeled, num_classes))
 
     @property
@@ -83,10 +89,10 @@ class MemoryBanks:
                 f"predictions for a list of n indices; got features {np.shape(features)}, "
                 f"predictions {np.shape(predictions)}")
         rows = self._rows(indices, n)
-        self.features[rows] = features
+        if self.distance == "cosine":  # C order: a row's norm sums in one order, whatever the layout given
+            features = normalize_columns(np.ascontiguousarray(features, dtype=float).T).T
+        self.features[rows] = features  # a repeated index keeps its last given row
         self.predictions[rows] = predictions
-        # read back the stored rows: float64 after the cast, the last write for a repeated index
-        self.unit_features[rows] = normalize_columns(self.features[rows].T).T
 
     def _rows(self, indices, n: int) -> np.ndarray:
         """`indices` as n bank rows: integers in [0, size), else a ContractViolation."""
@@ -98,10 +104,12 @@ class MemoryBanks:
         return rows.astype(np.intp, copy=False)
 
 
-def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_inputs: np.ndarray) -> MemoryBanks:
-    """The teacher's view of the (weak-augmented, encoded) unlabeled pool, one row block at a time."""
+def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_inputs: np.ndarray,
+              distance: str) -> MemoryBanks:
+    """The teacher's view of the (weak-augmented, encoded) unlabeled pool, one row block at a time,
+    stored for `distance`."""
     n = len(unlabeled_inputs)
-    banks = MemoryBanks(n, teacher_cfg.feature_dim, teacher_cfg.num_classes)
+    banks = MemoryBanks(n, teacher_cfg.feature_dim, teacher_cfg.num_classes, distance)
     # a forward pass holds each layer's input rows until it returns
     for rows in row_blocks(n, sum(map(sum, teacher_cfg.layer_sizes()))):
         banks.update(np.arange(rows.start, rows.stop), *nn.forward(teacher_cfg, teacher, unlabeled_inputs[rows]))
@@ -148,6 +156,8 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
     n_bank, d = banks.features.shape
     if queries.ndim != 2 or queries.shape[1] != d:
         raise ContractViolation(f"queries must be (n, {d}) rows, got {queries.shape}")
+    if cfg.distance != banks.distance:
+        raise ContractViolation(f"a {cfg.distance} query needs a {cfg.distance} bank, got a {banks.distance} one")
     if cfg.k + (exclude is not None) > n_bank:
         raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({n_bank})")
     n = queries.shape[0]
@@ -165,7 +175,7 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
                 del diff  # freed before the next chunk's is formed
             np.sqrt(dist, out=dist)
         else:  # cosine distance 1 - s
-            dist = nn.matmul_rows(unit_q[rows], banks.unit_features.T)
+            dist = nn.matmul_rows(unit_q[rows], banks.features.T)
             np.subtract(1.0, dist, out=dist)
         if exclude is not None:
             dist[np.arange(len(dist)), exclude[rows]] = np.inf

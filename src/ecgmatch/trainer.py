@@ -220,7 +220,7 @@ def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
     if weights.lambda_u > 0.0:
         stream = RandomStream(cfg.seed).substream(_NS_BANK)
         inputs = _inputs(unlabeled, np.arange(len(unlabeled)), cfg, stream)
-        banks = pseudo.bank_init(model_cfg, teacher, inputs)
+        banks = pseudo.bank_init(model_cfg, teacher, inputs, cfg.knn.distance)
     label_corr = None
     if weights.lambda_f > 0.0:
         label_corr = correlation.correlation_matrix(labeled.labels, cfg.similarity)

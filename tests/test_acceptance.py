@@ -169,13 +169,14 @@ def test_knn_bank_equivalence():
     for _ in range(100):
         n = int(g.integers(5, 201))
         d = int(g.integers(2, 33))
-        banks = pseudo.MemoryBanks(n, d, 3)
-        banks.update(np.arange(n), g.normal(size=(n, d)), g.random((n, 3)))
+        features, predictions = g.normal(size=(n, d)), g.random((n, 3))
         k = int(g.integers(1, min(n, 10) + 1))
         query = g.normal(size=d)
-        for distance in ("cosine", "euclidean"):
+        for distance in ("cosine", "euclidean"):  # a bank holds the rows of one distance
+            banks = pseudo.MemoryBanks(n, d, 3, distance)
+            banks.update(np.arange(n), features, predictions)
             got = pseudo.knn_query(banks, query, pseudo.KnnConfig(k=k, distance=distance))
-            want = knn_oracle(banks.features, banks.predictions, query, k, distance)
+            want = knn_oracle(features, predictions, query, k, distance)
             assert [i for i, _ in got] == [i for i, _ in want], distance
     _report("knn_query equals exhaustive-sort oracle (100 banks, both distances)")
 

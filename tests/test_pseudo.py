@@ -18,13 +18,21 @@ def toy_model(seed=0, input_dim=6, d=4, c=3):
 def test_bank_init_empty_pool_errors():
     cfg, params = toy_model()
     with pytest.raises(ConfigurationError):
-        pseudo.bank_init(cfg, params, np.zeros((0, 6)))
+        pseudo.bank_init(cfg, params, np.zeros((0, 6)), "cosine")
+
+
+def test_a_bank_needs_a_known_distance_and_a_positive_width():
+    """A zero-width feature row would give a euclidean vote no distance block to rank."""
+    for args in [(5, 0, 2, "euclidean"), (5, 0, 2, "cosine"), (5, 3, 0, "cosine"), (5, 3, 2, "manhattan")]:
+        with pytest.raises(ConfigurationError):
+            pseudo.MemoryBanks(*args)
 
 
 def test_bank_init_rows_match_direct_forward():
+    """A euclidean bank stores the forward pass's feature rows as they are."""
     cfg, params = toy_model()
     x = np.random.default_rng(1).normal(size=(9, 6))
-    banks = pseudo.bank_init(cfg, params, x)
+    banks = pseudo.bank_init(cfg, params, x, "euclidean")
     feats, preds = nn.forward(cfg, params, x)
     np.testing.assert_array_equal(banks.features, feats)
     np.testing.assert_array_equal(banks.predictions, preds)
@@ -34,17 +42,18 @@ def test_bank_init_rows_match_direct_forward():
 def test_bank_update_empty_index_list_is_noop():
     cfg, params = toy_model()
     x = np.random.default_rng(2).normal(size=(5, 6))
-    banks = pseudo.bank_init(cfg, params, x)
-    before = banks.features.copy(), banks.unit_features.copy(), banks.predictions.copy()
-    pseudo.bank_update(banks, [], cfg, params, np.zeros((0, 6)))
-    for got, want in zip((banks.features, banks.unit_features, banks.predictions), before):
-        np.testing.assert_array_equal(got, want)
+    for distance in ("cosine", "euclidean"):
+        banks = pseudo.bank_init(cfg, params, x, distance)
+        before = banks.features.copy(), banks.predictions.copy()
+        pseudo.bank_update(banks, [], cfg, params, np.zeros((0, 6)))
+        for got, want in zip((banks.features, banks.predictions), before):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_bank_update_locality_and_last_write_wins():
     cfg, params = toy_model()
     x = np.random.default_rng(3).normal(size=(6, 6))
-    banks = pseudo.bank_init(cfg, params, x)
+    banks = pseudo.bank_init(cfg, params, x, "euclidean")
     before = banks.features.copy()
     new_row = np.random.default_rng(4).normal(size=(1, 6))
     pseudo.bank_update(banks, [2], cfg, params, new_row)
@@ -63,7 +72,7 @@ def test_bank_update_locality_and_last_write_wins():
 
 def test_bank_update_bad_index():
     cfg, params = toy_model()
-    banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)))
+    banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)), "cosine")
     with pytest.raises(ContractViolation):
         pseudo.bank_update(banks, [4], cfg, params, np.zeros((1, 6)))
 
@@ -71,14 +80,14 @@ def test_bank_update_bad_index():
 @pytest.mark.parametrize("indices", [[1.7], np.array([1.0]), [True]])
 def test_bank_update_rows_must_be_an_integer_list(indices):
     """A float or bool row is rejected, not truncated or cast onto another row."""
-    banks = pseudo.MemoryBanks(5, 3, 2)
+    banks = pseudo.MemoryBanks(5, 3, 2, "cosine")
     with pytest.raises(ContractViolation):
         banks.update(indices, np.ones((1, 3)), np.ones((1, 2)))
-    assert not banks.features.any() and not banks.unit_features.any() and not banks.predictions.any()
+    assert not banks.features.any() and not banks.predictions.any()
 
 
 def test_bank_update_needs_one_row_per_index():
-    banks = pseudo.MemoryBanks(5, 3, 2)
+    banks = pseudo.MemoryBanks(5, 3, 2, "cosine")
     for features, predictions in [(np.ones((1, 3)), np.ones((1, 2))),  # one row, three slots
                                   (np.ones((3, 3)), np.ones((1, 2))),
                                   (np.ones((3, 4)), np.ones((3, 2))),
@@ -89,7 +98,7 @@ def test_bank_update_needs_one_row_per_index():
         banks.update([[0, 1, 2]], np.ones((3, 3)), np.ones((3, 2)))
     assert not banks.features.any() and not banks.predictions.any()
     cfg, params = toy_model()
-    banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)))
+    banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)), "cosine")
     with pytest.raises(ContractViolation):
         pseudo.bank_update(banks, [0, 1], cfg, params, np.zeros((3, 6)))
 
@@ -100,29 +109,53 @@ def _unit_reference(features):
     return features / np.where(norms > 0.0, norms, 1.0)
 
 
-def test_unit_features_equal_a_fresh_normalisation_bit_for_bit():
+def _stored(features, distance):
+    """The rows a bank for `distance` holds for the given feature rows."""
+    return _unit_reference(features) if distance == "cosine" else features
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+def test_bank_rows_equal_the_given_rows_in_their_distance_space_bit_for_bit(distance):
+    """`given` mirrors every write as float64; a cosine bank holds its fresh normalisation."""
     cfg, params = toy_model()
     g = np.random.default_rng(19)
-    banks = pseudo.bank_init(cfg, params, g.normal(size=(9, 6)))
-    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
-    pseudo.bank_update(banks, [4, 1], cfg, params, g.normal(size=(2, 6)))
-    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+    x = g.normal(size=(9, 6))
+    banks = pseudo.bank_init(cfg, params, x, distance)
+    given = nn.forward(cfg, params, x)[0]
+    assert np.array_equal(banks.features, _stored(given, distance))
+    batch = g.normal(size=(2, 6))
+    pseudo.bank_update(banks, [4, 1], cfg, params, batch)
+    given[[4, 1]] = nn.forward(cfg, params, batch)[0]
+    assert np.array_equal(banks.features, _stored(given, distance))
     last = g.normal(size=(3, 4))
     banks.update([3, 7, 3], last, g.random((3, 3)))  # a repeated index keeps its last row
-    assert np.array_equal(banks.features[3], last[2])
-    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+    given[[3, 7]] = last[[2, 1]]
+    assert np.array_equal(banks.features, _stored(given, distance))
     banks.update([0, 5], np.zeros((2, 4)), g.random((2, 3)))
-    assert not banks.unit_features[[0, 5]].any()
-    assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+    given[[0, 5]] = 0.0
+    assert not banks.features[[0, 5]].any()
+    assert np.array_equal(banks.features, _stored(given, distance))
     for rows in (g.integers(-5, 6, size=(2, 4)), g.normal(size=(2, 4)).astype(np.float32)):
-        banks.update([2, 6], rows, g.random((2, 3)))  # stored as float64, normalised as stored
-        assert np.array_equal(banks.unit_features, _unit_reference(banks.features))
+        banks.update([2, 6], rows, g.random((2, 3)))  # stored as float64
+        given[[2, 6]] = rows
+        assert np.array_equal(banks.features, _stored(given, distance))
+
+
+@pytest.mark.parametrize("bank, query", [("cosine", "euclidean"), ("euclidean", "cosine")])
+def test_a_query_under_another_distance_than_the_bank_is_a_contract_violation(bank, query):
+    g = np.random.default_rng(29)
+    banks = _random_banks(g, 12, 4, 2, bank)
+    cfg = pseudo.KnnConfig(k=3, distance=query)
+    with pytest.raises(ContractViolation, match=f"a {query} query needs a {query} bank, got a {bank} one"):
+        pseudo.generate_pseudo_labels(banks, g.normal(size=(2, 4)), cfg)
+    with pytest.raises(ContractViolation):
+        pseudo.knn_query(banks, np.zeros(4), cfg)
 
 
 @pytest.mark.parametrize("self_indices", [None, [3], [2, 5, 7], [2, -1], [2, 12], [2, 20],
                                           [2.9, 5], np.array([2.0, 5.0]), [True, False]])
 def test_a_bad_exclusion_is_a_contract_violation(self_indices):
-    banks = _random_banks(np.random.default_rng(18), 12, 4, 2)
+    banks = _random_banks(np.random.default_rng(18), 12, 4, 2, "cosine")
     cfg = pseudo.KnnConfig(k=3, distance="cosine", exclude_self=True)
     with pytest.raises(ContractViolation):
         pseudo.generate_pseudo_labels(banks, banks.features[[2, 5]], cfg, self_indices=self_indices)
@@ -131,7 +164,7 @@ def test_a_bad_exclusion_is_a_contract_violation(self_indices):
 @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
 def test_query_width_must_match_the_bank(distance):
     g = np.random.default_rng(21)
-    banks = _random_banks(g, 12, 4, 2)
+    banks = _random_banks(g, 12, 4, 2, distance)
     cfg = pseudo.KnnConfig(k=3, distance=distance)
     with pytest.raises(ContractViolation):
         pseudo.generate_pseudo_labels(banks, g.normal(size=(2, 5)), cfg)
@@ -139,15 +172,25 @@ def test_query_width_must_match_the_bank(distance):
         pseudo.knn_query(banks, np.zeros(3), cfg)
 
 
-def _random_banks(g, n, d, c):
-    banks = pseudo.MemoryBanks(n, d, c)
-    banks.update(np.arange(n), g.normal(size=(n, d)), g.random((n, c)))
+def _banks(distance, features, predictions):
+    """A bank for `distance` over every given row."""
+    banks = pseudo.MemoryBanks(len(features), features.shape[1], predictions.shape[1], distance)
+    banks.update(np.arange(len(features)), features, predictions)
     return banks
+
+
+def _random_rows(g, n, d, c):
+    """n drawn feature rows of width d and their c-class predictions."""
+    return g.normal(size=(n, d)), g.random((n, c))
+
+
+def _random_banks(g, n, d, c, distance):
+    return _banks(distance, *_random_rows(g, n, d, c))
 
 
 def test_knn_query_exact_row_and_full_bank():
     g = np.random.default_rng(7)
-    banks = _random_banks(g, 12, 5, 3)
+    banks = _random_banks(g, 12, 5, 3, "euclidean")
     target = banks.features[4]
     hits = pseudo.knn_query(banks, target, pseudo.KnnConfig(k=1, distance="euclidean"))
     assert hits[0][0] == 4
@@ -160,16 +203,17 @@ def test_knn_query_matches_bruteforce_both_distances():
     for _ in range(20):
         n = int(g.integers(10, 60))
         d = int(g.integers(2, 10))
-        banks = _random_banks(g, n, d, 4)
+        features, predictions = _random_rows(g, n, d, 4)
         query = g.normal(size=d)
         for distance in ("cosine", "euclidean"):
+            banks = _banks(distance, features, predictions)
             got = pseudo.knn_query(banks, query, pseudo.KnnConfig(k=5, distance=distance))
-            want = knn_oracle(banks.features, banks.predictions, query, 5, distance)
+            want = knn_oracle(features, predictions, query, 5, distance)
             assert [i for i, _ in got] == [i for i, _ in want]
 
 
 def test_knn_query_tie_breaks_to_lower_index():
-    banks = pseudo.MemoryBanks(4, 2, 2)
+    banks = pseudo.MemoryBanks(4, 2, 2, "euclidean")
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     banks.update(np.arange(4), rows, np.tile([[0.5, 0.5]], (4, 1)))
     hits = pseudo.knn_query(banks, np.array([1.0, 0.0]), pseudo.KnnConfig(k=3, distance="euclidean"))
@@ -178,14 +222,14 @@ def test_knn_query_tie_breaks_to_lower_index():
 
 def test_knn_query_k_too_large():
     g = np.random.default_rng(9)
-    banks = _random_banks(g, 5, 3, 2)
+    banks = _random_banks(g, 5, 3, 2, "cosine")
     with pytest.raises(ConfigurationError):
         pseudo.knn_query(banks, np.zeros(3), pseudo.KnnConfig(k=6))
 
 
 def test_knn_query_exclude_self():
     g = np.random.default_rng(10)
-    banks = _random_banks(g, 8, 3, 2)
+    banks = _random_banks(g, 8, 3, 2, "euclidean")
     hit = pseudo.knn_query(banks, banks.features[3], pseudo.KnnConfig(k=1, distance="euclidean"),
                            exclude=3)
     assert hit[0][0] != 3
@@ -196,7 +240,7 @@ def test_knn_query_exclude_self():
 def _vote_over_whole_bank(preds, seed=0):
     """generate_pseudo_labels with k equal to the bank size, so every row votes."""
     g = np.random.default_rng(seed)
-    banks = pseudo.MemoryBanks(len(preds), 3, preds.shape[1])
+    banks = pseudo.MemoryBanks(len(preds), 3, preds.shape[1], "euclidean")
     banks.update(np.arange(len(preds)), g.normal(size=(len(preds), 3)), preds)
     cfg = pseudo.KnnConfig(k=len(preds), distance="euclidean")
     targets, _ = pseudo.generate_pseudo_labels(banks, g.normal(size=(1, 3)), cfg)
@@ -249,7 +293,7 @@ def test_neighbor_agreement_monotone_in_mean_deviation():
 
 def test_generate_pseudo_labels_matches_per_query_path():
     g = np.random.default_rng(12)
-    banks = _random_banks(g, 30, 6, 4)
+    banks = _random_banks(g, 30, 6, 4, "cosine")
     queries = g.normal(size=(5, 6))
     cfg = pseudo.KnnConfig(k=7, distance="cosine")
     targets, alpha = pseudo.generate_pseudo_labels(banks, queries, cfg)
@@ -262,7 +306,7 @@ def test_generate_pseudo_labels_matches_per_query_path():
 
 def test_generate_pseudo_labels_can_exclude_own_row():
     g = np.random.default_rng(14)
-    banks = _random_banks(g, 12, 4, 2)
+    banks = _random_banks(g, 12, 4, 2, "euclidean")
     queries = banks.features[[2, 5]]
     cfg = pseudo.KnnConfig(k=1, distance="euclidean", exclude_self=True)
     # without exclusion each query's nearest neighbor is its own row
@@ -280,28 +324,27 @@ def _reference_distances(features, queries, distance):
     return 1.0 - _unit_reference(queries) @ _unit_reference(features).T
 
 
-def _tied_banks(n=40, d=3, c=4):
-    """Bank rows drawn from four distinct vectors, so distances tie heavily."""
+def _tied_rows(n=40, c=4):
+    """Feature rows drawn from four distinct vectors, so distances tie heavily, and predictions."""
     g = np.random.default_rng(15)
     protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    banks = pseudo.MemoryBanks(n, d, c)
-    banks.update(np.arange(n), protos[g.integers(0, 4, size=n)], g.random((n, c)))
-    return banks
+    return protos[g.integers(0, 4, size=n)], g.random((n, c))
 
 
 @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
 @pytest.mark.parametrize("exclude_self", [False, True])
 def test_generate_pseudo_labels_matches_oracle_under_forced_ties(distance, exclude_self):
-    banks = _tied_banks()
+    features, predictions = _tied_rows()
+    banks = _banks(distance, features, predictions)
     self_indices = np.arange(0, banks.size, 3)
-    queries = banks.features[self_indices]
+    queries = features[self_indices]
     k = 7
     cfg = pseudo.KnnConfig(k=k, distance=distance, exclude_self=exclude_self)
     targets, alpha = pseudo.generate_pseudo_labels(banks, queries, cfg, self_indices=self_indices)
-    dist = _reference_distances(banks.features, queries, distance)
+    dist = _reference_distances(features, queries, distance)
     for row, (own, q) in enumerate(zip(self_indices, queries)):
         kept = np.flatnonzero(np.arange(banks.size) != own) if exclude_self else np.arange(banks.size)
-        hits = knn_oracle(banks.features[kept], banks.predictions[kept], q, k, distance)
+        hits = knn_oracle(features[kept], predictions[kept], q, k, distance)
         order = kept[[i for i, _ in hits]]
         # more rows sit at the k-th distance than the top k holds, so ties pick the members
         kth = dist[row, order[-1]]
@@ -314,7 +357,7 @@ def test_generate_pseudo_labels_matches_oracle_under_forced_ties(distance, exclu
 def test_euclidean_distances_at_default_bank_size_match_oracle():
     g = np.random.default_rng(16)
     n_queries, n_bank, d = 448, 6080, 128
-    banks = _random_banks(g, n_bank, d, 5)
+    banks = _random_banks(g, n_bank, d, 5, "euclidean")
     queries = g.normal(size=(n_queries, d))
     cfg = pseudo.KnnConfig(k=10, distance="euclidean")
     targets, _ = pseudo.generate_pseudo_labels(banks, queries, cfg)
@@ -334,14 +377,17 @@ def test_euclidean_distances_at_default_bank_size_match_oracle():
 def test_cosine_vote_at_default_bank_size_equals_a_per_call_normalised_argsort(exclude_self):
     g = np.random.default_rng(20)
     n_queries, n_bank, d, k = 448, 6080, 128, 10
-    banks = _random_banks(g, n_bank, d, 5)
+    features, predictions = _random_rows(g, n_bank, d, 5)  # `features` mirrors every write to the bank
+    banks = _banks("cosine", features, predictions)
     for _ in range(3):  # refreshes as in training, drawn with replacement so rows repeat
-        rows = g.choice(n_bank, n_queries)
-        banks.update(rows, g.normal(size=(n_queries, d)), g.random((n_queries, 5)))
-    banks.update(np.arange(1, 200, 2), 3.0 * banks.features[:200:2], g.random((100, 5)))  # exact ties
+        rows, new = g.choice(n_bank, n_queries), g.normal(size=(n_queries, d))
+        features[rows] = new
+        banks.update(rows, new, g.random((n_queries, 5)))
+    features[1:200:2] = 3.0 * features[:200:2]  # exact ties
+    banks.update(np.arange(1, 200, 2), features[1:200:2], g.random((100, 5)))
     self_indices = g.choice(n_bank, n_queries, replace=False)
-    queries = banks.features[self_indices] + np.where(np.arange(n_queries)[:, None] % 2, 0.0, 0.1)
-    dist = 1.0 - _unit_reference(queries) @ _unit_reference(banks.features).T
+    queries = features[self_indices] + np.where(np.arange(n_queries)[:, None] % 2, 0.0, 0.1)
+    dist = 1.0 - _unit_reference(queries) @ _unit_reference(features).T
     if exclude_self:
         dist[np.arange(n_queries), self_indices] = np.inf
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
@@ -361,12 +407,14 @@ def test_neighbors_over_several_blocks_equal_a_stable_argsort(distance, d, exclu
     step = data._BLOCK_ELEMENTS // (n_bank * d if distance == "euclidean" else n_bank)
     assert step >= 2  # each whole block holds several rows, with an exclusion each
     n = 2 * step + 1
-    banks = _random_banks(g, n_bank, d, 5)
-    banks.update(np.arange(1, 200, 2), banks.features[:200:2], g.random((100, 5)))  # exact ties
+    features, predictions = _random_rows(g, n_bank, d, 5)
+    features[1:200:2] = features[:200:2]  # exact ties
+    predictions[1:200:2] = g.random((100, 5))
+    banks = _banks(distance, features, predictions)
     self_indices = g.choice(n_bank, n, replace=False)
     self_indices[::3] = g.choice(200, len(self_indices[::3]), replace=False)  # own rows with a twin
-    queries = banks.features[self_indices] + np.where(np.arange(n)[:, None] % 2, 0.0, 0.01)
-    dist = _reference_distances(banks.features, queries, distance)
+    queries = features[self_indices] + np.where(np.arange(n)[:, None] % 2, 0.0, 0.01)
+    dist = _reference_distances(features, queries, distance)
     if exclude_self:
         dist[np.arange(n), self_indices] = np.inf
     want = np.argsort(dist, axis=1, kind="stable")[:, :k]
@@ -422,16 +470,17 @@ def test_blocked_distances_equal_the_whole_matrix_bit_for_bit(monkeypatch, dista
     n_bank = 6080
     step = data._BLOCK_ELEMENTS // (n_bank * d if distance == "euclidean" else n_bank)
     n = 1 if extra is None else 2 * step + extra
-    banks = _random_banks(g, n_bank, d, 5)
+    features, predictions = _random_rows(g, n_bank, d, 5)
+    banks = _banks(distance, features, predictions)
     queries = g.normal(size=(n, d))
     own = g.choice(n_bank, n, replace=False)
     blocks = _ranked_distances(monkeypatch, banks, queries, pseudo.KnnConfig(distance=distance), own)
     assert len(blocks) == 1 if extra is None else len(blocks) > 1
     if distance == "cosine":  # a lone query's reference is its row of a batch
         batch = queries if n > 1 else np.vstack([queries, g.normal(size=(63, d))])
-        want = (1.0 - _unit_reference(batch) @ banks.unit_features.T)[:n]
+        want = (1.0 - _unit_reference(batch) @ _unit_reference(features).T)[:n]
     else:
-        want = _reference_distances(banks.features, queries, distance)
+        want = _reference_distances(features, queries, distance)
     want[np.arange(n), own] = np.inf
     assert np.array_equal(np.concatenate(blocks), want)
 
@@ -443,7 +492,7 @@ def test_euclidean_distances_cut_along_the_bank_equal_the_whole_matrix_bit_for_b
     g = np.random.default_rng(28)
     n_bank, d = 6080, 128
     assert len(data.row_blocks(n_bank, d)) >= 2
-    banks = _random_banks(g, n_bank, d, 5)
+    banks = _random_banks(g, n_bank, d, 5, "euclidean")
     queries = g.normal(size=(n, d))
     own = g.choice(n_bank, n, replace=False)
     cfg = pseudo.KnnConfig(distance="euclidean", exclude_self=True)
@@ -467,11 +516,21 @@ def test_bank_init_over_several_blocks_equals_one_whole_pool_forward_bit_for_bit
     features, predictions = nn.forward(cfg, params, x)
     rows, forward = [], nn.forward
     monkeypatch.setattr(nn, "forward", lambda *args: rows.append(len(args[2])) or forward(*args))
-    banks = pseudo.bank_init(cfg, params, x)
-    assert len(rows) > 1 and sum(rows) == len(x)
-    assert np.array_equal(banks.features, features)
-    assert np.array_equal(banks.unit_features, _unit_reference(features))
-    assert np.array_equal(banks.predictions, predictions)
+    for distance in ("cosine", "euclidean"):
+        rows.clear()
+        banks = pseudo.bank_init(cfg, params, x, distance)
+        assert len(rows) > 1 and sum(rows) == len(x)
+        assert np.array_equal(banks.features, _stored(features, distance))
+        assert np.array_equal(banks.predictions, predictions)
+
+
+def _traced_bank_init(cfg, params, x, distance):
+    """(bank, bytes it retains, peak bytes beside it) of one bank_init under tracemalloc."""
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    banks = pseudo.bank_init(cfg, params, x, distance)
+    current, peak = tracemalloc.get_traced_memory()
+    return banks, current - before, peak - current
 
 
 def test_bank_init_and_the_vote_hold_one_block_of_temporaries_not_the_pool():
@@ -486,12 +545,13 @@ def test_bank_init_and_the_vote_hold_one_block_of_temporaries_not_the_pool():
     queries = g.normal(size=(n_queries, cfg.feature_dim))
     own = g.choice(n, n_queries, replace=False)
     block_bytes = data._BLOCK_ELEMENTS * 8
+    init_peaks, vote_peaks = [], []
     tracemalloc.start()
     try:
-        banks = pseudo.bank_init(cfg, params, x)
-        _, init_peak = tracemalloc.get_traced_memory()
-        vote_peaks = []
         for distance in ("cosine", "euclidean"):
+            banks = None  # the last distance's bank is freed first
+            banks, _, init_peak = _traced_bank_init(cfg, params, x, distance)
+            init_peaks.append(init_peak)
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
             knn = pseudo.KnnConfig(distance=distance, exclude_self=True)
@@ -499,6 +559,21 @@ def test_bank_init_and_the_vote_hold_one_block_of_temporaries_not_the_pool():
             vote_peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
-    held = banks.features.nbytes + banks.unit_features.nbytes + banks.predictions.nbytes
-    assert init_peak - held < 2 * block_bytes
+    assert max(init_peaks) < 2 * block_bytes, [peak / block_bytes for peak in init_peaks]
     assert max(vote_peaks) < 1.5 * block_bytes, [peak / block_bytes for peak in vote_peaks]
+
+
+@pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+def test_a_bank_retains_one_feature_array_for_its_distance(distance):
+    """At 20,000 x 128 a second feature array would be another 20.5 MB."""
+    g = np.random.default_rng(30)
+    n = 20000
+    cfg, params = _wide_model(31)
+    x = g.normal(size=(n, cfg.input_dim))
+    tracemalloc.start()
+    try:
+        banks, retained, _ = _traced_bank_init(cfg, params, x, distance)
+    finally:
+        tracemalloc.stop()
+    assert banks.features.shape == (n, cfg.feature_dim)
+    assert retained <= n * (cfg.feature_dim + cfg.num_classes) * 8 + 2**20, retained

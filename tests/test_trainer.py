@@ -48,8 +48,10 @@ def clone_state(state):
     banks = None
     if state.banks is not None:
         banks = pseudo.MemoryBanks(state.banks.size, state.banks.features.shape[1],
-                                   state.banks.predictions.shape[1])
-        banks.update(np.arange(banks.size), state.banks.features, state.banks.predictions)
+                                   state.banks.predictions.shape[1], state.banks.distance)
+        # copied, not re-run through `update`: a stored unit row need not normalise to its own bits
+        banks.features[:] = state.banks.features
+        banks.predictions[:] = state.banks.predictions
     return trainer.TrainState(
         model_cfg=state.model_cfg,
         student=state.student.copy(),
@@ -522,3 +524,17 @@ def test_mixed_length_pooled_run_is_pinned():
         result = trainer.run_experiment(datasets, spec, cfg, [0])
         rows += [",".join(sr.report.to_csv_row()) for sr in result.per_seed]
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == "941ed6e0860bac83"
+
+
+@pytest.mark.parametrize("exclude_self, digest", [(False, "b9dd64635e05efce"), (True, "8a815a09a3cbed37")])
+def test_euclidean_run_is_pinned(exclude_self, digest):
+    """Training with knn.distance euclidean: the report row and each history row, whose
+    unlabeled losses read every vote."""
+    ds = synth_generate(SynthConfig(n_samples=240, seed=0, channels=2, signal_length=64))
+    cfg = TrainConfig(max_epochs=2, pretrain_max_epochs=2, batch_labeled=8, batch_unlabeled=64, pool_len=8,
+                      hidden_dims=(16,), feature_dim=8, head_hidden=8,
+                      knn=pseudo.KnnConfig(k=5, distance="euclidean", exclude_self=exclude_self))
+    result = trainer.run_experiment([ds], SplitSpec(protocol="within", labeled_frac=0.1), cfg, [0]).per_seed[0]
+    rows = [",".join(result.report.to_csv_row())]
+    rows += [",".join(str(row[key]) for key in sorted(row)) for row in result.history]
+    assert len(rows) == 6 and hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == digest
