@@ -41,7 +41,6 @@ class Dataset:
     signals: np.ndarray  # (n, channels, length) float
     labels: np.ndarray  # (n, C) binary
     dataset_id: str = "dataset"
-    class_names: tuple = SUPERCLASSES
 
     def __post_init__(self):
         try:
@@ -58,8 +57,8 @@ class Dataset:
             raise ConfigurationError("signal count and label rows must match")
         if not np.all((self.labels == 0.0) | (self.labels == 1.0)):
             raise ConfigurationError("labels must be binary")
-        if len(self.class_names) != self.labels.shape[1]:
-            raise ConfigurationError("class_names length must equal the label width")
+        if not self.labels.shape[1]:
+            raise ConfigurationError(f"{self.dataset_id}: labels need at least one class")
 
     def __len__(self):
         return len(self.signals)
@@ -264,8 +263,7 @@ def _load_csv(path) -> Dataset:
         n, channels, length, c = (int(v) for v in header)
     except ValueError as exc:
         raise ParseError(f"{path}:1: non-integer header field ({exc})") from None
-    if min(n, channels, length, c) < 0:
-        raise ParseError(f"{path}:1: negative header field")
+    _check_header(f"{path}:1", n, channels, length, c, bounded=False)  # a bad first row shapes an empty block
     expected = 1 + n * (1 + channels)
     if len(lines) != expected:
         raise ParseError(f"{path}: expected {expected} lines for n={n}, found {len(lines)}")
@@ -294,7 +292,7 @@ def _load_csv(path) -> Dataset:
     if errors:
         lineno, message = min(errors)
         raise ParseError(f"{path}:{lineno}: {message}")
-    return Dataset(signals.reshape(n, channels, length), labels, str(path), _default_names(c))
+    return Dataset(signals.reshape(n, channels, length), labels, str(path))
 
 
 def _load_raw(path) -> Dataset:
@@ -303,8 +301,7 @@ def _load_raw(path) -> Dataset:
         if len(head) < _RAW_HEADER.size:
             raise ParseError(f"{path}: truncated header (offset 0)")
         n, channels, length, c = _RAW_HEADER.unpack(head)
-        if min(n, channels, length, c) < 0:
-            raise ParseError(f"{path}: negative header field")
+        _check_header(path, n, channels, length, c, bounded=n > 0)
         if n and not channels * length:  # zero-byte samples: the file would not bound n
             raise ParseError(f"{path}: zero-byte signal block (channels {channels}, length {length})")
         size = os.fstat(fh.fileno()).st_size  # a block larger than the file is truncated
@@ -322,11 +319,19 @@ def _load_raw(path) -> Dataset:
     non_finite = np.flatnonzero(~np.isfinite(signals).all(axis=(1, 2)))
     if non_finite.size:
         raise ParseError(f"{path}: non-finite signal value in sample {non_finite[0]}")
-    return Dataset(signals.astype(float), labels, str(path), _default_names(c))
+    return Dataset(signals.astype(float), labels, str(path))
 
 
-def _default_names(c: int) -> tuple:
-    return SUPERCLASSES if c == len(SUPERCLASSES) else tuple(f"class_{i}" for i in range(c))
+def _check_header(where, n, channels, length, c, bounded) -> None:
+    """No header field is negative, and unless sample bytes bound them (`bounded`), numpy can shape an empty
+    label block by C and an empty signal block by channels and length; else a ParseError at `where`."""
+    if min(n, channels, length, c) < 0:
+        raise ParseError(f"{where}: negative header field")
+    try:
+        if not bounded:
+            np.empty((0, c)), np.empty((0, channels, length))
+    except ValueError:
+        raise ParseError(f"{where}: header too large to shape (channels {channels}, length {length}, C {c})") from None
 
 
 # --- annotation mapping -------------------------------------------------------
@@ -440,14 +445,15 @@ def split(datasets, spec: SplitSpec) -> SplitResult:
     test = _picks(datasets, [held]) if cross else pool[:, n_train + n_val :]
     n_lab = max(1, _count(spec.labeled_frac, n_train))
     result = SplitResult(*(Subset(datasets, *p) for p in (train[:, :n_lab], train[:, n_lab:], val, test)))
-    empty = np.flatnonzero(result.labeled.labels.sum(axis=0) == 0)
-    if empty.size:
-        names = [datasets[0].class_names[c] for c in empty]
-        warnings.warn(f"labeled split has no positives for classes {names}")
     for name in ("labeled", "val", "test"):
         if not len(getattr(result, name)):
             raise ConfigurationError(f"the {spec.protocol} split leaves the {name} set empty; "
                                      "change the split fractions or add samples")
+    empty = np.flatnonzero(result.labeled.labels.sum(axis=0) == 0)
+    if empty.size:
+        five = datasets[0].num_classes == len(SUPERCLASSES)  # five classes are the superclasses by name
+        names = [SUPERCLASSES[c] if five else f"class_{c}" for c in empty]
+        warnings.warn(f"labeled split has no positives for classes {names}")
     return result
 
 
@@ -552,7 +558,7 @@ def synth_generate(cfg: SynthConfig) -> Dataset:
     np.matmul(labels[:, None, :], protos.reshape(c, -1), out=signals.reshape(n, 1, -1))
     for i, g in enumerate(stream.substream(1).children(np.arange(n))):
         signals[i] += cfg.noise_level * g.standard_normal(signals.shape[1:])
-    return Dataset(signals, labels, cfg.dataset_id, _default_names(c))
+    return Dataset(signals, labels, cfg.dataset_id)
 
 
 # --- preprocessing ------------------------------------------------------------

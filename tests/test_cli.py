@@ -86,13 +86,36 @@ def test_run_raw_dataset_with_zero_byte_samples_exits_2(tmp_path, capsys):
     (data._RAW_HEADER.pack(1, 1, 2, 2) + np.array([0.5, 1.0, 0.0, 0.0], "<f4").tobytes(), "non-binary label value"),
     (data._RAW_HEADER.pack(3, 1, 2, 1) + np.array([1, 0, 1, 0.5, 1, np.nan, 2, np.inf, 3], "<f4").tobytes(),
      "non-finite signal value in sample 1"),
-], ids=["shorter than the header", "negative field", "non-binary label", "non-finite signal"])
+    (data._RAW_HEADER.pack(2, 1, 2, 0) + bytes(16), "labels need at least one class"),
+    (data._RAW_HEADER.pack(0, 2**31, 2**31, 5),
+     "header too large to shape (channels 2147483648, length 2147483648, C 5)"),
+], ids=["shorter than the header", "negative field", "non-binary label", "non-finite signal", "no class",
+        "unshapeable header"])
 def test_run_on_a_malformed_raw_dataset_exits_2_in_load_data(tmp_path, capsys, raw, message):
     dataset = tmp_path / "ds.bin"
     dataset.write_bytes(raw)
     path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)], "format": "raw_f32"})
     assert main(["run", "--config", str(path)]) == 2
     assert f"configuration error in stage load-data: {dataset}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["0,2147483648,2147483648,5\n", "1,1,4611686018427387904,2\n1,0\n0.5,0.25\n"],
+                         ids=["no samples", "a sample"])
+def test_run_on_a_csv_header_numpy_cannot_shape_exits_2_in_load_data(tmp_path, capsys, text):
+    dataset = tmp_path / "ds.csv"
+    dataset.write_text(text)
+    path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)], "format": "csv"})
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"configuration error in stage load-data: {dataset}:1: header too large to shape" in capsys.readouterr().err
+
+
+def test_run_on_an_empty_dataset_of_2_to_the_40_classes_exits_2_naming_the_empty_labeled_set(tmp_path, capsys):
+    dataset = tmp_path / "ds.bin"
+    dataset.write_bytes(data._RAW_HEADER.pack(0, 1, 1, 2**40))
+    path, _ = smoke_config(tmp_path, data={"paths": [str(dataset)], "format": "raw_f32"})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error in stage train: the within split leaves the labeled set empty" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -984,7 +1007,7 @@ def test_gridsearch_workers_receive_the_datasets_once_each(tmp_path, monkeypatch
 
     def reduce_dataset(ds):
         pickled.append(ds.dataset_id)
-        return data.Dataset, (ds.signals, ds.labels, ds.dataset_id, ds.class_names)
+        return data.Dataset, (ds.signals, ds.labels, ds.dataset_id)
 
     monkeypatch.setitem(copyreg.dispatch_table, data.Dataset, reduce_dataset)
     config = _grid_config(tmp_path, "grid")

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -124,6 +125,51 @@ def test_raw_empty_dataset_still_loads(tmp_path):
     path = tmp_path / "ds.bin"
     path.write_bytes(data._RAW_HEADER.pack(0, 0, 0, 5))
     assert len(load_dataset(path, "raw_f32")) == 0
+
+
+def _header_file(path, fmt, header, body=b""):
+    """Write a dataset file of `fmt`: the header (n, channels, length, C), then the bytes of `body`."""
+    head = data._RAW_HEADER.pack(*header) if fmt == "raw_f32" else (",".join(map(str, header)) + "\n").encode()
+    path.write_bytes(head + body)
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["raw_f32", "csv"])
+def test_an_empty_dataset_loads_in_memory_that_its_class_count_does_not_set(tmp_path, fmt):
+    # no sample bytes bound C when n = 0: the load must not cost what C does
+    path = _header_file(tmp_path / "ds", fmt, (0, 1, 1, 10**6))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(ds), ds.num_classes) == (0, 10**6)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("fmt, header, body", [
+    ("raw_f32", (0, 2**31, 2**31, 5), b""),
+    ("csv", (0, 2**31, 2**31, 5), b""),
+    ("csv", (1, 1, 2**62, 2), b"1,0\n0.5,0.25\n"),  # a well-formed sample under a header claiming its length
+    ("csv", (1, 1, 2, 2**62), b"1,0\n0.5,0.25\n"),
+], ids=["raw", "csv", "csv-length", "csv-classes"])
+def test_a_header_numpy_cannot_shape_is_a_parse_error_naming_the_file(tmp_path, fmt, header, body):
+    path = _header_file(tmp_path / "ds", fmt, header, body)
+    where = f"{path}:1" if fmt == "csv" else str(path)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(path, fmt)
+    _, channels, length, c = header
+    assert str(exc.value) == f"{where}: header too large to shape (channels {channels}, length {length}, C {c})"
+
+
+@pytest.mark.parametrize("fmt, n", [("raw_f32", 2), ("raw_f32", 0), ("csv", 0)])
+def test_a_file_with_no_class_is_a_configuration_error_naming_it(tmp_path, fmt, n):
+    # a CSV label row of no cells is an empty line, which reads as one cell, so only n = 0 reaches C = 0
+    path = _header_file(tmp_path / "ds", fmt, (n, 1, 2, 0), bytes(4 * 2 * n))
+    with pytest.raises(ConfigurationError) as exc:
+        load_dataset(path, fmt)
+    assert str(exc.value) == f"{path}: labels need at least one class"
 
 
 def _scan_csv(path):
@@ -512,6 +558,19 @@ def test_split_rejects_an_empty_labeled_val_or_test_set_naming_it(protocol, size
         split(datasets, SplitSpec(protocol=protocol, labeled_frac=0.5, **kw))
 
 
+def test_split_names_an_empty_set_before_it_counts_positives_per_class():
+    # a per-class sum over 2^40 classes would ask for 8 TiB; the empty labeled set is the error
+    ds = Dataset(np.zeros((0, 1, 1)), np.zeros((0, 2**40)), "d")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="the within split leaves the labeled set empty"):
+            split([ds], SplitSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # --- synthesis ---------------------------------------------------------------
 
 
@@ -537,8 +596,15 @@ def test_synth_class_count_is_the_number_of_target_marginals():
     cfg = SynthConfig(n_samples=40, seed=1, target_marginals=(0.3, 0.4, 0.5))
     ds = synth_generate(cfg)
     assert cfg.num_classes == ds.num_classes == 3
-    assert ds.class_names == ("class_0", "class_1", "class_2")
-    assert synth_generate(SynthConfig(n_samples=40, seed=1)).class_names == data.SUPERCLASSES
+    # split names the classes it warns about from the label width: by index, or the superclasses for five
+    with pytest.warns(UserWarning) as record:
+        split_within(ds, SplitSpec(labeled_frac=0.01, seed=1))
+        split_within(synth_generate(SynthConfig(n_samples=40, seed=1)), SplitSpec(labeled_frac=0.01, seed=4))
+    assert [str(w.message) for w in record] == [
+        "labeled split has no positives for classes ['class_0', 'class_2']",
+        "labeled split has no positives for classes "
+        "['Abnormal Rhythms', 'ST/T Abnormalities', 'Conduction Disturbance']",
+    ]
     with pytest.raises(ConfigurationError, match="at least two target_marginals"):
         SynthConfig(target_marginals=(0.3,))
 
@@ -766,8 +832,8 @@ def test_dataset_rejects_samples_with_no_channel_or_no_length(shape):
     (np.zeros((2, 5)), "signal count and label rows must match"),
     (np.zeros(3), "signal count and label rows must match"),
     (np.full((3, 5), 0.5), "labels must be binary"),
-    (np.zeros((3, 2)), "class_names length must equal the label width"),
-], ids=["rows", "one-axis-labels", "non-binary", "class-names"])
+    (np.zeros((3, 0)), "dataset: labels need at least one class"),
+], ids=["rows", "one-axis-labels", "non-binary", "no-class"])
 def test_labels_that_do_not_fit_the_signals_raise_naming_the_rule(labels, message):
     with pytest.raises(ConfigurationError) as exc:
         Dataset(np.zeros((3, 2, 4)), labels)

@@ -1,11 +1,14 @@
-"""Seeded byte mutations of every file the package parses.
+"""Seeded byte mutations of every file the package parses, and size-field mutations of its headers.
 
 Each input is truncated, has a bit flipped, or has a short run of bytes
 inserted or deleted, one mutation per case. A loader either returns or
-raises the package's typed error; a CLI verb exits 0 or 2, never 1.
+raises the package's typed error; a CLI verb exits 0 or 2, never 1. A
+header mutant sets one size field of a dataset or checkpoint header to an
+edge value; its load also stays within memory that the file's bytes bound.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +68,66 @@ def test_mutated_checkpoints_load_or_raise_a_configuration_error(tmp_path):
     nn.save_params(path, nn.init_params(cfg, np.random.default_rng(2)))
     outcomes = _loads(nn.load_params, path, _mutants(path.read_bytes(), 3))
     assert {"ok", "ConfigurationError"} == outcomes
+
+
+def _field_mutants(fields: list, size: int):
+    """`fields` with one entry set to 0, 1, -1, 2^31, 2^62 or a value derived from the file's `size`, per mutant."""
+    for i in range(len(fields)):
+        for value in (0, 1, -1, 2**31, 2**62, size, size // 4, size // 8 + 1):
+            yield fields[:i] + [value] + fields[i + 1:]
+
+
+def _load_bounded(load, path, blob: bytes) -> str:
+    """Write `blob` to `path` and load it: "ok" or the typed error's name. The load's traced peak stays
+    under 16 times the file's bytes plus 1 MiB."""
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        try:
+            load(path)
+            outcome = "ok"
+        except (ParseError, ConfigurationError) as exc:
+            outcome = type(exc).__name__
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(blob) + 2**20, (blob[:40], peak)
+    return outcome
+
+
+def _header_fields(blob: bytes, kind: str):
+    """(fields, body, pack) of a file of `kind`: its header's size fields, the bytes after the header, and
+    the function that writes given fields as such a header."""
+    if kind == "csv":
+        first, body = blob.split(b"\n", 1)
+        return [int(v) for v in first.split(b",")], body, lambda f: ",".join(map(str, f)).encode() + b"\n"
+    if kind == "raw_f32":
+        end = data._RAW_HEADER.size
+        return list(data._RAW_HEADER.unpack_from(blob)), blob[end:], lambda f: data._RAW_HEADER.pack(*f)
+    (count,) = nn._HDR.unpack_from(blob)  # a checkpoint: the matrix count, then (rows, cols) per matrix
+    end = nn._HDR.size + count * nn._SHAPE.size
+    table = np.frombuffer(blob[nn._HDR.size:end], dtype="<i8").tolist()
+    return [count, *table], blob[end:], lambda f: nn._HDR.pack(f[0]) + np.array(f[1:], dtype="<i8").tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["raw_f32", "csv"])
+def test_dataset_header_fields_load_or_raise_within_the_memory_their_file_bounds(tmp_path, fmt):
+    path = tmp_path / "ds"
+    data.save_dataset(path, _tiny_dataset(), fmt)
+    fields, body, pack = _header_fields(path.read_bytes(), fmt)
+    blobs = [pack(f) + body for f in _field_mutants(fields, path.stat().st_size)]
+    blobs.append(pack([0, *fields[1:3], 2**40]))  # a file of no samples and 2^40 classes
+    outcomes = {_load_bounded(lambda p: data.load_dataset(p, fmt), path, blob) for blob in blobs}
+    assert "ParseError" in outcomes and outcomes <= {"ok", "ParseError", "ConfigurationError"}
+
+
+def test_checkpoint_count_and_shape_fields_load_or_raise_within_the_memory_their_file_bounds(tmp_path):
+    path = tmp_path / "student.bin"
+    cfg = nn.ModelConfig(input_dim=3, num_classes=2, hidden_dims=(2,), feature_dim=2, head_hidden=2)
+    nn.save_params(path, nn.init_params(cfg, np.random.default_rng(2)))
+    fields, body, pack = _header_fields(path.read_bytes(), "checkpoint")
+    blobs = [pack(f) + body for f in _field_mutants(fields, path.stat().st_size)]
+    assert {_load_bounded(nn.load_params, path, blob) for blob in blobs} == {"ok", "ConfigurationError"}
 
 
 @pytest.mark.parametrize("mutated", ["scores", "labels"])
