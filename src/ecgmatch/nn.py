@@ -403,5 +403,8 @@ def load_params(path) -> ParameterSet:
             buf = fh.read(8 * n) if 8 * n <= size else b""
             if len(buf) != 8 * n:
                 raise ConfigurationError(f"{path}: truncated checkpoint payload")
-            mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
+            try:  # an empty payload bounds neither side of a 0 x 2^62 shape
+                mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
+            except ValueError:
+                raise ConfigurationError(f"{path}: shape ({rows}, {cols}) too large to shape") from None
     return ParameterSet([(mats[i], mats[i + 1].reshape(-1)) for i in range(0, count, 2)])

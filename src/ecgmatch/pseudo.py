@@ -20,10 +20,12 @@ in the space that distance ranks: scaled to unit norm for cosine (a zero
 row stays zero), as given for euclidean. `update` checks every bank row it
 is given, and `_neighbors` refuses a query under the other distance. No
 step holds a pool-sized temporary: `data.row_blocks` cuts rows into blocks
-of about `data._BLOCK_ELEMENTS` elements. `bank_init` runs the teacher
-forward and the bank update one block at a time. `_neighbors` walks the
-query rows once, with one distance block in flight: a block's distances
-(its own rows of the cosine product, through `nn.matmul_rows`, so a lone
+of about `data._BLOCK_ELEMENTS` elements. `bank_init` takes the pool as
+the caller's blocks of input rows, never as one encoded matrix, and runs
+the teacher forward and the bank update one block at a time. `_neighbors`
+walks the query rows once, with one distance block in flight: a block's
+distances (its own rows, normalised there, of the cosine product through
+`nn.matmul_rows`, so no unit copy of all queries is held and a lone
 query has its batch bits; under euclidean, the bank axis is cut too, so
 one chunk's (rows, bank rows, d) difference tensor stays within the
 budget), its excluded cells set to inf, then `_nearest`, which sorts only
@@ -104,15 +106,18 @@ class MemoryBanks:
         return rows.astype(np.intp, copy=False)
 
 
-def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, unlabeled_inputs: np.ndarray,
+def bank_init(teacher_cfg: nn.ModelConfig, teacher: nn.ParameterSet, n: int, blocks,
               distance: str) -> MemoryBanks:
-    """The teacher's view of the (weak-augmented, encoded) unlabeled pool, one row block at a time,
-    stored for `distance`."""
-    n = len(unlabeled_inputs)
+    """The teacher's view of an n-row (weak-augmented, encoded) unlabeled pool, stored for `distance`.
+
+    `blocks` yields (bank rows, input rows) pairs that cover the pool; each is taken, and cut
+    again to the forward's row budget, one block at a time.
+    """
     banks = MemoryBanks(n, teacher_cfg.feature_dim, teacher_cfg.num_classes, distance)
-    # a forward pass holds each layer's input rows until it returns
-    for rows in row_blocks(n, sum(map(sum, teacher_cfg.layer_sizes()))):
-        banks.update(np.arange(rows.start, rows.stop), *nn.forward(teacher_cfg, teacher, unlabeled_inputs[rows]))
+    row_elements = sum(map(sum, teacher_cfg.layer_sizes()))  # a forward holds each layer's input rows
+    for positions, inputs in blocks:
+        for rows in row_blocks(len(inputs), row_elements):
+            banks.update(positions[rows], *nn.forward(teacher_cfg, teacher, inputs[rows]))
     return banks
 
 
@@ -163,7 +168,6 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
     n = queries.shape[0]
     exclude = None if exclude is None else banks._rows(exclude, n)
     euclidean = cfg.distance == "euclidean"
-    unit_q = None if euclidean else normalize_columns(queries.T).T  # a zero vector has cosine similarity 0
     out = np.empty((n, cfg.k), dtype=np.intp)
     for rows in row_blocks(n, n_bank * d if euclidean else n_bank):
         if euclidean:  # each pair sums its d squares along one contiguous row, whatever the bank cut
@@ -174,8 +178,8 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
                 np.sum(np.multiply(diff, diff, out=diff), axis=2, out=dist[:, cols])
                 del diff  # freed before the next chunk's is formed
             np.sqrt(dist, out=dist)
-        else:  # cosine distance 1 - s
-            dist = nn.matmul_rows(unit_q[rows], banks.features.T)
+        else:  # cosine distance 1 - s; a zero query has similarity 0, and C order sums a norm in one order
+            dist = nn.matmul_rows(normalize_columns(np.ascontiguousarray(queries[rows]).T).T, banks.features.T)
             np.subtract(1.0, dist, out=dist)
         if exclude is not None:
             dist[np.arange(len(dist)), exclude[rows]] = np.inf

@@ -10,6 +10,10 @@ student from the teacher, then per mini-batch
     SGD step on the student -> EMA update of the teacher
 
 with validation-based early stopping keeping the best student checkpoint.
+Model inputs are built block by block (`_input_blocks`): the banks are
+filled from that walk, so init holds one block of the pool, never the
+encoded pool; step batches and evaluation collect the blocks into one
+matrix (`_inputs`).
 Ablation switches disable pseudo-labeling, agreement weighting, or
 alignment; baselines cover supervised-only training and a fixed-confidence-
 threshold variant of pseudo-label filtering.
@@ -126,17 +130,24 @@ class TrainState:
     step: int = 0
 
 
-def _inputs(subset: Subset, picks, cfg: TrainConfig, stream: RandomStream | None = None, strong=False):
-    """Model inputs of subset rows `picks`, augmented first when a stream is given.
+def _input_blocks(subset: Subset, picks, cfg: TrainConfig, stream: RandomStream | None = None, strong=False):
+    """(positions, model inputs) blocks of subset rows `picks`, augmented first when a stream is given.
 
     The row at position p of `picks` draws from stream.substream(p). Each block of
-    `subset.blocks` is dropped once encoded, so a pool is never held augmented at once.
+    `subset.blocks` is augmented and encoded only when asked for, so a walk that drops
+    each block holds no pool augmented or encoded at once.
     """
-    out = np.empty((len(picks), subset.channels * cfg.pool_len))
     for positions, signals in subset.blocks(picks):
         if stream is not None:
             signals = augment.augment_batch(signals, stream, cfg.augment_cfg, strong=strong, ids=positions)
-        out[positions] = encode_subset(signals, cfg.pool_len)
+        yield positions, encode_subset(signals, cfg.pool_len)
+
+
+def _inputs(subset: Subset, picks, cfg: TrainConfig, stream: RandomStream | None = None, strong=False):
+    """The `_input_blocks` of subset rows `picks` as one matrix, row i for `picks[i]`."""
+    out = np.empty((len(picks), subset.channels * cfg.pool_len))
+    for positions, inputs in _input_blocks(subset, picks, cfg, stream, strong):
+        out[positions] = inputs
     return out
 
 
@@ -218,9 +229,8 @@ def init_train_state(labeled: Subset, unlabeled: Subset, cfg: TrainConfig,
     weights = cfg.effective_weights()
     banks = None
     if weights.lambda_u > 0.0:
-        stream = RandomStream(cfg.seed).substream(_NS_BANK)
-        inputs = _inputs(unlabeled, np.arange(len(unlabeled)), cfg, stream)
-        banks = pseudo.bank_init(model_cfg, teacher, inputs, cfg.knn.distance)
+        blocks = _input_blocks(unlabeled, np.arange(len(unlabeled)), cfg, RandomStream(cfg.seed).substream(_NS_BANK))
+        banks = pseudo.bank_init(model_cfg, teacher, len(unlabeled), blocks, cfg.knn.distance)
     label_corr = None
     if weights.lambda_f > 0.0:
         label_corr = correlation.correlation_matrix(labeled.labels, cfg.similarity)

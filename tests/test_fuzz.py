@@ -4,7 +4,8 @@ Each input is truncated, has a bit flipped, or has a short run of bytes
 inserted or deleted, one mutation per case. A loader either returns or
 raises the package's typed error; a CLI verb exits 0 or 2, never 1. A
 header mutant sets one size field of a dataset or checkpoint header to an
-edge value; its load also stays within memory that the file's bytes bound.
+edge value, or one checkpoint shape to 0 beside an edge value; its load also
+stays within memory that the file's bytes bound.
 """
 
 import csv
@@ -77,6 +78,15 @@ def _field_mutants(fields: list, size: int):
             yield fields[:i] + [value] + fields[i + 1:]
 
 
+def _shape_pair_mutants(fields: list, size: int):
+    """A checkpoint's `fields` with one (rows, cols) entry set to 0 beside 2^31, 2^62 or a value derived from the
+    file's `size`, in both orders: 8 * rows * cols is 0, so no payload byte bounds the other side."""
+    for i in range(1, len(fields), 2):
+        for value in (2**31, 2**62, size, size // 4, size // 8 + 1):
+            for pair in ([0, value], [value, 0]):
+                yield fields[:i] + pair + fields[i + 2:]
+
+
 def _load_bounded(load, path, blob: bytes) -> str:
     """Write `blob` to `path` and load it: "ok" or the typed error's name. The load's traced peak stays
     under 16 times the file's bytes plus 1 MiB."""
@@ -128,6 +138,8 @@ def test_checkpoint_count_and_shape_fields_load_or_raise_within_the_memory_their
     fields, body, pack = _header_fields(path.read_bytes(), "checkpoint")
     blobs = [pack(f) + body for f in _field_mutants(fields, path.stat().st_size)]
     assert {_load_bounded(nn.load_params, path, blob) for blob in blobs} == {"ok", "ConfigurationError"}
+    pairs = [pack(f) + body for f in _shape_pair_mutants(fields, path.stat().st_size)]
+    assert {_load_bounded(nn.load_params, path, blob) for blob in pairs} == {"ConfigurationError"}
 
 
 @pytest.mark.parametrize("mutated", ["scores", "labels"])

@@ -384,7 +384,10 @@ def test_load_params_rejects_negative_shape(tmp_path):
     ((-3).to_bytes(8, "little", signed=True), "negative matrix count -3"),
     ((1).to_bytes(8, "little") + nn._SHAPE.pack(1, 2) + np.ones(2, "<f8").tobytes(),
      "expected alternating weight/bias matrices"),
-], ids=["under 8 bytes", "negative count", "odd count"])
+    # a 0 x 2^62 shape claims no payload bytes, so no file size bounds it and numpy refuses the shape
+    (nn._HDR.pack(2) + nn._SHAPE.pack(0, 2**62) + nn._SHAPE.pack(0, 0), rf"params\.bin: shape \(0, {2**62}\) too"),
+    (nn._HDR.pack(2) + nn._SHAPE.pack(2**62, 0) + nn._SHAPE.pack(0, 0), rf"params\.bin: shape \({2**62}, 0\) too"),
+], ids=["under 8 bytes", "negative count", "odd count", "0 x 2^62", "2^62 x 0"])
 def test_load_params_rejects_a_malformed_checkpoint(tmp_path, raw, message):
     path = tmp_path / "params.bin"
     path.write_bytes(raw)

@@ -15,10 +15,17 @@ def toy_model(seed=0, input_dim=6, d=4, c=3):
     return cfg, nn.init_params(cfg, np.random.default_rng(seed))
 
 
+def _bank_init(cfg, params, x, distance, cuts=()):
+    """`pseudo.bank_init` over the rows of `x`, given as blocks that start at row 0 and at each of `cuts`."""
+    bounds = [0, *cuts, len(x)]
+    blocks = [(np.arange(lo, hi), x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return pseudo.bank_init(cfg, params, len(x), blocks, distance)
+
+
 def test_bank_init_empty_pool_errors():
     cfg, params = toy_model()
     with pytest.raises(ConfigurationError):
-        pseudo.bank_init(cfg, params, np.zeros((0, 6)), "cosine")
+        _bank_init(cfg, params, np.zeros((0, 6)), "cosine")
 
 
 def test_a_bank_needs_a_known_distance_and_a_positive_width():
@@ -32,7 +39,7 @@ def test_bank_init_rows_match_direct_forward():
     """A euclidean bank stores the forward pass's feature rows as they are."""
     cfg, params = toy_model()
     x = np.random.default_rng(1).normal(size=(9, 6))
-    banks = pseudo.bank_init(cfg, params, x, "euclidean")
+    banks = _bank_init(cfg, params, x, "euclidean")
     feats, preds = nn.forward(cfg, params, x)
     np.testing.assert_array_equal(banks.features, feats)
     np.testing.assert_array_equal(banks.predictions, preds)
@@ -43,7 +50,7 @@ def test_bank_update_empty_index_list_is_noop():
     cfg, params = toy_model()
     x = np.random.default_rng(2).normal(size=(5, 6))
     for distance in ("cosine", "euclidean"):
-        banks = pseudo.bank_init(cfg, params, x, distance)
+        banks = _bank_init(cfg, params, x, distance)
         before = banks.features.copy(), banks.predictions.copy()
         pseudo.bank_update(banks, [], cfg, params, np.zeros((0, 6)))
         for got, want in zip((banks.features, banks.predictions), before):
@@ -53,7 +60,7 @@ def test_bank_update_empty_index_list_is_noop():
 def test_bank_update_locality_and_last_write_wins():
     cfg, params = toy_model()
     x = np.random.default_rng(3).normal(size=(6, 6))
-    banks = pseudo.bank_init(cfg, params, x, "euclidean")
+    banks = _bank_init(cfg, params, x, "euclidean")
     before = banks.features.copy()
     new_row = np.random.default_rng(4).normal(size=(1, 6))
     pseudo.bank_update(banks, [2], cfg, params, new_row)
@@ -72,7 +79,7 @@ def test_bank_update_locality_and_last_write_wins():
 
 def test_bank_update_bad_index():
     cfg, params = toy_model()
-    banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)), "cosine")
+    banks = _bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)), "cosine")
     with pytest.raises(ContractViolation):
         pseudo.bank_update(banks, [4], cfg, params, np.zeros((1, 6)))
 
@@ -98,7 +105,7 @@ def test_bank_update_needs_one_row_per_index():
         banks.update([[0, 1, 2]], np.ones((3, 3)), np.ones((3, 2)))
     assert not banks.features.any() and not banks.predictions.any()
     cfg, params = toy_model()
-    banks = pseudo.bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)), "cosine")
+    banks = _bank_init(cfg, params, np.random.default_rng(6).normal(size=(4, 6)), "cosine")
     with pytest.raises(ContractViolation):
         pseudo.bank_update(banks, [0, 1], cfg, params, np.zeros((3, 6)))
 
@@ -120,7 +127,7 @@ def test_bank_rows_equal_the_given_rows_in_their_distance_space_bit_for_bit(dist
     cfg, params = toy_model()
     g = np.random.default_rng(19)
     x = g.normal(size=(9, 6))
-    banks = pseudo.bank_init(cfg, params, x, distance)
+    banks = _bank_init(cfg, params, x, distance)
     given = nn.forward(cfg, params, x)[0]
     assert np.array_equal(banks.features, _stored(given, distance))
     batch = g.normal(size=(2, 6))
@@ -517,9 +524,9 @@ def test_bank_init_over_several_blocks_equals_one_whole_pool_forward_bit_for_bit
     rows, forward = [], nn.forward
     monkeypatch.setattr(nn, "forward", lambda *args: rows.append(len(args[2])) or forward(*args))
     for distance in ("cosine", "euclidean"):
-        rows.clear()
-        banks = pseudo.bank_init(cfg, params, x, distance)
-        assert len(rows) > 1 and sum(rows) == len(x)
+        rows.clear()  # a one-row block, one above the forward's budget (cut again), and the rest
+        banks = _bank_init(cfg, params, x, distance, cuts=(1, step + 2))
+        assert rows == [1, step, 1, step - 2 + extra]
         assert np.array_equal(banks.features, _stored(features, distance))
         assert np.array_equal(banks.predictions, predictions)
 
@@ -528,7 +535,7 @@ def _traced_bank_init(cfg, params, x, distance):
     """(bank, bytes it retains, peak bytes beside it) of one bank_init under tracemalloc."""
     tracemalloc.reset_peak()
     before, _ = tracemalloc.get_traced_memory()
-    banks = pseudo.bank_init(cfg, params, x, distance)
+    banks = _bank_init(cfg, params, x, distance)
     current, peak = tracemalloc.get_traced_memory()
     return banks, current - before, peak - current
 

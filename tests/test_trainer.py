@@ -338,6 +338,27 @@ def test_strong_inputs_of_long_multi_lead_signals_hold_a_block_not_the_batch():
     assert peak <= 8 * 2**20 and time.perf_counter() - start < 1.0
 
 
+def test_init_train_state_holds_a_block_of_the_pool_not_the_pool():
+    """19,600 rows of 3x32 signals encode to a 14.4 MiB pool (96 float64 per row). The banks are
+    filled from the block walk, so init's peak beside them stays within a couple of blocks; it
+    was ~16.0 MiB when init encoded the whole pool first."""
+    g = np.random.default_rng(14)
+    n = 19600
+    ds = Dataset(g.normal(size=(n, 3, 32)), (g.random((n, 5)) < 0.5).astype(float))
+    labeled, pool = Subset([ds], np.zeros(64), np.arange(64)), Subset([ds], np.zeros(n), np.arange(n))
+    cfg = quick_cfg(pool_len=32)
+    teacher = nn.init_params(cfg.model_config(3, 5), np.random.default_rng(15))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        state = trainer.init_train_state(labeled, pool, cfg, teacher)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.banks.size == n and time.perf_counter() - start < 2.0
+    assert peak - current <= 8 * 2**20, (peak - current) / 2**20
+
+
 def test_model_width_is_channels_times_pool_len():
     splits = quick_splits()  # 2-channel signals
     for pool_len in (4, 8):
