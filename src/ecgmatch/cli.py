@@ -23,8 +23,8 @@ import numpy as np
 
 from . import metrics, stats, trainer
 from .config import ExperimentConfig, load_experiment_config
-from .data import (AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, parse_rows, read_lines,
-                   save_dataset, synth_generate)
+from .data import (AnnotationMap, SUPERCLASSES, load_dataset, map_annotations, parse_rows, read_line_blocks,
+                   read_lines, save_dataset, synth_generate)
 from .errors import ConfigurationError, ParseError
 from .metrics import CSV_COLUMNS, METRIC_NAMES
 from .nn import LossWeights, save_params
@@ -211,15 +211,23 @@ def _gridsearch(args, stage) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    matrix, bad = parse_rows(read_lines(path), skip_blank=True)
-    if bad is not None:
-        index, _, error = bad
-        if error is not None:
-            raise ParseError(f"{path}:{index + 1}: non-numeric cell ({error})")
-        raise ParseError(f"{path}:{index + 1}: ragged row")
-    if not len(matrix):
+    """The rows of a matrix file, parsed one `read_line_blocks` block at a time: the width of the
+    first row and the line count carry across blocks, so a ParseError names the file's `path:line`."""
+    parts, width, offset = [], None, 0
+    for lines in read_line_blocks(path):
+        part, bad = parse_rows(lines, width, skip_blank=True)
+        if bad is not None:
+            index, _, error = bad
+            if error is not None:
+                raise ParseError(f"{path}:{offset + index + 1}: non-numeric cell ({error})")
+            raise ParseError(f"{path}:{offset + index + 1}: ragged row")
+        if len(part):
+            parts.append(part)
+            width = part.shape[1]
+        offset += len(lines)
+    if not parts:
         raise ParseError(f"{path}: empty matrix file")
-    return matrix
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _eval(args, stage) -> int:

@@ -19,6 +19,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
@@ -68,7 +69,8 @@ class Dataset:
         return self.labels.shape[1]
 
 
-# Elements of temporaries per block of every bounded walk (`row_blocks`): about 4 MB of float64 each.
+# The block budget of every bounded walk: elements of temporaries per `row_blocks` block (about 4 MB of
+# float64 each) and characters of text per `read_line_blocks` block.
 _BLOCK_ELEMENTS = 1 << 19
 
 
@@ -236,20 +238,30 @@ def open_input(path, mode="r", **kwargs):
         raise ParseError(f"{path}: {exc.strerror}") from None
 
 
-def read_lines(path) -> list:
-    """A UTF-8 text file split at `\n`, `\r\n` and `\r` only, less one trailing empty line.
-
-    `str.splitlines` would also split at `\f`, `\v`, `\x1c`-`\x1e`, `\x85`, `\u2028` and `\u2029`.
-    Undecodable bytes are a ParseError naming the path.
-    """
+def read_line_blocks(path):
+    """Lines of a UTF-8 text file as `read_lines` splits them, in lists of whole lines of about
+    _BLOCK_ELEMENTS characters; universal newlines split `\r\n` and `\r` even across a block edge.
+    Undecodable bytes are a ParseError naming the path and their offset in the file, raised when the
+    reader reaches them, so a bad row in an earlier block is met first."""
     try:
         with open_input(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            while block := fh.read(_BLOCK_ELEMENTS) + fh.readline():
+                yield block.removesuffix("\n").split("\n")
     except UnicodeDecodeError as exc:
+        with open_input(path, "rb") as fh:  # the wrapper counts offsets from its chunk, a whole decode from the file
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-    if not lines[-1]:
-        lines.pop()
-    return lines
+
+
+def read_lines(path) -> list:
+    """A UTF-8 text file split at `\n`, `\r\n` and `\r` only, less one trailing empty line (`read_line_blocks`, joined).
+
+    `str.splitlines` would also split at `\f`, `\v`, `\x1c`-`\x1e`, `\x85`, `\u2028` and `\u2029`.
+    """
+    return list(chain.from_iterable(read_line_blocks(path)))
 
 
 def _load_csv(path) -> Dataset:

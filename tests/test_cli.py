@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,70 @@ def test_load_matrix_round_trips_every_float_bit_for_bit(tmp_path):
         assert got.shape == x.shape
         assert got.view(np.uint64).tobytes() == x.view(np.uint64).tobytes()
         assert _outcome(cli._load_matrix, str(path)) == _outcome(_scan_matrix, str(path))
+
+
+def _edge_files(seed):
+    """Seeded matrix files of lines that sit on block edges at small budgets: blank, whitespace-only,
+    ragged, non-numeric and `\x1c` lines, with `\n`, `\r\n` or `\r` endings, with or without a last one."""
+    g = np.random.default_rng(seed)
+    kinds = ["0.5,0.25", "1e-3,-0", "", " \t", "\f", "0.75", "0.5,x", "0.5,\x1c1", "1_0,2"]
+    weights = [0.45, 0.25, 0.06, 0.06, 0.04, 0.04, 0.04, 0.03, 0.03]
+    for _ in range(60):
+        lines = g.choice(kinds, size=int(g.integers(1, 24)), p=weights).tolist()
+        end = str(g.choice(["\n", "\r\n", "\r"]))
+        yield end.join(lines) + (end if g.random() < 0.7 else "")
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 64])
+def test_load_matrix_in_blocks_matches_the_line_scan(tmp_path, monkeypatch, budget):
+    monkeypatch.setattr(data, "_BLOCK_ELEMENTS", budget)
+    path = tmp_path / "m.csv"
+    for text in [*MATRIX_CASES.values(), *_edge_files(budget)]:
+        path.write_bytes(text.encode())
+        assert _outcome(cli._load_matrix, str(path)) == _outcome(_scan_matrix, str(path)), repr(text)
+        assert data.read_lines(path) == [line for block in data.read_line_blocks(path) for line in block]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 64])
+def test_read_lines_splits_as_one_whole_read_at_any_budget(tmp_path, monkeypatch, budget):
+    monkeypatch.setattr(data, "_BLOCK_ELEMENTS", budget)
+    path = tmp_path / "t.txt"
+    for text, lines in [("", []), ("a\n\n", ["a", ""]), ("a\r\nbc\r\n", ["a", "bc"]), ("ab\r\r\nc", ["ab", "", "c"]),
+                        ("a\fb\x1cc\u2028d\n", ["a\fb\x1cc\u2028d"]), ("\n", [""]),
+                        ("a" * 8191 + "\r\nb\r", ["a" * 8191, "b"])]:  # `\r\n` across the text reader's 8 KiB chunk
+        path.write_bytes(text.encode())
+        assert data.read_lines(path) == lines, repr(text)
+        assert [line for block in data.read_line_blocks(path) for line in block] == lines
+
+
+def test_load_matrix_holds_one_block_of_text_not_the_file(tmp_path):
+    """The parse peaks near the matrix and its parts, not at the file's text, lines and joined copy."""
+    x = np.random.default_rng(3).standard_normal((100_000, 5))
+    path = tmp_path / "m.csv"
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")  # 9.5 MiB of text for a 3.8 MiB matrix
+    tracemalloc.start()
+    try:
+        got = cli._load_matrix(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.view(np.uint64).tobytes() == x.view(np.uint64).tobytes()
+    assert peak <= 2.5 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("budget", [7, data._BLOCK_ELEMENTS])
+def test_load_matrix_reports_the_file_wide_byte_offset_of_bad_utf8(tmp_path, monkeypatch, budget):
+    """The text reader decodes chunk by chunk; its error's offset counts from the chunk, the message's from the file."""
+    monkeypatch.setattr(data, "_BLOCK_ELEMENTS", budget)
+    x = np.random.default_rng(4).random((8_000, 5))
+    path = tmp_path / "m.csv"
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
+    blob = path.read_bytes()
+    for bad, where in [(blob[:600_000] + b"\xff" + blob[600_000:], "0xff in position 600000: invalid start byte"),
+                       (blob + b"\xc3", f"0xc3 in position {len(blob)}: unexpected end of data")]:
+        path.write_bytes(bad)
+        with pytest.raises(cli.ParseError, match=f"not UTF-8 text .* {where}"):
+            cli._load_matrix(str(path))
 
 
 def _write_seed_reports(path, model, cells):

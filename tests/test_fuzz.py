@@ -143,17 +143,22 @@ def test_checkpoint_count_and_shape_fields_load_or_raise_within_the_memory_their
 
 
 @pytest.mark.parametrize("mutated", ["scores", "labels"])
-def test_mutated_eval_matrices_exit_0_or_2(tmp_path, capsys, mutated):
+def test_mutated_eval_matrices_exit_0_or_2(tmp_path, capsys, monkeypatch, mutated):
+    """Each mutant also exits alike, with the same stderr, when the matrix is read 7 characters a block."""
     g = np.random.default_rng(4)
     matrices = {"scores": g.random((6, 4)).round(3), "labels": (g.random((6, 4)) < 0.5).astype(int)}
     paths = {name: tmp_path / f"{name}.csv" for name in matrices}
     for name, matrix in matrices.items():
         np.savetxt(paths[name], matrix, delimiter=",", fmt="%g")
-    exits = set()
+    args, exits = (str(paths["scores"]), str(paths["labels"])), set()
     for mutant in _mutants(paths[mutated].read_bytes(), 5 + (mutated == "labels")):
         paths[mutated].write_bytes(mutant)
-        exits.add(cmd_eval(str(paths["scores"]), str(paths["labels"])))
-        assert exits <= {0, 2}, (mutant, capsys.readouterr().err)
+        code, err = cmd_eval(*args), capsys.readouterr().err
+        with monkeypatch.context() as m:
+            m.setattr(data, "_BLOCK_ELEMENTS", 7)
+            assert (cmd_eval(*args), capsys.readouterr().err) == (code, err), mutant
+        exits.add(code)
+        assert exits <= {0, 2}, (mutant, err)
     assert exits == {0, 2}
 
 
