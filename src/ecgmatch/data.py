@@ -14,7 +14,9 @@ co-occurrence are both controllable.
 
 from __future__ import annotations
 
+import math
 import os
+import reprlib
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -79,6 +81,12 @@ def row_blocks(n: int, row_elements: int) -> list[slice]:
     per row and one row at least; none when a row holds no element."""
     step = max(1, _BLOCK_ELEMENTS // max(1, row_elements))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n if row_elements else 0, step)]
+
+
+def shapeable(*dims: int) -> bool:
+    """Whether numpy can shape a float64 array of these nonnegative dims: it skips a zero dim,
+    and the bytes of the others must fit in np.intp."""
+    return math.prod(d for d in dims if d) * 8 <= np.iinfo(np.intp).max
 
 
 @dataclass
@@ -187,6 +195,24 @@ def load_dataset(path, format: str = "csv") -> Dataset:
     raise ConfigurationError(f"unknown format {format!r}")
 
 
+def _binary_rows(text: str, n: int, width):
+    """The (n, w) float matrix of `text`, n lines joined by `\n`, when every one of its cells is
+    one `0` or `1` byte and each line has w cells (`width`, when given); else None. Such a text
+    is 2nw - 1 ASCII characters: a digit at each even offset, a `\n` at each line end but the
+    last, and commas at the n(w - 1) odd offsets left, so a count checks those. Only the digits
+    are copied, as bytes, before the matrix is formed."""
+    w = (len(text) + 1) // 2 // max(n, 1)
+    if not (text.isascii() and len(text) == 2 * n * w - 1 and width in (None, w)):
+        return None
+    digits = np.frombuffer(text[::2].encode(), dtype=np.uint8).reshape(n, w)
+    if (digits.min() >= ord("0") and digits.max() <= ord("1") and text.count(",") == n * (w - 1)
+            and text[2 * w - 1::2 * w].count("\n") == n - 1):
+        rows = digits.astype(float)
+        rows -= ord("0")
+        return rows
+    return None
+
+
 def parse_rows(lines, width=None, skip_blank=False):
     """Rows of comma-separated floats: (rows before the first bad line, bad).
 
@@ -196,14 +222,21 @@ def parse_rows(lines, width=None, skip_blank=False):
     count when `width` is None). Under `skip_blank`, whitespace-only lines are
     skipped.
 
-    numpy's C reader parses a well-formed block. When it fails or warns, or
-    the block holds a character it strips from a cell and float() does not
-    (`\x1c`-`\x1f`), a scan with one float() per cell decides, so the
-    accepted lines and their values are the scan's: float() also takes
-    whitespace-only lines, `1_0` and non-ASCII digits, which the reader
-    rejects. `comments=None` keeps the reader from taking `0.1#c` as 0.1.
+    A block whose every cell is a single `0` or `1` byte, w to a line, is read
+    as bytes (`_binary_rows`), with the values float() gives; anything else in
+    it (a blank line, a space, `-0`, `1.0`, a ragged row) leaves it to the
+    readers below, as if there were no byte read. numpy's C reader parses a
+    well-formed block. When it fails or warns, or the block holds a character
+    it strips from a cell and float() does not (`\x1c`-`\x1f`), a scan with
+    one float() per cell decides, so the accepted lines and their values are
+    the scan's: float() also takes whitespace-only lines, `1_0` and non-ASCII
+    digits, which the reader rejects. `comments=None` keeps the reader from
+    taking `0.1#c` as 0.1.
     """
     text = "\n".join(lines)
+    binary = _binary_rows(text, len(lines), width)
+    if binary is not None:
+        return binary, None
     if not any(c in text for c in "\x1c\x1d\x1e\x1f"):
         try:
             with warnings.catch_warnings():
@@ -339,11 +372,8 @@ def _check_header(where, n, channels, length, c, bounded) -> None:
     label block by C and an empty signal block by channels and length; else a ParseError at `where`."""
     if min(n, channels, length, c) < 0:
         raise ParseError(f"{where}: negative header field")
-    try:
-        if not bounded:
-            np.empty((0, c)), np.empty((0, channels, length))
-    except ValueError:
-        raise ParseError(f"{where}: header too large to shape (channels {channels}, length {length}, C {c})") from None
+    if not (bounded or shapeable(0, c) and shapeable(0, channels, length)):
+        raise ParseError(f"{where}: header too large to shape (channels {channels}, length {length}, C {c})")
 
 
 # --- annotation mapping -------------------------------------------------------
@@ -507,6 +537,11 @@ class SynthConfig:
             raise ConfigurationError(f"data.synth.seed must be nonnegative, got {self.seed}")
         if self.channels < 1 or self.signal_length < 1:
             raise ConfigurationError("need channels >= 1 and signal_length >= 1")
+        n, c, block = self.n_samples, self.num_classes, (self.channels, self.signal_length)
+        # synth_generate shapes (n, C) labels and (n or C, channels, length) signals and prototypes
+        if not (shapeable(n, c) and shapeable(max(n, c), *block)):
+            raise ConfigurationError("data.synth: n_samples, channels and signal_length "
+                                     f"{reprlib.repr((n, *block))} shape a block too large for numpy")
 
     @property
     def num_classes(self) -> int:

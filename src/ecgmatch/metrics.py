@@ -118,12 +118,15 @@ def _tie_groups(scores: np.ndarray, *masks: np.ndarray | None):
     Returns each sorted entry's flat index, the group sizes and starts, and per mask
     each group's (gt, ge): the masked entries of its row scoring higher / at least as
     high, read off a running count at the group's ends (None: the sorted positions).
+    The sorted scores and every mask are read through the one flat index.
     """
     n, c = scores.shape
-    order = np.argsort(scores, axis=1)
-    ranked = np.take_along_axis(scores, order, axis=1)
+    scores = np.ascontiguousarray(scores)  # a class block is a strided view of the transpose
+    flat = (np.argsort(scores, axis=1) + c * np.arange(n)[:, None]).ravel()
+    ranked = scores.ravel()[flat].reshape(n, c)
     first = np.ones((n, c), dtype=bool)  # opens a tie group
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    del scores, ranked  # freed before the masks' running counts are formed
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], n * c) - 1
     row_last = (starts // c + 1) * c - 1  # last position of each group's row
@@ -132,11 +135,11 @@ def _tie_groups(scores: np.ndarray, *masks: np.ndarray | None):
         if mask is None:
             counts.append((row_last - ends, row_last - starts + 1))
             continue
-        hit = np.take_along_axis(mask, order, axis=1).ravel()
+        hit = mask.ravel()[flat]
         seen = np.cumsum(hit, dtype=np.int64)
         in_row = seen[row_last]
         counts.append((in_row - seen[ends], in_row - seen[starts] + hit[starts]))
-    return (order + c * np.arange(n)[:, None]).ravel(), ends - starts + 1, starts, counts
+    return flat, ends - starts + 1, starts, counts
 
 
 def _spread(values: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -163,13 +166,13 @@ _ENTRY_ELEMENTS = 32
 def _ranked_block(scores: np.ndarray, pos: np.ndarray):
     """Per row of a block: twice its mis-ordered (positive, negative) pairs, ties
     counting half, and its deepest positive's depth (0 if none); per tie group its
-    precision (positives / entries at or above), with what `_spread` needs."""
+    positives and entries at or above it (precision's terms), with what `_spread` needs."""
     flat, sizes, starts, [(gt, ge), (pos_gt, hits)] = _tie_groups(scores, None, pos)
     in_group = hits - pos_gt  # the group's positives; the rest of it is negative
     row_first = np.flatnonzero(starts % scores.shape[1] == 0)
     twice_wrong = np.add.reduceat(in_group * (gt - pos_gt + ge - hits), row_first)
     depth = np.maximum.reduceat(np.where(in_group > 0, ge, 0), row_first)
-    return twice_wrong, depth, (hits / ge, flat, sizes)
+    return twice_wrong, depth, (hits, ge, flat, sizes)
 
 
 def _mean_in_order(values: np.ndarray) -> float:
@@ -245,8 +248,8 @@ def compute_all(scores, labels, threshold: float = 0.5, beta: float = 2.0) -> Me
     # per class (a row of the transposes): precision at each positive's worst rank, and mis-ordered pairs
     twice_wrong_t, pairs_t, ap = np.zeros(c, dtype=np.int64), npos_t * (n - npos_t), {}
     for classes in row_blocks(c, _ENTRY_ELEMENTS * n):
-        twice_wrong_t[classes], _, group_precision = _ranked_block(sm.scores.T[classes], pos.T[classes])
-        precision = _spread(*group_precision).reshape(-1, n)
+        twice_wrong_t[classes], _, (hits, ge, flat, sizes) = _ranked_block(sm.scores.T[classes], pos.T[classes])
+        precision = _spread(hits / ge, flat, sizes).reshape(-1, n)
         ap.update((k, float(np.mean(p[hit]))) for k, p, hit in zip(range(c)[classes], precision, pos.T[classes])
                   if hit.any())
     auc = {k: float((pairs_t[k] - twice_wrong_t[k] / 2) / pairs_t[k]) for k in range(c) if pairs_t[k]}

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import correlation
+from .data import shapeable
 from .errors import ConfigurationError, ContractViolation, NumericError
 from .rng import as_generator
 
@@ -59,6 +61,12 @@ class ModelConfig:
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigurationError("hidden_dims entries must be positive")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        names = ["input_dim", *(f"hidden_dims[{i}]" for i in range(len(self.hidden_dims))),
+                 "feature_dim", "head_hidden", "num_classes"]
+        for (a, b), rows, cols in zip(self.layer_sizes(), names, names[1:]):
+            if not shapeable(a, b):
+                raise ConfigurationError(f"the {rows} x {cols} weight ({reprlib.repr(a)} x {reprlib.repr(b)}) "
+                                         "is too large for numpy to shape")
 
     @property
     def n_extractor_layers(self) -> int:

@@ -36,6 +36,7 @@ one is formed.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class KnnConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ConfigurationError(f"k must be positive, got {self.k}")
+            raise ConfigurationError(f"k must be positive, got {reprlib.repr(self.k)}")
         if self.distance not in ("cosine", "euclidean"):
             raise ConfigurationError(f"distance must be cosine or euclidean, got {self.distance!r}")
 
@@ -164,7 +165,7 @@ def _neighbors(banks: MemoryBanks, queries: np.ndarray, cfg: KnnConfig, exclude=
     if cfg.distance != banks.distance:
         raise ContractViolation(f"a {cfg.distance} query needs a {cfg.distance} bank, got a {banks.distance} one")
     if cfg.k + (exclude is not None) > n_bank:
-        raise ConfigurationError(f"k={cfg.k} exceeds available bank rows ({n_bank})")
+        raise ConfigurationError(f"k={reprlib.repr(cfg.k)} exceeds available bank rows ({n_bank})")
     n = queries.shape[0]
     exclude = None if exclude is None else banks._rows(exclude, n)
     euclidean = cfg.distance == "euclidean"

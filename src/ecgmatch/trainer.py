@@ -21,12 +21,13 @@ threshold variant of pseudo-label filtering.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import augment, correlation, metrics, nn, pseudo
-from .data import SplitResult, SplitSpec, Subset, encode_subset, split
+from .data import SplitResult, SplitSpec, Subset, encode_subset, shapeable, split
 from .errors import ConfigurationError
 from .rng import RandomStream
 
@@ -90,7 +91,9 @@ class TrainConfig:
         if self.patience < 1 or self.pretrain_patience < 1:
             raise ConfigurationError("patience and pretrain_patience must be positive")
         if self.pool_len < 1:
-            raise ConfigurationError(f"pool_len must be at least 1, got {self.pool_len}")
+            raise ConfigurationError(f"pool_len must be at least 1, got {reprlib.repr(self.pool_len)}")
+        if not shapeable(self.pool_len + 1):  # encode_subset's bin edges
+            raise ConfigurationError(f"pool_len {reprlib.repr(self.pool_len)} is too large for numpy to shape")
         if self.max_epochs < 0 or self.pretrain_max_epochs < 0:
             raise ConfigurationError("max_epochs and pretrain_max_epochs must be nonnegative")
         if not 0.0 <= self.fixed_threshold_tau <= 1.0:

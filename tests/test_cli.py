@@ -195,6 +195,33 @@ def test_a_pool_len_below_1_exits_2_in_load_config_naming_the_key(tmp_path, caps
     assert "configuration error in stage load-config: pool_len must be at least 1, got 0" in capsys.readouterr().err
 
 
+# a key at 1e300 (an int in JSON), and the stage that rejects it: numpy cannot shape what six of them size
+HUGE_KEYS = {
+    "n_samples": (("data", "synth"), "load-config"),
+    "signal_length": (("data", "synth"), "load-config"),
+    "channels": (("data", "synth"), "load-config"),
+    "feature_dim": (("train",), "load-config"),
+    "head_hidden": (("train",), "load-config"),
+    "pool_len": (("train",), "load-config"),
+    "k": (("train", "knn"), "train"),  # k exceeds the bank's rows
+}
+
+
+@pytest.mark.parametrize("key", list(HUGE_KEYS))
+def test_a_key_at_1e300_exits_2_naming_it_in_a_short_message(tmp_path, capsys, key):
+    sections, stage = HUGE_KEYS[key]
+    config, doc = smoke_config(tmp_path)
+    where = doc
+    for section in sections:
+        where = where[section]
+    where[key] = 1e300
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error in stage {stage}: " in err and key in err
+    assert len(err) < 300 and "..." in err  # the 301 digits are abbreviated
+
+
 # a key that must not be negative, a negative value for it, and the message naming it
 NEGATIVE_KEYS = {
     "seeds": (("seeds",), [-1], "seeds must be nonnegative, got [-1]"),
@@ -404,6 +431,25 @@ MATRIX_CASES = {
     "no final newline": "0.5,0.25\n0.75,1",
     "special values": "nan,-inf\ninfinity,-0\n",
     "nul byte": "0.5,0\x00\n",
+    # 0/1 blocks are read as bytes; every near miss takes the readers above
+    "binary": "0,1,1\n1,0,0\n",
+    "binary, no final newline": "0,1\n1,0",
+    "binary single cell": "1",
+    "binary single column": "0\n1\n1\n",
+    "binary single row": "1,0,1,1\n",
+    "binary crlf": "0,1\r\n1,0\r\n",
+    "binary lone cr": "0,1\r1,0\r",
+    "binary blank line": "0,1\n\n1,0\n",
+    "binary minus zero": "-0,1\n1,0\n",
+    "binary plus one": "+1,0\n1,0\n",
+    "binary double zero": "00,1\n1,0\n",
+    "binary one point zero": "1.0,0\n1,0\n",
+    "binary spaced cell": "0 ,1\n1,0\n",
+    "binary trailing comma": "0,1,\n1,0,\n",
+    "binary ragged row": "0,1\n1,0,1\n",
+    "binary ragged rows of the right total": "0,1,1\n0\n",
+    "binary semicolons": "0;1\n1;0\n",
+    "binary non-ascii digit": "١,0\n1,0\n",
     # numpy's reader strips these from a cell; float() rejects them (str.strip takes them off a line's ends)
     **{f"{sep!r} {side}": text for sep in "\x1c\x1d\x1e\x1f"
        for side, text in [("leading", f"0.5,{sep}1\n"), ("trailing", f"0.5{sep},1\n")]},
@@ -425,6 +471,52 @@ def test_load_matrix_keeps_what_only_the_scan_accepts(tmp_path):
     path.write_text("0.5,0.25\n0.1#c,0.5\n")
     with pytest.raises(cli.ParseError, match=":2: non-numeric cell"):
         cli._load_matrix(str(path))
+
+
+@pytest.mark.parametrize("text,error", [
+    ("0,1\n1,0\n0,1\n1,0\n0.5,1\n1,1\n", None),  # a 0/1 block, then one the byte read declines
+    ("0,1\n1,0\n0,1\n1,0\n0.5,1\n1,1,0\n", ":6: ragged row"),
+    ("0,1\n1,0\n0,1\n1,0,1\n0,0,1\n", ":4: ragged row"),  # 0/1 rows of another width than the first block's
+    ("0,1\n1,0\n0,1\n1,0\n1,x\n", ":5: non-numeric cell"),
+])
+def test_load_matrix_carries_width_and_line_across_binary_blocks(tmp_path, monkeypatch, text, error):
+    monkeypatch.setattr(data, "_BLOCK_ELEMENTS", 8)  # blocks of 3 and 2 lines, then the rest
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert [len(block) for block in data.read_line_blocks(path)][:2] == [3, 2]
+    outcome = _outcome(cli._load_matrix, str(path))
+    assert outcome == _outcome(_scan_matrix, str(path))
+    if error is None:
+        np.testing.assert_array_equal(cli._load_matrix(str(path)),
+                                      [[0, 1], [1, 0], [0, 1], [1, 0], [0.5, 1], [1, 1]])
+    else:
+        assert outcome[0] == "ParseError" and outcome[1].startswith(f"{path}{error}")
+
+
+def test_binary_rows_never_reach_the_float_reader(tmp_path, monkeypatch):
+    """0/1 rows parse with numpy's reader failing; float rows still go to it (and on to the scan)."""
+    calls = []
+
+    def failing_loadtxt(lines, **kwargs):
+        calls.append(list(lines))
+        raise ValueError("no float reader")
+
+    monkeypatch.setattr(data.np, "loadtxt", failing_loadtxt)
+    path = tmp_path / "m.csv"
+    path.write_text("0,1,1\n1,0,0\n")
+    got = cli._load_matrix(str(path))
+    assert got.dtype == np.float64 and got.tolist() == [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]
+    assert calls == []
+    ds = data.Dataset(np.arange(12.0).reshape(2, 2, 3), np.array([[0.0, 1.0], [1.0, 1.0]]), "d")
+    data.save_dataset(tmp_path / "d.csv", ds)
+    back = data.load_dataset(tmp_path / "d.csv")
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    np.testing.assert_array_equal(back.signals, ds.signals)
+    assert [len(lines) for lines in calls] == [4]  # the signal rows only
+    calls.clear()
+    path.write_text("0.5,1\n")
+    assert cli._load_matrix(str(path)).tolist() == [[0.5, 1.0]]
+    assert calls == [["0.5,1"]]
 
 
 def test_load_matrix_round_trips_every_float_bit_for_bit(tmp_path):

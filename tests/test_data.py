@@ -808,6 +808,22 @@ def test_row_blocks_cover_the_rows_in_order_within_the_budget(row_elements):
         assert data.row_blocks(n, 0) == []  # a row of no element: nothing to walk
 
 
+def test_shapeable_is_numpys_own_size_rule():
+    """numpy skips a zero dim and shapes the rest only when their float64 bytes fit in np.intp,
+    so an empty array checks the rule without allocating."""
+    def numpy_shapes(*dims):
+        try:
+            np.empty((0, *dims))
+        except ValueError:
+            return False
+        return True
+
+    top = np.iinfo(np.intp).max // 8
+    for dims in [(top,), (top + 1,), (top // 3, 3), (top // 3 + 1, 3), (2**31, 2**29), (2**31, 2**29 + 1),
+                 (10**300,), (2, 3, 5), (0,), (0, 10**300), (top + 1, 0), (0, 2**31, 2**29 + 1)]:
+        assert data.shapeable(*dims) == numpy_shapes(*dims), dims
+
+
 def test_subset_rejects_pooled_channel_counts_and_ragged_datasets():
     two, three = tiny_dataset(channels=2, dataset_id="two"), tiny_dataset(channels=3, dataset_id="three")
     with pytest.raises(ConfigurationError, match="one channel and class count"):

@@ -174,13 +174,22 @@ def test_rank_counts_shares_one_sort_across_masks_and_matches_brute_force():
         masks = [g.random((n, c)) < g.random(), np.zeros((n, c), dtype=bool), np.ones((n, c), dtype=bool), None]
         together = m.rank_counts(scores, *masks)
         assert len(together) == len(masks)
-        for mask, (gt, ge) in zip(masks, together):
+        # the same entries in other layouts: Fortran order, and every other column of a wider array,
+        # as a class block is a strided view of the transpose
+        wide_scores, wide_masks = np.zeros((n, 2 * c)), np.zeros((n, 2 * c, len(masks) - 1), dtype=bool)
+        wide_scores[:, ::2], wide_masks[:, ::2] = scores, np.stack(masks[:-1], axis=-1)
+        layouts = [m.rank_counts(np.asfortranarray(scores), *[np.asfortranarray(k) for k in masks[:-1]], None),
+                   m.rank_counts(wide_scores[:, ::2], *np.moveaxis(wide_masks[:, ::2], -1, 0), None)]
+        for k, (mask, (gt, ge)) in enumerate(zip(masks, together)):
             [(alone_gt, alone_ge)] = m.rank_counts(scores, mask)
             want_gt, want_ge = _brute_rank_counts(scores, np.ones((n, c), dtype=bool) if mask is None else mask)
             for got, alone, want in ((gt, alone_gt, want_gt), (ge, alone_ge, want_ge)):
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, alone)
                 np.testing.assert_array_equal(got, want)
+            for laid_out in layouts:
+                np.testing.assert_array_equal(laid_out[k][0], want_gt)
+                np.testing.assert_array_equal(laid_out[k][1], want_ge)
 
 
 def test_rank_counts_on_empty_shapes():
